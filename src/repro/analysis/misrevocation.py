@@ -24,10 +24,13 @@ Two independent computations are provided and cross-checked in tests:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
+
+import numpy
 
 from ..config import KeyConfig
 from ..errors import ConfigError
@@ -100,15 +103,8 @@ def misrevocation_trials(
     label = ("fig7", seed, num_sensors, num_malicious).__repr__()
     np_rng = None
     if use_numpy:
-        try:
-            import hashlib
-
-            import numpy
-
-            digest = hashlib.sha256(label.encode()).digest()
-            np_rng = numpy.random.default_rng(int.from_bytes(digest[:8], "big"))
-        except ImportError:  # pragma: no cover - numpy is installed here
-            np_rng = None
+        digest = hashlib.sha256(label.encode()).digest()
+        np_rng = numpy.random.default_rng(int.from_bytes(digest[:8], "big"))
     rng = random.Random(label)
 
     for _ in range(trials):

@@ -31,7 +31,7 @@ from ..net.message import ReadingMessage, SynopsisBundle
 from ..net.network import Delivery, Network
 from ..net.node import AggReceiptRecord, AggSendRecord
 from .contexts import AggregationContext
-from .phase_state import SlotSchedule, columns_enabled
+from .phase_state import SlotSchedule
 
 
 @dataclass
@@ -84,37 +84,12 @@ def run_aggregation(
         i for i, node in network.nodes.items()
         if i not in revoked and node.has_valid_level(L)
     ]
-    # Honest inline runs group participants by level with one stable
-    # argsort and address best-so-far rows positionally
-    # (repro.core.phase_state); the dict containers below are the
-    # reference path, kept for adversarial/driven/traced/cache-disabled
-    # runs.  Group order matches the reference's sorted slot lists —
-    # participants ascend, stable sort preserves that within a level.
-    schedule: Optional[SlotSchedule] = None
-    send_slot: Dict[int, List[int]] = {}
-    listen_slot: Dict[int, List[int]] = {}
-    best: Dict[int, List[ReadingMessage]] = {}
-    if columns_enabled(network, adversary):
-        schedule = SlotSchedule(network, participants, L, own_messages, num_instances)
-    else:
-        # Sensors grouped by the interval in which they transmit, and by
-        # the interval in which they listen (level i listens in interval
-        # L - i).  Grouping once keeps the interval loop from rescanning
-        # every participant's level L times; slot order preserves
-        # participant order.
-        for node_id in participants:
-            level = network.nodes[node_id].level
-            send_slot.setdefault(L - level + 1, []).append(node_id)
-            if level <= L - 1:
-                listen_slot.setdefault(L - level, []).append(node_id)
-
-        # Best message seen so far per (node, instance); starts as own
-        # reading.
-        for node_id in participants:
-            messages = own_messages.get(node_id)
-            if messages is None or len(messages) != num_instances:
-                raise ProtocolError(f"sensor {node_id} is missing its own messages")
-            best[node_id] = list(messages)
+    # Participants grouped by level with one stable argsort, best-so-far
+    # rows addressed positionally (repro.core.phase_state): a level
+    # group's positions ascend with participant order, so each slot
+    # sends and listens in ascending id order.  Building the schedule
+    # also checks every participant brought its own messages.
+    schedule = SlotSchedule(network, participants, L, own_messages, num_instances)
 
     bs_deliveries: List[Delivery] = []
 
@@ -137,7 +112,7 @@ def run_aggregation(
         if driver is not None:
             driver.tick(k)
             driver.deliver(k)
-        elif schedule is not None:
+        else:
             ids = schedule.ids
             rows = schedule.best
             for position in schedule.send_positions(k, L):
@@ -145,17 +120,6 @@ def run_aggregation(
             for position in schedule.listen_positions(k, L):
                 node = network.nodes[ids[position]]
                 _honest_collect(network, phase, node, rows[position], k, num_instances)
-        else:
-            # Honest sensors whose slot this is: transmit to parents.
-            for node_id in sorted(send_slot.get(k, ())):
-                _honest_transmit(network, phase, node_id, best[node_id], k)
-
-            # Honest sensors listening this interval: fold verified
-            # receipts.  A sensor at level i listens in interval L - i
-            # (grouped above).
-            for node_id in listen_slot.get(k, ()):
-                node = network.nodes[node_id]
-                _honest_collect(network, phase, node, best[node_id], k, num_instances)
 
         # Base station listens in interval L.
         if k == L:

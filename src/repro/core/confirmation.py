@@ -24,7 +24,7 @@ veto).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..crypto.mac import verify_mac
 from ..keys.registry import BASE_STATION_ID
@@ -32,7 +32,7 @@ from ..net.message import VetoMessage
 from ..net.network import Delivery, Network
 from ..net.node import ConfReceiptRecord, ConfSendRecord
 from .contexts import ConfirmationContext
-from .phase_state import VetoSchedule, columns_enabled, node_id_bound
+from .phase_state import VetoSchedule, node_id_bound
 
 
 @dataclass
@@ -77,32 +77,23 @@ def run_confirmation(
     revoked = network.registry.revoked_sensors
     honest_ids = [i for i in network.nodes if i not in revoked]
     honest_set = set(honest_ids)
-    # Vetoes scheduled for transmission in the coming interval.
-    pending: Dict[int, VetoMessage] = {}
-    vetoers: List[int] = []
     # Service seam: node hosts compute initial vetoes, transmit and adopt
     # for their hosted sensors when a driver is attached (repro.service).
+    # Inline runs keep the forwarded flags as one boolean column and the
+    # veto schedule as parallel lists (repro.core.phase_state); node
+    # objects still get their forwarded_veto flag so post-phase readers
+    # see the same state either way.
     driver = network.honest_driver
-    # Honest inline runs keep the forwarded flags as one boolean column
-    # and the veto schedule as parallel lists (repro.core.phase_state);
-    # node objects still get their forwarded_veto flag so post-phase
-    # readers see identical state.  The pending dict below is the
-    # reference path.
-    schedule: Optional[VetoSchedule] = None
-    if driver is None and columns_enabled(network, adversary):
-        schedule = VetoSchedule(node_id_bound(network))
+    schedule = None
     if driver is not None:
         driver.phase_begin("confirmation", phase, nonce=nonce, minima=minima)
     else:
+        schedule = VetoSchedule(node_id_bound(network))
         for node_id in honest_ids:
             node = network.nodes[node_id]
             veto = _make_veto(node, minima, nonce, L)
             if veto is not None:
-                if schedule is not None:
-                    schedule.schedule(node_id, veto)
-                else:
-                    pending[node_id] = veto
-                vetoers.append(node_id)
+                schedule.schedule(node_id, veto)
                 node.forwarded_veto = True  # vetoers ignore all incoming vetoes
 
     bs_arrivals: List[Tuple[Delivery, int]] = []
@@ -115,14 +106,16 @@ def run_confirmation(
         if driver is not None:
             driver.tick(k)
             driver.deliver(k)
-        elif schedule is not None:
-            # Column path: the drained list replays the reference's
-            # sorted(pending.items()) order (appends are ascending and
-            # the schedule fully drains every interval), and the flags
-            # column answers forwarded-veto without a node lookup.
+        else:
+            # Transmit everything scheduled for this interval: the
+            # schedule drains in ascending id order (appends happen in
+            # ascending visit order and it empties every interval).
             for node_id, veto in schedule.drain():
                 _transmit_veto(network, phase, node_id, veto, k)
-            if k < L:
+            # Non-vetoers adopt the first verified veto they received;
+            # only sensors with arrivals can adopt, so the loop visits
+            # the (typically sparse) arrival map in ascending id order.
+            if k < L:  # a forward scheduled for interval L+1 could never land
                 arrived = phase.arrival_map(k)
                 forwarded = schedule.forwarded
                 for node_id in sorted(arrived) if arrived else ():
@@ -132,30 +125,6 @@ def run_confirmation(
                     adopted = _adopt_first_veto(network, phase, node, k)
                     if adopted is not None:
                         schedule.schedule(node_id, adopted)
-        else:
-            # Transmit everything scheduled for this interval.
-            for node_id, veto in sorted(pending.items()):
-                _transmit_veto(network, phase, node_id, veto, k)
-            pending.clear()
-
-            # Non-vetoers adopt the first verified veto they received.
-            # Iterating the (typically sparse) arrival map instead of
-            # every honest sensor is pure loop-skipping: ``honest_ids``
-            # ascends, so ``sorted(arrived)`` filtered to honest sensors
-            # processes the reference's nodes in the reference's order,
-            # which keeps the ``pending`` schedule — and next interval's
-            # send order — intact.
-            if k < L:  # a forward scheduled for interval L+1 could never land
-                arrived = phase.arrival_map(k)
-                for node_id in sorted(arrived) if arrived else ():
-                    if node_id not in honest_set:
-                        continue
-                    node = network.nodes[node_id]
-                    if node.forwarded_veto:
-                        continue
-                    adopted = _adopt_first_veto(network, phase, node, k)
-                    if adopted is not None:
-                        pending[node_id] = adopted
 
         # Base station collects arrivals.
         for delivery in phase.verified_inbox(BASE_STATION_ID, k):

@@ -10,33 +10,34 @@ station, is simply unused):
 
 * ``reading`` — ``float64`` (readings are floats everywhere; the
   protocol driver coerces with ``float()`` before installing them);
-* ``level`` — ``int32``, ``-1`` encoding the reference ``None``;
+* ``level`` — ``int32``; a level the column cannot hold — ``None``
+  or a hop count outside ``int32`` (the hop-count baseline stores
+  whatever a possibly forged beacon claims, negative or past ``2**31``
+  included) — is the ``_LEVEL_SPILL`` sentinel, with the actual value
+  (if any) in the ``level_spill`` dict;
 * ``forwarded_veto`` / ``forwarded_beacon`` / ``crash_suspected`` —
   boolean columns.
 
-:class:`~repro.net.node.ColumnNode` exposes each column cell through
-properties with the exact types the reference attributes carry (Python
-``float``/``int``/``bool``/``None``), so every phase loop, adversary
-hook, fault injector and service driver reads and writes node state
-unchanged — the hybrid kernel's row views are these thin property
-wrappers, not copies.  Containers that are per-node but not scalar
-(``parents``, ``query_values``, the audit trail) stay object slots on
-the node views; the tree phase already arenas ``parents`` during its
-hot loop (:class:`~repro.core.phase_state.TreeColumns`).
-
-Nothing here is consulted by the reference path: networks built while
-caching is disabled (or without numpy) construct plain
-:class:`~repro.net.node.HonestNode` objects and never allocate columns.
+:class:`~repro.net.node.HonestNode` exposes each column cell through
+properties with plain Python types (``float``/``int``/``bool``/
+``None``), so every phase loop, adversary hook, fault injector and
+service host reads and writes node state as attributes — the node
+objects are thin property wrappers over these arrays, not copies.
+Containers that are per-node but not scalar (``parents``,
+``query_values``, the audit trail) stay object slots on the nodes; the
+tree phase arenas ``parents`` during its hot loop
+(:class:`~repro.core.phase_state.TreeColumns`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy baked into the toolchain
-    np = None  # type: ignore[assignment]
+import numpy as np
+
+#: ``level`` cell value meaning "``None``, or see ``level_spill``".
+_LEVEL_SPILL = int(np.iinfo(np.int32).min)
+_LEVEL_MAX = int(np.iinfo(np.int32).max)
 
 
 class NodeColumns:
@@ -45,6 +46,7 @@ class NodeColumns:
     __slots__ = (
         "reading",
         "level",
+        "level_spill",
         "forwarded_veto",
         "forwarded_beacon",
         "crash_suspected",
@@ -52,14 +54,27 @@ class NodeColumns:
 
     def __init__(self, num_ids: int) -> None:
         self.reading = np.zeros(num_ids, dtype=np.float64)
-        self.level = np.full(num_ids, -1, dtype=np.int32)
+        self.level = np.full(num_ids, _LEVEL_SPILL, dtype=np.int32)
+        self.level_spill: Dict[int, int] = {}
         self.forwarded_veto = np.zeros(num_ids, dtype=bool)
         self.forwarded_beacon = np.zeros(num_ids, dtype=bool)
         self.crash_suspected = np.zeros(num_ids, dtype=bool)
 
+    def get_level(self, node_id: int) -> Optional[int]:
+        level = int(self.level[node_id])
+        if level != _LEVEL_SPILL:
+            return level
+        return self.level_spill.get(node_id)
 
-def make_node_columns(num_ids: int) -> Optional[NodeColumns]:
-    """Columns for ``num_ids`` node ids, or ``None`` without numpy."""
-    if np is None:
-        return None
-    return NodeColumns(num_ids)
+    def set_level(self, node_id: int, value: Optional[int]) -> None:
+        spill = self.level_spill
+        if value is not None and _LEVEL_SPILL < value <= _LEVEL_MAX:
+            self.level[node_id] = value
+            if spill:
+                spill.pop(node_id, None)
+            return
+        self.level[node_id] = _LEVEL_SPILL
+        if value is None:
+            spill.pop(node_id, None)
+        else:
+            spill[node_id] = value

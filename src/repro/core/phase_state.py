@@ -1,81 +1,45 @@
 """Struct-of-arrays state for the interval hot loops.
 
-The reference phase loops in :mod:`repro.core.tree`,
-:mod:`repro.core.aggregation` and :mod:`repro.core.confirmation` keep
-per-node phase state in Python containers — a ``pending_forward`` dict
-of beacons, ``send_slot``/``listen_slot`` dicts of id lists, a ``best``
-dict of message lists, per-node ``parents`` lists.  At 100k nodes those
-containers dominate the interval loop's allocation churn.  This module
-holds the same state as flat columns:
+The phase loops in :mod:`repro.core.tree`, :mod:`repro.core.aggregation`
+and :mod:`repro.core.confirmation` keep per-node phase state as flat
+columns instead of per-node Python containers (at 100k nodes those
+containers dominated the interval loop's allocation churn):
 
-* :class:`TreeColumns` — level as one ``int32`` array, parents in a
-  shared ``array('i')`` arena addressed by per-node (start, length)
-  cursors, the forward schedule as a plain id list;
+* :class:`TreeColumns` — the level column, parents in a shared
+  ``array('i')`` arena addressed by per-node (start, length) cursors,
+  the forward schedule as a plain list; both tree variants (the
+  timestamp rule and the hop-count baseline) run on it;
 * :class:`SlotSchedule` — participants grouped by level with one stable
   argsort, best-so-far rows addressed positionally;
 * :class:`VetoSchedule` — forwarded flags as one boolean array, the
   pending vetoes as parallel lists.
 
-**Bit-identity contract.**  Every column structure reproduces the
-reference containers' *orders* exactly: stable argsort grouping keeps
-ascending participant order within a level group (the reference sorts
-its slot lists), and the append-only schedules replay dict insertion
-order (the reference visits arrivals ascending, so its dicts are
-inserted — and iterated — ascending too).
+**Order contract.**  Every column structure fixes the visit and send
+orders the protocol's output depends on: stable argsort grouping keeps
+ascending participant order within a level group, and the append-only
+schedules are filled while visiting arrivals in ascending id order, so
+they drain in ascending order too.  ``tests/test_kernel_digests.py``
+freezes the resulting output per cell.
 
-**Hybrid kernel.**  The column paths cover inline runs — honest *and*
-adversarial (:func:`columns_enabled`).  Adversary hooks never touch the
-columns: malicious state lives in per-node
+**One kernel.**  Every inline run uses these columns — honest or
+attacked, traced or not, caches on or off.  Adversary hooks never touch
+the columns: malicious state lives in per-node
 :class:`~repro.adversary.base.MaliciousNodeState` rows and every
-injection goes through the transport, which both paths share, so the
-honest majority stays columnar while adversary-adjacent traffic
-materializes row views on read.  Tracer attachment likewise stays on
-the columns: the transmit fast path emits the identical trace event
-from scalars (see ``PhaseContext._transmit_one``).  Only a service
-driver (node state lives on host processes) or the global cache-disable
-switch routes the phase through the untouched reference loops.
+injection goes through the shared transport.  Only a service driver
+(node state lives on host processes) runs a phase's honest side through
+the per-node helpers instead.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy baked into the toolchain
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..errors import ProtocolError
-from ..perf.cache import caching_enabled
 
 _EMPTY: Tuple[int, ...] = ()
-
-
-def columns_enabled(network, adversary) -> bool:
-    """Whether a phase may run its interval loop over column state.
-
-    Column loops cover every inline configuration — honest *or*
-    attacked, traced or not.  Adversary hooks mutate only their own
-    :class:`~repro.adversary.base.MaliciousNodeState` rows and inject
-    through the shared transport, and the column branches replay the
-    reference arrival/visit order exactly, so attacked runs stay
-    bit-identical on the columns (``tests/test_soa.py`` pins this per
-    zoo strategy).  A tracer no longer disengages either: the transmit
-    fast path emits the identical trace event from scalars.  Only a
-    service driver (node state lives on host processes, not in this
-    process's arrays) or the cache-disable switch — the documented
-    escape hatch — routes the phase through the reference loops.
-
-    ``adversary`` is accepted (and ignored) so call sites read as
-    "may *this* run use columns" and future gating has its hook.
-    """
-    del adversary  # adversarial runs coexist with the columns
-    return (
-        np is not None
-        and network.honest_driver is None
-        and caching_enabled()
-    )
 
 
 def node_id_bound(network) -> int:
@@ -84,30 +48,50 @@ def node_id_bound(network) -> int:
 
 
 class TreeColumns:
-    """Tree-formation state: level column + parents arena + forward list."""
+    """Tree-formation state: levels + parents arena + forward schedule.
 
-    __slots__ = ("depth_bound", "multipath", "level", "parents_arena",
-                 "parents_start", "parents_len", "pending")
+    Timestamp levels are accept intervals, always in ``[1, depth_bound]``,
+    so they live in one ``int32`` column (``-1`` = no level yet).  The
+    hop-count baseline instead adopts whatever hop count the first
+    beacon *claims* — any integer a forged beacon carries, negative or
+    past ``2**31`` included — so that variant keeps its levels in the
+    ``claimed`` dict, which holds them exactly.
+    """
 
-    def __init__(self, num_ids: int, depth_bound: int, multipath: bool) -> None:
+    __slots__ = ("depth_bound", "multipath", "hopcount", "level", "claimed",
+                 "parents_arena", "parents_start", "parents_len", "pending")
+
+    def __init__(
+        self, num_ids: int, depth_bound: int, multipath: bool, hopcount: bool = False
+    ) -> None:
         self.depth_bound = depth_bound
         self.multipath = multipath
-        self.level = np.full(num_ids, -1, dtype=np.int32)
+        self.hopcount = hopcount
+        self.level = None if hopcount else np.full(num_ids, -1, dtype=np.int32)
+        self.claimed: Dict[int, int] = {}
         self.parents_arena = array("i")
         self.parents_start = np.zeros(num_ids, dtype=np.int64)
         self.parents_len = np.zeros(num_ids, dtype=np.int32)
-        # Sensors that accepted this interval and forward in the next;
-        # appended in arrival-visit order = the reference dict's
-        # insertion (and hence send) order.
-        self.pending: List[int] = []
+        # (sensor, hop count to forward) for sensors that accepted this
+        # interval and forward in the next, appended in ascending
+        # arrival-visit order (= next interval's send order).
+        self.pending: List[Tuple[int, int]] = []
+
+    def _set_parents(self, node_id: int, parents: List[int]) -> None:
+        self.parents_start[node_id] = len(self.parents_arena)
+        self.parents_len[node_id] = len(parents)
+        self.parents_arena.extend(parents)
 
     def accept(self, node_id: int, beacons, interval: int) -> None:
-        """The timestamp rule over columns (``_accept_timestamp``).
+        """One sensor's verified beacons of ``interval``, first visit wins.
 
-        A node is visited at most once per interval, so the reference's
-        extra-parents branch (same-interval re-visit) is unreachable and
-        a set level means "ignore".
+        A node is visited at most once per interval, so a set level
+        always means "ignore" — including the timestamp rule's
+        same-interval extra-parents case, which is unreachable.
         """
+        if self.hopcount:
+            self._accept_hopcount(node_id, beacons)
+            return
         if self.level[node_id] != -1:
             return
         self.level[node_id] = interval
@@ -115,14 +99,30 @@ class TreeColumns:
             parents = sorted({d.sender for d in beacons})
         else:
             parents = [beacons[0].sender]
-        self.parents_start[node_id] = len(self.parents_arena)
-        self.parents_len[node_id] = len(parents)
-        self.parents_arena.extend(parents)
+        self._set_parents(node_id, parents)
         if interval + 1 <= self.depth_bound:
-            self.pending.append(node_id)
+            self.pending.append((node_id, interval + 1))
 
-    def take_pending(self) -> List[int]:
-        """Drain the forward schedule (the reference's dict-and-delete)."""
+    def _accept_hopcount(self, node_id: int, beacons) -> None:
+        """The naive rule (:func:`repro.core.tree._accept_hopcount`):
+        level = the first beacon's claimed hop count, forwarded as
+        ``claimed + 1`` whether or not it is a valid level."""
+        if node_id in self.claimed:
+            return
+        first = beacons[0]
+        claimed = first.payload.hop_count
+        self.claimed[node_id] = claimed
+        if self.multipath:
+            parents = sorted(
+                {d.sender for d in beacons if d.payload.hop_count == claimed}
+            )
+        else:
+            parents = [first.sender]
+        self._set_parents(node_id, parents)
+        self.pending.append((node_id, claimed + 1))
+
+    def take_pending(self) -> List[Tuple[int, int]]:
+        """Drain the forward schedule."""
         pending = self.pending
         self.pending = []
         return pending
@@ -130,23 +130,28 @@ class TreeColumns:
     def install(self, network, honest_ids, result) -> None:
         """Write levels/parents back onto nodes and into ``result``.
 
-        Timestamp levels are always in ``[1, depth_bound]``, so a set
-        level is always valid; ``-1`` is the reference's ``None``.
+        A level outside ``[1, depth_bound]`` (possible only under the
+        hop-count baseline) leaves the sensor without a slot: it is
+        reported invalid and keeps no level or parents.
         """
-        level = self.level
         arena = self.parents_arena
         start = self.parents_start
         length = self.parents_len
         depth_bound = self.depth_bound
         for node_id in honest_ids:
             node = network.nodes[node_id]
-            lv = int(level[node_id])
-            if lv != -1:
+            if self.hopcount:
+                lv = self.claimed.get(node_id)
+                node.forwarded_beacon = lv is not None
+            else:
+                lv = int(self.level[node_id])
+                lv = None if lv == -1 else lv
+                node.forwarded_beacon = lv is not None and lv + 1 <= depth_bound
+            if lv is not None and 1 <= lv <= depth_bound:
                 begin = int(start[node_id])
                 parents = arena[begin:begin + int(length[node_id])].tolist()
                 node.level = lv
                 node.parents = parents
-                node.forwarded_beacon = lv + 1 <= depth_bound
                 result.levels[node_id] = lv
                 result.parents[node_id] = list(parents)
             else:
@@ -161,8 +166,7 @@ class SlotSchedule:
     ``ids`` keeps participants as Python ints (deployment order, i.e.
     ascending); ``best`` holds each participant's best-so-far messages
     addressed by position.  A level group's positions ascend with
-    participant order, which is exactly the reference's
-    ``sorted(send_slot[k])`` send order and ``listen_slot[k]`` listen
+    participant order, so every slot sends and listens in ascending id
     order.
     """
 
@@ -205,10 +209,10 @@ class SlotSchedule:
 class VetoSchedule:
     """SOF state: forwarded flags as one bool column + pending lists.
 
-    The pending lists replay the reference's ``sorted(pending.items())``
-    order for free: the initial vetoer scan and each interval's arrival
-    scan both visit ascending ids, and the schedule is fully drained
-    every interval, so appends are always already sorted.
+    The pending lists drain in ascending id order for free: the initial
+    vetoer scan and each interval's arrival scan both visit ascending
+    ids, and the schedule is fully drained every interval, so appends
+    are always already sorted.
     """
 
     __slots__ = ("forwarded", "_ids", "_vetoes")

@@ -24,14 +24,14 @@ parent, turning the tree into the ring structure of synopsis diffusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..errors import ProtocolError
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import TreeBeacon
 from ..net.network import Network
 from .contexts import TreeContext
-from .phase_state import TreeColumns, columns_enabled, node_id_bound
+from .phase_state import TreeColumns, node_id_bound
 
 
 @dataclass
@@ -85,25 +85,22 @@ def form_tree(
     revoked = network.registry.revoked_sensors
     honest_ids = [i for i in network.nodes if i not in revoked]
     honest_set = set(honest_ids)
-    # (node_id -> beacon to forward next interval)
-    pending_forward: Dict[int, TreeBeacon] = {}
 
     # Service seam: with a driver attached (repro.service), the honest
     # per-interval work runs on node-host processes holding deterministic
     # replicas; the coordinator keeps the base-station and adversary
-    # sides.  Driverless runs take the exact inline paths below.
+    # sides.  Inline runs keep the honest state in columns: levels, a
+    # cursor-addressed parents arena and the forward schedule
+    # (repro.core.phase_state).
     driver = network.honest_driver
+    cols = None
     if driver is not None:
         driver.phase_begin("tree", phase, depth_bound=depth_bound, variant=variant)
-    # Column state for the inline timestamp path: level as one int32
-    # array, parents in a cursor-addressed arena, the forward schedule
-    # as a plain list (repro.core.phase_state).  Adversaries and tracers
-    # ride the columns (hybrid kernel); only a driver, the hop-count
-    # variant, or the cache-disable switch keeps the per-node reference
-    # containers below.
-    cols: Optional[TreeColumns] = None
-    if variant == "timestamp" and columns_enabled(network, adversary):
-        cols = TreeColumns(node_id_bound(network), depth_bound, multipath)
+    else:
+        cols = TreeColumns(
+            node_id_bound(network), depth_bound, multipath,
+            hopcount=variant == "hopcount",
+        )
 
     for k in phase.intervals():
         # 1. Base station seeds the flood in interval 1.
@@ -116,35 +113,25 @@ def form_tree(
                 interval=1,
             )
 
-        # 2. Honest sensors scheduled last interval forward now.  The
-        # column path builds each beacon at send time: a sensor accepted
-        # in interval k - 1 forwards hop count k, the exact payload the
-        # reference stored at accept time.
+        # 2. Honest sensors scheduled last interval forward now.
         if driver is not None:
             driver.tick(k)
-        elif cols is not None:
-            for node_id in cols.take_pending():
-                neighbors = network.secure_neighbors(node_id)
-                beacon = TreeBeacon(origin=node_id, hop_count=k)
-                phase.send(node_id, neighbors, beacon, interval=k)
         else:
-            for node_id, beacon in list(pending_forward.items()):
+            for node_id, hop_count in cols.take_pending():
                 neighbors = network.secure_neighbors(node_id)
+                beacon = TreeBeacon(origin=node_id, hop_count=hop_count)
                 phase.send(node_id, neighbors, beacon, interval=k)
-                del pending_forward[node_id]
 
         # 3. Malicious sensors act (inject, tunnel, replay, stay silent).
         if adversary is not None:
             for node_id in sorted(network.malicious_ids):
                 adversary.tree_interval(ctx, node_id, k)
 
-        # 4. Honest sensors process this interval's arrivals.  Iterating
-        # the (typically sparse) arrival map instead of every honest
-        # sensor is pure loop-skipping: ``honest_ids`` ascends, so
-        # visiting ``sorted(arrived)`` filtered to honest sensors
-        # processes exactly the reference's nodes in the reference's
-        # order — which also keeps ``pending_forward`` insertion order,
-        # and hence next interval's send order, bit-identical.
+        # 4. Honest sensors process this interval's arrivals.  Only
+        # sensors that received something can change state, so the loop
+        # visits the (typically sparse) arrival map in ascending id
+        # order — which is also the forward schedule's, and hence next
+        # interval's send order.
         if driver is not None:
             driver.deliver(k)
         else:
@@ -154,24 +141,14 @@ def form_tree(
                     continue
                 arrivals = phase.verified_inbox(node_id, k)
                 beacons = [d for d in arrivals if isinstance(d.payload, TreeBeacon)]
-                if not beacons:
-                    continue
-                if cols is not None:
+                if beacons:
                     cols.accept(node_id, beacons, k)
-                    continue
-                node = network.nodes[node_id]
-                if variant == "timestamp":
-                    _accept_timestamp(node, beacons, k, depth_bound, multipath, pending_forward)
-                else:
-                    _accept_hopcount(node, beacons, depth_bound, multipath, pending_forward)
-
-    if driver is not None:
-        driver.phase_end()
 
     if cols is not None:
         cols.install(network, honest_ids, result)
         return result
 
+    driver.phase_end()
     for node_id in honest_ids:
         node = network.nodes[node_id]
         if node.has_valid_level(depth_bound):
@@ -185,7 +162,11 @@ def form_tree(
 
 
 def _accept_timestamp(node, beacons, interval, depth_bound, multipath, pending_forward):
-    """VMAT rule: level = first arrival interval; forward once, next slot."""
+    """VMAT rule: level = first arrival interval; forward once, next slot.
+
+    Per-node form for service node hosts; inline runs apply the same
+    rule through :meth:`TreeColumns.accept`.
+    """
     if node.level is None:
         node.level = interval
         if multipath:
@@ -209,7 +190,8 @@ def _accept_hopcount(node, beacons, depth_bound, multipath, pending_forward):
     The first beacon wins (classic TAG flood).  The adversary can inflate
     ``hop_count`` arbitrarily; a victim whose resulting level exceeds
     ``depth_bound`` has no valid transmission slot and drops out of the
-    aggregation — the failure mode of Figure 2(c).
+    aggregation — the failure mode of Figure 2(c).  Per-node form for
+    service node hosts (inline runs: :meth:`TreeColumns.accept`).
     """
     if node.level is not None:
         return

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import BroadcastAuthError
-from ..perf.cache import LRUCache, caching_enabled
+from ..perf.cache import LRUCache
 from .hash import hash_chain, oneway_hash
 from .mac import compute_mac, verify_mac
 
@@ -147,24 +147,18 @@ class BroadcastVerifier:
         gap = index - self._last_verified_index
         if gap > self._max_gap:
             return None
-        # Walk the candidate key forward to the last verified chain value.
-        if caching_enabled():
-            walk_key = (disclosure.chain_key, gap, self._last_verified_key)
-            chain_ok = _CHAIN_WALKS.get(walk_key)
-            if chain_ok is None:
-                value = disclosure.chain_key
-                for _ in range(gap):
-                    value = oneway_hash(value)
-                chain_ok = value == self._last_verified_key
-                _CHAIN_WALKS.put(walk_key, chain_ok)
-            if not chain_ok:
-                return None
-        else:
+        # Walk the candidate key forward to the last verified chain value
+        # (memoized; the memo misses on every read while caching is off).
+        walk_key = (disclosure.chain_key, gap, self._last_verified_key)
+        chain_ok = _CHAIN_WALKS.get(walk_key)
+        if chain_ok is None:
             value = disclosure.chain_key
             for _ in range(gap):
                 value = oneway_hash(value)
-            if value != self._last_verified_key:
-                return None
+            chain_ok = value == self._last_verified_key
+            _CHAIN_WALKS.put(walk_key, chain_ok)
+        if not chain_ok:
+            return None
         message = self._pending.pop(index, None)
         # Advance the chain head even if no payload was buffered: the key
         # is now public and must never authenticate future traffic.
@@ -173,23 +167,18 @@ class BroadcastVerifier:
         self._pending = {i: m for i, m in self._pending.items() if i > index}
         if message is None:
             return None
-        if caching_enabled():
-            try:
-                mac_key = (disclosure.chain_key, message.mac, index, message.payload)
-                mac_ok = _BROADCAST_MACS.get(mac_key)
-            except TypeError:
-                # Unhashable payload part: memo cannot apply, verify direct.
-                mac_key = None
-                mac_ok = None
-            if mac_ok is None:
-                mac_ok = verify_mac(
-                    disclosure.chain_key, message.mac, index, *message.payload
-                )
-                if mac_ok and mac_key is not None:
-                    _BROADCAST_MACS.put(mac_key, True)
-            if not mac_ok:
-                return None
-        elif not verify_mac(disclosure.chain_key, message.mac, index, *message.payload):
+        try:
+            mac_key = (disclosure.chain_key, message.mac, index, message.payload)
+            mac_ok = _BROADCAST_MACS.get(mac_key)
+        except TypeError:
+            # Unhashable payload part: memo cannot apply, verify direct.
+            mac_key = None
+            mac_ok = None
+        if mac_ok is None:
+            mac_ok = verify_mac(disclosure.chain_key, message.mac, index, *message.payload)
+            if mac_ok and mac_key is not None:
+                _BROADCAST_MACS.put(mac_key, True)
+        if not mac_ok:
             return None
         return message.payload
 

@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import KeyConfig, RevocationConfig
 from ..errors import KeyManagementError
-from ..perf.cache import caching_enabled
 from .pool import KeyPool
 from .revocation import RevocationEvent, RevocationState
 from .ring import KeyRing, ring_seed
+from .soa import LazyRingMap, LazySensorKeyMaterial, RingTable, RingTableRevocationState
 
 BASE_STATION_ID = 0
 
@@ -48,38 +48,28 @@ class KeyRegistry:
         self.pool = KeyPool(master_secret, key_config)
         self.num_nodes = num_nodes
         theta = revocation_config.theta if revocation_config is not None else None
-        # Storage backend selection.  With the perf layer enabled and the
-        # default Eschenauer–Gligor draw, rings live in one shared int32
-        # table (repro.keys.soa) — per-sensor objects materialize lazily
-        # and revocation counters are flat arrays.  The eager dict build
-        # below is the reference path: always used when caching is
-        # disabled (bit-identity legs, REPRO_DISABLE_PERF_CACHES), when a
-        # scheme supplies explicit rings, or when numpy is unavailable.
+        # Storage backend, chosen by the ring source alone: the default
+        # Eschenauer–Gligor draw lives in one shared int32 table
+        # (repro.keys.soa) — per-sensor objects materialize lazily and
+        # revocation counters are flat arrays; a scheme that supplies
+        # explicit rings gets the eager dict build below.
         self.ring_table = None
-        if ring_indices_factory is None and caching_enabled():
-            try:
-                from .soa import LazyRingMap, RingTable, RingTableRevocationState
-            except ImportError:  # pragma: no cover - numpy not installed
-                pass
-            else:
-                self.ring_table = RingTable(master_secret, num_nodes, key_config)
-                self.rings: Dict[int, KeyRing] = LazyRingMap(
-                    master_secret, self.pool, self.ring_table
-                )
-                self.revocation = RingTableRevocationState(
-                    self.ring_table, theta=theta, cascade=cascade
-                )
-        if self.ring_table is None:
+        if ring_indices_factory is None:
+            self.ring_table = RingTable(master_secret, num_nodes, key_config)
+            self.rings: Dict[int, KeyRing] = LazyRingMap(
+                master_secret, self.pool, self.ring_table
+            )
+            self.revocation = RingTableRevocationState(
+                self.ring_table, theta=theta, cascade=cascade
+            )
+        else:
             self.rings = {}
             for sensor_id in range(1, num_nodes):
-                seed = ring_seed(master_secret, sensor_id)
-                indices = (
-                    tuple(ring_indices_factory(sensor_id))
-                    if ring_indices_factory is not None
-                    else None
-                )
                 self.rings[sensor_id] = KeyRing(
-                    sensor_id, seed, self.pool, indices=indices
+                    sensor_id,
+                    ring_seed(master_secret, sensor_id),
+                    self.pool,
+                    indices=tuple(ring_indices_factory(sensor_id)),
                 )
             self.revocation = RevocationState(
                 {sensor: ring.indices for sensor, ring in self.rings.items()},
@@ -88,9 +78,7 @@ class KeyRegistry:
             )
         # Rings are immutable for the deployment's lifetime, so the set
         # intersection behind shared_key_indices is a pure per-edge
-        # constant — memoized per registry instance, gated on the global
-        # perf-cache switch so the disabled path stays the reference
-        # computation (docs/PERFORMANCE.md bit-identical contract).
+        # constant, memoized per registry instance.
         self._shared_indices_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     @property
@@ -147,22 +135,13 @@ class KeyRegistry:
             return self.ring(b).indices
         if b == BASE_STATION_ID:
             return self.ring(a).indices
-        if self.ring_table is not None:
-            # The table intersect *is* the reference computation (same
-            # sorted tuple), so it stays valid even if caching is turned
-            # off after the build; memoization is safe either way.
-            edge = (a, b) if a < b else (b, a)
-            shared = self._shared_indices_memo.get(edge)
-            if shared is None:
-                shared = self.ring_table.intersect(a, b)
-                self._shared_indices_memo[edge] = shared
-            return shared
-        if not caching_enabled():
-            return self.ring(a).shared_indices(self.ring(b))
         edge = (a, b) if a < b else (b, a)
         shared = self._shared_indices_memo.get(edge)
         if shared is None:
-            shared = self.ring(a).shared_indices(self.ring(b))
+            if self.ring_table is not None:
+                shared = self.ring_table.intersect(a, b)
+            else:
+                shared = self.ring(a).shared_indices(self.ring(b))
             self._shared_indices_memo[edge] = shared
         return shared
 
@@ -216,8 +195,6 @@ class KeyRegistry:
         if self.ring_table is not None:
             if not 1 <= sensor_id < self.num_nodes:
                 raise KeyManagementError(f"no ring for node {sensor_id}")
-            from .soa import LazySensorKeyMaterial
-
             return LazySensorKeyMaterial(sensor_id, self.pool, self.ring_table)
         ring = self.ring(sensor_id)
         return SensorKeyMaterial(

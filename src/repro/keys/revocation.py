@@ -8,9 +8,10 @@ than ``theta`` pool keys with the adversary's combined rings can be
 framed.  Figure 7 of the paper — reproduced in
 :mod:`repro.analysis.misrevocation` — quantifies that trade-off.
 
-The revoke/threshold logic lives here once; storage is pluggable.  The
-default backend keeps the original dicts (``{sensor: ring}``, inverted
-holder lists, per-sensor counters) and is the reference semantics.
+The revoke/threshold logic lives here once; storage is pluggable.  This
+dict backend (``{sensor: ring}``, inverted holder lists, per-sensor
+counters) serves explicit-ring schemes and is the reference semantics
+the array backend is tested against.
 :class:`repro.keys.soa.RingTableRevocationState` overrides the small
 storage hooks (``_ring_of``, ``_holder_ids``, ``_bump``,
 ``_due_sensors`` and friends) to run the same algorithm over shared

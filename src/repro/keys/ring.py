@@ -9,14 +9,14 @@ used for the selection" (Section VI-A).
 
 Two storage backends share the :class:`KeyRing` API:
 
-* the default **object** backend materializes the sorted index tuple and
-  a frozenset per ring (exact reference semantics, used whenever the
-  perf layer is disabled);
+* the **object** backend materializes the sorted index tuple and a
+  frozenset per ring (explicit-ring schemes, and rings built directly);
 * the **table** backend defers to a shared
   :class:`repro.keys.soa.RingTable` row — one ``int32`` array row per
   sensor instead of ~3 KB of boxed Python ints — and answers membership
-  by binary search.  Large-topology registries use it; the values it
-  returns are byte-identical to the object backend by construction.
+  by binary search.  Every Eschenauer–Gligor registry uses it; the
+  values it returns are byte-identical to the object backend by
+  construction.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ Everything here is a *storage* change, not a semantics change: rows hold
 exactly the indices :func:`repro.crypto.prf.sample_distinct_indices`
 draws, intersections return exactly the tuples the frozenset path
 returns, and the revocation subclass overrides only the storage hooks of
-the shared algorithm, so event logs match entry for entry.  The object
-path remains the build default whenever the perf layer is disabled
-(``repro.perf.cache``), which is how the bit-identity tests compare the
-two.
+the shared algorithm, so event logs match entry for entry.  The
+registry builds on this table for every Eschenauer–Gligor deployment,
+caches on or off; the per-object dict backend serves only schemes that
+supply explicit rings (``tests/test_soa.py`` compares the two).
 """
 
 from __future__ import annotations

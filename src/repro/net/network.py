@@ -40,15 +40,10 @@ from ..perf.cache import LRUCache, caching_enabled
 from ..seeding import derive_rng
 from ..sim.clock import ClockAssignment
 from ..topology.graph import Topology
-from ..core.node_columns import make_node_columns
-from .message import MAC_BYTES, Payload, message_digest
-from .node import ColumnNode, HonestNode
-from .transport import SimTransport, _EMPTY_ARRIVALS
-
-try:
-    from .soa import SoATransport
-except ImportError:  # pragma: no cover - numpy not installed
-    SoATransport = None
+from ..core.node_columns import NodeColumns
+from .message import MAC_BYTES, Payload
+from .node import HonestNode
+from .soa import SoATransport
 
 EDGE_KEY_INDEX_BYTES = 2
 
@@ -197,15 +192,11 @@ class Delivery:
     """One received link-layer frame.
 
     Frames share their broadcast's :class:`_SendBatch`; ``edge_mac`` and
-    ``verified`` are computed on first access on the optimized path
-    (honest nodes often never read flooded duplicates, and one
-    broadcast's MAC validity is verified once via the module's
-    verified-MAC memo).  The reference path — caches disabled — computes
-    both eagerly at transmit time, exactly as the pre-optimization code
-    did.  A tracer no longer forces the eager path: the trace event's
-    ``verified`` field is the transmit-time precheck either way (see
-    ``PhaseContext._transmit_one``), and the live invariant monitor
-    consumes only the event's scalar fields.
+    ``verified`` are computed on first access (honest nodes often never
+    read flooded duplicates, and one broadcast's MAC validity is
+    verified once via the module's verified-MAC memo).  The
+    receiver-side checks on mutable state ran at transmit time (see
+    ``PhaseContext._transmit_one``).
     """
 
     __slots__ = ("_batch", "receiver", "key_index", "interval", "_mac", "_verified")
@@ -251,11 +242,10 @@ class Delivery:
     def verified(self) -> bool:
         """Whether the receiver's link layer accepts this frame.
 
-        The lazy path only defers the MAC-match computation: the
-        receiver-side acceptance checks that depend on *mutable* state
-        (key revocation, key possession) were evaluated at transmit
-        time, so a revocation between send and read cannot change the
-        outcome relative to the eager reference path.
+        Only the MAC-match computation is deferred: the receiver-side
+        acceptance checks that depend on *mutable* state (key
+        revocation, key possession) were evaluated at transmit time, so
+        a revocation between send and read cannot change the outcome.
         """
         verdict = self._verified
         if verdict is None:
@@ -275,9 +265,9 @@ class Delivery:
                 # every materialized MAC is authentic by construction.
                 verdict = True
             else:
-                # A materialized MAC (the frame crossed an eager/lazy
-                # boundary, or an adversary inspected it): verify for
-                # real, once per (edge key, payload) via the memo.
+                # A materialized MAC (an adversary or a service host
+                # read it): verify for real, once per (edge key,
+                # payload) via the memo.
                 batch = self._batch
                 key = batch.phase.network.registry.pool_key(self.key_index)
                 memo_key = (key, batch.payload_bytes)
@@ -336,25 +326,16 @@ class PhaseContext:
         # recycled; this never does).
         self.sequence = sequence
         self.current_interval = 0
-        # Frame store: the struct-of-arrays column store on the
-        # optimized path (caching enabled — adversaries and tracers
-        # coexist with the columns; see _transmit_one), the classic
-        # per-receiver list store on the reference path, or whatever the
-        # network's factory supplies (the service runtime does, to ship
-        # frames between OS processes while keeping this exact store
-        # contract).
+        # Frame store: the struct-of-arrays column store, or whatever
+        # the network's factory supplies (the service runtime does, to
+        # ship frames between OS processes while keeping this exact
+        # store contract).
         factory = network.transport_factory
         if factory is not None:
             self.transport = factory(self)
-        elif SoATransport is not None and caching_enabled():
-            self.transport = SoATransport(network.topology.num_nodes)
         else:
-            self.transport = SimTransport()
-        self._soa = (
-            self.transport
-            if SoATransport is not None and type(self.transport) is SoATransport
-            else None
-        )
+            self.transport = SoATransport(network.topology.num_nodes)
+        self._soa = self.transport if type(self.transport) is SoATransport else None
         self._payloads_per_interval: Counter = Counter()
         self.suppressed_sends = 0
 
@@ -525,84 +506,38 @@ class PhaseContext:
                     return
                 interval = interval + shift
                 network.metrics.record_fault("late-frame")
-        if caching_enabled():
-            # Optimized path: the receiver-side checks that read mutable
-            # state (key revocation, key possession — set lookups) run
-            # now, so laziness cannot observe a later revocation; the
-            # per-frame HMAC work is deferred to the first read of
-            # ``edge_mac``/``verified`` and shared through the
-            # verified-MAC memo.  Frames failing the cheap checks are
-            # sealed unverified immediately.
-            #
-            # A tracer stays on this path: the reference event's
-            # ``verified`` field equals ``_accepts_message`` = precheck
-            # AND verify-of-the-simulator's-own-MAC, and HMAC is a pure
-            # function, so the verify half is deterministically True —
-            # ``accepted`` below IS the reference trace value, emitted
-            # without materializing a MAC.
-            #
-            # For the *default* edge key the full precheck collapses: the
-            # key just came out of ``edge_key_index`` (never a revoked
-            # index) and is by definition shared by both endpoints, so a
-            # sensor receiver holds it and the only live question is
-            # whether the receiver runs honest accept logic at all.
-            if default_key:
-                accepted = receiver == BASE_STATION_ID or receiver in network.nodes
-            else:
-                accepted = network._precheck_accepts(receiver, key_index)
-            soa = self._soa
-            if soa is not None:
-                # Column store: no Delivery object at all on this path —
-                # four scalar appends per frame; reads materialize.
-                soa.deposit_columns(interval, receiver, batch, key_index, accepted)
-                network.metrics.record_transmission(physical_sender, receiver, wire)
-                if network.tracer is not None:
-                    network.tracer.record(
-                        "transmission",
-                        phase=self.name,
-                        interval=interval,
-                        sender=physical_sender,
-                        claimed=claimed_sender,
-                        receiver=receiver,
-                        payload=type(batch.payload).__name__,
-                        key_index=key_index,
-                        verified=accepted,
-                    )
-                if injector is not None:
-                    dup = injector.duplicate_probability(receiver)
-                    if dup > 0.0 and injector.rng.random() < dup:
-                        soa.deposit_columns(
-                            interval, receiver, batch, key_index, accepted
-                        )
-                        network.metrics.bytes_received[receiver] += wire
-                        network.metrics.messages_received[receiver] += 1
-                        network.metrics.record_fault("duplicate")
-                return
-            if accepted:
-                delivery = Delivery(batch, receiver, key_index, interval)
-            else:
-                delivery = Delivery(batch, receiver, key_index, interval, verified=False)
+        # The receiver-side checks that read mutable state (key
+        # revocation, key possession — set lookups) run now, so reading
+        # a frame later cannot observe a later revocation; the per-frame
+        # HMAC work is deferred to the first read of
+        # ``edge_mac``/``verified`` and shared through the verified-MAC
+        # memo.  Frames failing the cheap checks are sealed unverified.
+        #
+        # ``accepted`` is also the trace event's ``verified`` value: a
+        # receiver accepts iff the precheck passes and the simulator's
+        # own MAC verifies, and HMAC is a pure function, so the second
+        # half is always true.
+        #
+        # For the *default* edge key the precheck collapses: the key
+        # just came out of ``edge_key_index`` (never a revoked index)
+        # and is by definition shared by both endpoints, so a sensor
+        # receiver holds it and the only live question is whether the
+        # receiver runs honest accept logic at all.
+        if default_key:
+            accepted = receiver == BASE_STATION_ID or receiver in network.nodes
         else:
-            # Reference path (caches disabled): every frame is MAC'd and
-            # verified eagerly, exactly as the pre-optimization code did.
-            # Encode the MAC'd tuple once; the sender's MAC and the
-            # receiver's verification share the exact same bytes.
-            message = _edge_mac_message(
-                claimed_sender, receiver, self._name_encoded, interval,
-                batch.payload_bytes,
-            )
-            key = network.registry.pool_key(key_index)
-            mac = compute_mac_message(key, message)
+            accepted = network._precheck_accepts(receiver, key_index)
+        soa = self._soa
+        if soa is not None:
+            # Column store: no Delivery object at all — four scalar
+            # appends per frame; reads materialize.
+            soa.deposit_columns(interval, receiver, batch, key_index, accepted)
+        else:
             delivery = Delivery(
-                batch,
-                receiver,
-                key_index,
-                interval,
-                edge_mac=mac,
-                verified=network._accepts_message(receiver, key_index, mac, message),
+                batch, receiver, key_index, interval, verified=None if accepted else False
             )
-        self.transport.deposit(interval, receiver, delivery)
-        network.metrics.record_transmission(physical_sender, receiver, delivery.wire_size())
+            self.transport.deposit(interval, receiver, delivery)
+        network.metrics.record_transmission(physical_sender, receiver, wire)
         if network.tracer is not None:
             network.tracer.record(
                 "transmission",
@@ -613,7 +548,7 @@ class PhaseContext:
                 receiver=receiver,
                 payload=type(batch.payload).__name__,
                 key_index=key_index,
-                verified=delivery.verified,
+                verified=accepted,
             )
         if injector is not None:
             dup = injector.duplicate_probability(receiver)
@@ -622,8 +557,11 @@ class PhaseContext:
                 # identical second copy.  Only the receive side pays (the
                 # duplicate is the receiver's radio hearing a repeat);
                 # protocol logic must stay idempotent under it.
-                self.transport.deposit(interval, receiver, delivery)
-                network.metrics.bytes_received[receiver] += delivery.wire_size()
+                if soa is not None:
+                    soa.deposit_columns(interval, receiver, batch, key_index, accepted)
+                else:
+                    self.transport.deposit(interval, receiver, delivery)
+                network.metrics.bytes_received[receiver] += wire
                 network.metrics.messages_received[receiver] += 1
                 network.metrics.record_fault("duplicate")
 
@@ -685,41 +623,24 @@ class Network:
         self.clocks = ClockAssignment(topology.node_ids, config.clock, seed)
         self.authority = BroadcastAuthority(registry.pool.broadcast_chain_seed())
         self.nodes: Dict[int, HonestNode] = {}
-        # Column kernel: with caching enabled (and numpy present) the
-        # five per-node scalars live in parallel arrays and honest nodes
-        # are thin column views; the reference path (or a numpy-less
-        # install) keeps plain attribute-backed nodes.  Both classes are
-        # behaviourally identical, so which one a network was built with
-        # never shows in protocol output.
-        self.node_columns = make_node_columns(topology.num_nodes) if (
-            caching_enabled()
-        ) else None
+        # The five per-node scalars live in parallel arrays; honest
+        # nodes are thin views over them (repro.core.node_columns).
+        self.node_columns = NodeColumns(topology.num_nodes)
         anchor = self.authority.anchor
         for node_id in topology.sensor_ids:
             if node_id in self.malicious_ids:
                 continue
-            material = registry.sensor_deployment_material(node_id)
-            clock = self.clocks[node_id]
-            if self.node_columns is not None:
-                self.nodes[node_id] = ColumnNode(
-                    node_id=node_id,
-                    material=material,
-                    clock=clock,
-                    broadcast_anchor=anchor,
-                    columns=self.node_columns,
-                )
-            else:
-                self.nodes[node_id] = HonestNode(
-                    node_id=node_id,
-                    material=material,
-                    clock=clock,
-                    broadcast_anchor=anchor,
-                )
+            self.nodes[node_id] = HonestNode(
+                node_id=node_id,
+                material=registry.sensor_deployment_material(node_id),
+                clock=self.clocks[node_id],
+                broadcast_anchor=anchor,
+                columns=self.node_columns,
+            )
 
         self._adversary_pool_indices: Optional[FrozenSet[int]] = None
         # Incrementally-maintained secure-link state (built lazily on the
-        # first secure-topology query while caching is enabled; bypassed
-        # entirely on the reference path).
+        # first secure-topology query).
         self._secure_topology: Optional[_SecureTopologyView] = None
         self._phase_counter = 0
         # Residual-loss stream, derived through the shared SHA-256 scheme
@@ -803,10 +724,8 @@ class Network:
     # ------------------------------------------------------------------
     # Secure topology
     # ------------------------------------------------------------------
-    def _secure_view(self) -> Optional["_SecureTopologyView"]:
-        """The incremental secure-link view, or ``None`` on the reference path."""
-        if not caching_enabled():
-            return None
+    def _secure_view(self) -> "_SecureTopologyView":
+        """The incremental secure-link view, synced to the revocation log."""
         view = self._secure_topology
         if view is None:
             view = _SecureTopologyView(self)
@@ -816,46 +735,21 @@ class Network:
         return view
 
     def edge_key_index(self, a: int, b: int) -> Optional[int]:
-        """Current edge key for link ``(a, b)`` (view-backed when warm)."""
-        view = self._secure_view()
-        if view is None:
-            return self.registry.edge_key_index(a, b)
-        return view.edge_key_index(a, b)
+        """Current edge key for link ``(a, b)``."""
+        return self._secure_view().edge_key_index(a, b)
 
     def link_usable(self, a: int, b: int) -> bool:
-        """:meth:`KeyRegistry.link_usable`, view-backed when warm."""
-        view = self._secure_view()
-        if view is None:
-            return self.registry.link_usable(a, b)
-        return view.link_usable(a, b)
+        """:meth:`KeyRegistry.link_usable`, answered from the view."""
+        return self._secure_view().link_usable(a, b)
 
     def secure_neighbors(self, node_id: int) -> List[int]:
         """Radio neighbours reachable over a currently usable link."""
-        view = self._secure_view()
-        if view is None:
-            return [
-                other
-                for other in self.topology.neighbors(node_id)
-                if self.registry.link_usable(node_id, other)
-            ]
-        return view.secure_neighbors(node_id)
+        return self._secure_view().secure_neighbors(node_id)
 
     def honest_secure_component(self) -> Set[int]:
         """Nodes reachable from the base station over usable links
         through honest, non-revoked sensors only."""
-        view = self._secure_view()
-        if view is None:
-            revoked = self.registry.revoked_sensors
-            allowed = {
-                i
-                for i in self.topology.node_ids
-                if i == BASE_STATION_ID or (i in self.nodes and i not in revoked)
-            }
-            secure = self.topology.subgraph(self.registry.link_usable)
-            return secure.connected_component(
-                exclude={i for i in self.topology.node_ids if i not in allowed}
-            )
-        return view.honest_secure_component()
+        return self._secure_view().honest_secure_component()
 
     def fault_aware_secure_component(self) -> Set[int]:
         """:meth:`honest_secure_component` minus currently-injected faults.
@@ -868,37 +762,12 @@ class Network:
         injector = self.fault_injector
         if injector is None:
             return self.honest_secure_component()
-        view = self._secure_view()
-        if view is not None:
-            return view.fault_aware_component(injector)
-        revoked = self.registry.revoked_sensors
-        allowed = {
-            i
-            for i in self.topology.node_ids
-            if (i == BASE_STATION_ID or (i in self.nodes and i not in revoked))
-            and not (i != BASE_STATION_ID and injector.node_down(i))
-        }
-        secure = self.topology.subgraph(
-            lambda a, b: self.registry.link_usable(a, b)
-            and not injector.link_blocked(a, b)
-        )
-        return secure.connected_component(
-            exclude={i for i in self.topology.node_ids if i not in allowed}
-        )
+        return self._secure_view().fault_aware_component(injector)
 
     def effective_depth_bound(self) -> int:
         """Depth of the honest secure component (<= configured L when the
         deployment assumption holds)."""
-        view = self._secure_view()
-        if view is not None:
-            return view.effective_depth_bound()
-        component = self.honest_secure_component()
-        secure = self.topology.subgraph(self.registry.link_usable)
-        depths = secure.depths(include=component)
-        sensor_depths = [d for node, d in depths.items() if node != BASE_STATION_ID]
-        if not sensor_depths:
-            raise NetworkError("honest secure component is empty")
-        return max(sensor_depths)
+        return self._secure_view().effective_depth_bound()
 
     # ------------------------------------------------------------------
     # Phases and broadcast
@@ -983,7 +852,7 @@ class Network:
         else:
             component = self.honest_secure_component()
         # Nothing below mutates revocation state, so one synced view
-        # serves every sensor's degree lookup (None on the ref path).
+        # serves every sensor's degree lookup.
         view = self._secure_view()
         for node_id, node in self.nodes.items():
             if injector is not None and (
@@ -1009,11 +878,7 @@ class Network:
                     f"honest sensor {node_id} rejected an authentic broadcast"
                 )
             if metrics is not None:
-                if view is not None:
-                    degree = view.secure_degree(node_id)
-                else:
-                    degree = len(self.secure_neighbors(node_id))
-                metrics.bytes_sent[node_id] += wire * degree
+                metrics.bytes_sent[node_id] += wire * view.secure_degree(node_id)
                 metrics.bytes_received[node_id] += wire
         if metrics is not None:
             metrics.record_authenticated_broadcast()
@@ -1037,11 +902,11 @@ class Network:
 class _SecureTopologyView:
     """Incrementally-maintained secure-link state for one :class:`Network`.
 
-    The reference path answers every secure-topology query (per phase,
-    per flood, per frame) by re-intersecting key rings and rebuilding a
-    filtered :class:`Topology` copy — O(edges x ring) work that caps
-    executions at toy sizes.  This view computes each edge's current
-    edge key **once**, then applies revocation events *incrementally*:
+    Answering every secure-topology query (per phase, per flood, per
+    frame) by re-intersecting key rings and rebuilding a filtered
+    :class:`Topology` copy is O(edges x ring) work that caps executions
+    at toy sizes.  This view computes each edge's current edge key
+    **once**, then applies revocation events *incrementally*:
     the registry's append-only log (:attr:`KeyRegistry.revocation_epoch`)
     is the version counter, and :meth:`sync` replays only ``log[seen:]``.
 
@@ -1052,15 +917,15 @@ class _SecureTopologyView:
       revocation is checked live against the registry's O(1) sets (the
       induced ring-dump key revocations arrive as their own log events).
 
-    Every query returns exactly what the reference computation returns —
+    Every query returns exactly what the registry's direct computation
+    (:meth:`KeyRegistry.link_usable` over the radio topology) returns —
     the view only changes *when* per-edge work happens, never its
-    outcome — and the whole class is bypassed (``Network._secure_view``
-    returns ``None``) while caching is disabled.
+    outcome.
 
     **Storage is CSR, not dicts.**  Node ids are contiguous, so the
     radio adjacency and the per-edge current keys live in three flat
-    arrays — ``_indptr``/``_cols`` (neighbour rows, frozen in the
-    reference ``Topology.neighbors`` iteration order) and ``_keys``
+    arrays — ``_indptr``/``_cols`` (neighbour rows, frozen in
+    ``Topology.neighbors`` iteration order) and ``_keys``
     (parallel current-key row, ``-1`` = no usable key).  That replaces
     the per-node neighbour tuples, the edge-key dict and the
     million-set secure adjacency of the dict-based view: at 1M nodes
@@ -1111,11 +976,10 @@ class _SecureTopologyView:
         # CSR radio adjacency: node ids are contiguous (range(num_nodes)),
         # so ``cols[indptr[n]:indptr[n + 1]]`` is node n's neighbour row
         # and ``keys`` the parallel current-edge-key row (-1 = no usable
-        # key).  Rows are frozen in the reference iteration order
-        # (``Topology.neighbors`` returns a frozenset built from a static
-        # set, deterministic per process): filtering a row in order
-        # reproduces the reference secure_neighbors lists — and hence
-        # per-receiver RNG draw order — exactly.
+        # key).  Rows are frozen in ``Topology.neighbors`` iteration
+        # order (a frozenset of ints, deterministic across processes):
+        # filtering a row in order fixes the secure_neighbors lists —
+        # and hence per-receiver RNG draw order.
         indptr = array("q", [0])
         cols = array("i")
         keys = array("i")
@@ -1194,7 +1058,7 @@ class _SecureTopologyView:
         self._degrees = None
 
     # ------------------------------------------------------------------
-    # Queries (each the exact reference result)
+    # Queries
     # ------------------------------------------------------------------
     def edge_key_index(self, a: int, b: int) -> Optional[int]:
         indptr = self._indptr
@@ -1277,9 +1141,8 @@ class _SecureTopologyView:
     def honest_secure_component(self) -> Set[int]:
         if self._component is None:
             # Reachability over the CSR rows restricted to keyed edges
-            # and allowed endpoints — the same set ``component_over``
-            # returns for the maintained adjacency (a reachability set
-            # is traversal-order independent).
+            # and allowed endpoints (a reachability set is
+            # traversal-order independent).
             allowed = self._allowed_honest()
             indptr, cols, keys = self._indptr, self._cols, self._keys
             component: Set[int] = {BASE_STATION_ID}
@@ -1294,8 +1157,7 @@ class _SecureTopologyView:
                         component.add(neighbor)
                         frontier.append(neighbor)
             self._component = component
-        # Callers may mutate the returned set (the reference path hands
-        # out a fresh set per call), so copy.
+        # Callers may mutate the returned set, so hand out a copy.
         return set(self._component)
 
     def fault_aware_component(self, injector: Any) -> Set[int]:
@@ -1305,8 +1167,7 @@ class _SecureTopologyView:
             if i == BASE_STATION_ID or not injector.node_down(i)
         }
         # Injector state changes per interval, so this is never cached —
-        # but it still runs on the maintained key rows, skipping the
-        # per-edge ring intersections of the reference path.
+        # but it still runs on the maintained key rows.
         indptr, cols, keys = self._indptr, self._cols, self._keys
         component: Set[int] = {BASE_STATION_ID}
         frontier = [BASE_STATION_ID]
@@ -1328,9 +1189,8 @@ class _SecureTopologyView:
     def effective_depth_bound(self) -> int:
         if self._depth_bound is None:
             component = self.honest_secure_component()
-            # Breadth-first depths over the keyed CSR rows — identical
-            # to ``depths_over`` on the maintained adjacency (BFS depth
-            # is the shortest-path length, independent of visit order).
+            # Breadth-first depths over the keyed CSR rows (BFS depth is
+            # the shortest-path length, independent of visit order).
             indptr, cols, keys = self._indptr, self._cols, self._keys
             depths: Dict[int, int] = {BASE_STATION_ID: 0}
             frontier = deque((BASE_STATION_ID,))

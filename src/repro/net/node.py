@@ -22,8 +22,8 @@ for the queries of Figures 5 and 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..crypto.authenticated_broadcast import BroadcastVerifier
 from ..keys.registry import SensorKeyMaterial
@@ -178,15 +178,14 @@ class AuditStore:
         )
 
 
-class _NodeCore:
-    """State and behaviour shared by both honest-node representations.
+class HonestNode:
+    """Runtime state of one honest sensor.
 
-    The scalar phase state (reading, level, the one-time flags, the
-    crash flag) deliberately has **no** storage here: the object-path
-    subclass keeps it in slots, the column-kernel subclass in
-    :class:`~repro.core.node_columns.NodeColumns` cells behind
-    properties.  ``__init__`` and ``begin_execution`` assign through
-    whichever the concrete class provides.
+    The five per-node scalars (reading, level, the two one-time flags,
+    the crash flag) live in the network's shared
+    :class:`~repro.core.node_columns.NodeColumns` arrays behind
+    properties, so a million nodes cost five array cells each instead
+    of five boxed attributes; readers get plain Python values back.
     """
 
     __slots__ = (
@@ -197,6 +196,7 @@ class _NodeCore:
         "query_values",
         "audit",
         "parents",
+        "_columns",
     )
 
     def __init__(
@@ -205,8 +205,12 @@ class _NodeCore:
         material: SensorKeyMaterial,
         clock: LocalClock,
         broadcast_anchor: bytes,
+        columns,
         reading: float = 0.0,
     ) -> None:
+        # Set first: the scalar assignments below route through the
+        # column-backed properties.
+        self._columns = columns
         self.node_id = node_id
         self.material = material
         self.clock = clock
@@ -266,47 +270,6 @@ class _NodeCore:
             f"level={self.level}, reading={self.reading})"
         )
 
-
-class HonestNode(_NodeCore):
-    """Runtime state of one honest sensor (object-path representation)."""
-
-    __slots__ = (
-        "reading",
-        "level",
-        "forwarded_veto",
-        "forwarded_beacon",
-        "crash_suspected",
-    )
-
-
-class ColumnNode(_NodeCore):
-    """Honest-node view over shared :class:`NodeColumns` cells.
-
-    Behaviourally identical to :class:`HonestNode` — every reader gets
-    the exact reference types back (``float``/``int``/``bool``, with
-    ``-1`` decoding to the reference's ``None`` level) — but the five
-    per-node scalars live in the network's parallel arrays, so a
-    million node views cost five array cells each instead of five boxed
-    attributes.  Built by :class:`~repro.net.network.Network` when the
-    column kernel is active at construction time.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(
-        self,
-        node_id: int,
-        material: SensorKeyMaterial,
-        clock: LocalClock,
-        broadcast_anchor: bytes,
-        columns,
-        reading: float = 0.0,
-    ) -> None:
-        # Set before super().__init__ — the base constructor assigns the
-        # scalars, which route through the properties below.
-        self._columns = columns
-        super().__init__(node_id, material, clock, broadcast_anchor, reading)
-
     @property
     def reading(self) -> float:
         return float(self._columns.reading[self.node_id])
@@ -317,12 +280,11 @@ class ColumnNode(_NodeCore):
 
     @property
     def level(self) -> Optional[int]:
-        level = self._columns.level[self.node_id]
-        return None if level == -1 else int(level)
+        return self._columns.get_level(self.node_id)
 
     @level.setter
     def level(self, value: Optional[int]) -> None:
-        self._columns.level[self.node_id] = -1 if value is None else value
+        self._columns.set_level(self.node_id, value)
 
     @property
     def forwarded_veto(self) -> bool:

@@ -20,10 +20,6 @@ one shared list of :class:`_SendBatch` objects, and materializes
   here retains a ``Delivery`` (whose batch → phase → transport edge
   would form an uncollectable cycle); frames die by refcount as soon as
   the caller drops them.
-* **Object deposits still work.**  ``deposit()`` (used by eager/service
-  paths and fault-injected duplicates) appends a column row like any
-  other and parks the object in a side table keyed by row position, so
-  mixed eager/lazy deposits keep one global order.
 
 **Sharded delivery fanout.**  Above
 :data:`~repro.perf.shard.DELIVERY_REGION_MIN_IDS` ids, each interval's
@@ -36,16 +32,19 @@ are ascending id ranges, so region-order iteration is globally sorted.
 The win is incremental regrouping: an append dirties only its region,
 so the next read re-sorts one region's columns instead of the whole
 interval's (at 1M nodes the difference between re-sorting ~60k and ~1M
-rows every time the adversary injects mid-interval).
+rows every time the adversary injects mid-interval).  The geometry must
+cover every id below the transport's ``num_ids`` (every node id of the
+topology); a receiver outside it is an error, not something a region
+silently absorbs.
 
 The verdict column holds the transmit-time precheck outcome: ``1`` rows
 materialize with ``verified=None`` (the lazy path — resolves ``True``
 unless an adversary materializes the MAC first) and ``0`` rows with
-``verified=False``, exactly the two constructor calls the object path
-makes.  :class:`~repro.net.network.PhaseContext` installs this store on
-the optimized path (caching enabled, no transport factory) — attacked
-and traced runs included; the cache-disabled reference path keeps
-:class:`SimTransport` unchanged.
+``verified=False``, exactly the two ``Delivery`` constructor calls
+:meth:`~repro.net.network.PhaseContext._transmit_one` makes for other
+transports.  :class:`~repro.net.network.PhaseContext` installs this store
+for every inline run — honest, attacked or traced, caches on or off;
+only a transport factory (the service runtime) substitutes another.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def _delivery_class():
 class _RegionColumns:
     """Append-only frame columns for one receiver region of one interval."""
 
-    __slots__ = ("receivers", "keys", "batch_ids", "verdicts", "obj_rows",
+    __slots__ = ("receivers", "keys", "batch_ids", "verdicts",
                  "_groups", "_grouped_rows")
 
     def __init__(self) -> None:
@@ -84,19 +83,16 @@ class _RegionColumns:
         self.keys = array("i")
         self.batch_ids = array("i")
         self.verdicts = array("b")
-        # Row position -> eagerly-built Delivery, for object deposits.
-        self.obj_rows: Optional[Dict[int, object]] = None
         # receiver -> row positions (deposit order), rebuilt whenever a
         # read finds rows appended since the last grouping.
         self._groups: Optional[Dict[int, np.ndarray]] = None
         self._grouped_rows = -1
 
-    def append(self, receiver: int, key_index: int, batch_id: int, verdict: int) -> int:
+    def append(self, receiver: int, key_index: int, batch_id: int, verdict: int) -> None:
         self.receivers.append(receiver)
         self.keys.append(key_index)
         self.batch_ids.append(batch_id)
         self.verdicts.append(verdict)
-        return len(self.receivers) - 1
 
     def groups(self) -> Dict[int, np.ndarray]:
         count = len(self.receivers)
@@ -120,10 +116,9 @@ class _RegionColumns:
 class _IntervalStore:
     """One interval's frames, partitioned into receiver regions.
 
-    Regions are contiguous ``region_size``-wide id ranges (the last one
-    absorbs any id past the declared bound — wormhole sends can target
-    ids the geometry never saw).  A single-region geometry degenerates
-    to the unpartitioned store.
+    Regions are contiguous ``region_size``-wide id ranges covering the
+    transport's id space.  A single-region geometry degenerates to the
+    unpartitioned store.
     """
 
     __slots__ = ("region_size", "num_regions", "_regions", "total_rows")
@@ -137,8 +132,6 @@ class _IntervalStore:
     def columns_for(self, receiver: int) -> _RegionColumns:
         """The (created-on-demand) region columns owning ``receiver``."""
         index = receiver // self.region_size
-        if index >= self.num_regions or index < 0:
-            index = self.num_regions - 1
         columns = self._regions[index]
         if columns is None:
             columns = self._regions[index] = _RegionColumns()
@@ -146,10 +139,7 @@ class _IntervalStore:
 
     def peek_columns(self, receiver: int) -> Optional[_RegionColumns]:
         """Like :meth:`columns_for` but ``None`` when the region is empty."""
-        index = receiver // self.region_size
-        if index >= self.num_regions or index < 0:
-            index = self.num_regions - 1
-        return self._regions[index]
+        return self._regions[receiver // self.region_size]
 
     def region_iter(self) -> Iterator[_RegionColumns]:
         """Non-empty regions in ascending id-range order."""
@@ -159,11 +149,12 @@ class _IntervalStore:
 
 
 class SoATransport:
-    """Column frame store satisfying the transport contract."""
+    """Column frame store: the transport contract's reads
+    (``frames``/``arrivals``) over column deposits."""
 
     __slots__ = ("_stores", "_batches", "_region_size", "_num_regions")
 
-    def __init__(self, num_ids: int = 0) -> None:
+    def __init__(self, num_ids: int) -> None:
         self._stores: Dict[int, _IntervalStore] = {}
         self._batches: List[object] = []
         self._region_size, self._num_regions = delivery_region_geometry(num_ids)
@@ -198,17 +189,6 @@ class SoATransport:
         )
         store.total_rows += 1
 
-    def deposit(self, interval: int, receiver: int, delivery) -> None:
-        """Object deposit (eager frames, injected duplicates): keeps one
-        per-receiver row order with column deposits."""
-        store = self._store(interval)
-        columns = store.columns_for(receiver)
-        position = columns.append(receiver, delivery.key_index, -1, 0)
-        store.total_rows += 1
-        if columns.obj_rows is None:
-            columns.obj_rows = {}
-        columns.obj_rows[position] = delivery
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -229,17 +209,11 @@ class SoATransport:
     ) -> List[object]:
         delivery_cls = _delivery_class()
         batches = self._batches
-        obj_rows = columns.obj_rows
         keys = columns.keys
         batch_ids = columns.batch_ids
         verdicts = columns.verdicts
         out: List[object] = []
         for position in rows.tolist():
-            if obj_rows is not None:
-                existing = obj_rows.get(position)
-                if existing is not None:
-                    out.append(existing)
-                    continue
             out.append(
                 delivery_cls(
                     batches[batch_ids[position]],
@@ -262,8 +236,9 @@ class _SoAArrivals(Mapping):
     """Read-only ``receiver -> frames`` view over one interval store.
 
     Iteration is ascending by receiver id (every consumer sorts anyway;
-    the reference mapping iterates in first-deposit order, which no code
-    path observes): regions are ascending contiguous id ranges, so
+    :class:`~repro.net.transport.SimTransport` iterates in first-deposit
+    order, which no code path observes): regions are ascending
+    contiguous id ranges, so
     walking regions in order and sorting within each yields the global
     sorted order.  ``__getitem__`` materializes frames on demand.
     """

@@ -1,12 +1,14 @@
 """Frame-store transports behind :class:`~repro.net.network.PhaseContext`.
 
-The simulator's frame store — a per-interval, per-receiver list of
-:class:`~repro.net.network.Delivery` frames — is factored out here as
-:class:`SimTransport` so a second runtime can substitute its own store.
-The service runtime (:mod:`repro.service`) installs transports that
-*additionally* queue each deposited frame for shipment between OS
-processes, while reusing this in-process store for everything the local
-protocol logic reads.
+:class:`SimTransport` is a plain per-interval, per-receiver list of
+:class:`~repro.net.network.Delivery` frames: the store a second runtime
+builds on when it substitutes its own transport through
+``Network.transport_factory``.  The service runtime (:mod:`repro.service`)
+installs transports that *additionally* queue each deposited frame for
+shipment between OS processes, while reusing this in-process store for
+everything the local protocol logic reads.  Inline runs use the column
+store (:class:`~repro.net.soa.SoATransport`), which presents frames in
+the same per-receiver order.
 
 Transport contract (what ``PhaseContext`` relies on):
 
@@ -38,7 +40,8 @@ _EMPTY_ARRIVALS: Dict[int, List["Delivery"]] = {}
 
 
 class SimTransport:
-    """The in-process frame store the simulator has always used.
+    """In-process per-receiver list frame store (service transports
+    build on it).
 
     Frames are kept exactly where :meth:`deposit` put them, in call
     order — chronological send order, which downstream acceptance loops

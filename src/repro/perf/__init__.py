@@ -5,8 +5,8 @@ This package owns three things:
 * :mod:`~repro.perf.cache` — the bounded-LRU infrastructure behind
   every hot-path cache in the repository (pre-keyed HMAC states,
   synopsis draw vectors, ring selections, derived pool keys), with a
-  global enable/disable switch so the un-cached reference path stays
-  one context manager away;
+  global enable/disable switch so an uncached run stays one context
+  manager away (the switch turns off caches and nothing else);
 * :mod:`~repro.perf.bench` — the microbenchmark harness behind
   ``python -m repro bench``: it times each hot path against an inline
   reference implementation, times end-to-end campaign cells, asserts
@@ -14,8 +14,8 @@ This package owns three things:
   ``BENCH_perf.json`` payloads with the campaign threshold logic;
 * :mod:`~repro.perf.scale` — the whole-execution scale sweep behind
   ``python -m repro bench scale``: single VMAT executions on 100- to
-  10,000-node topologies, with a cache-disabled reference leg (up to
-  1,000 nodes) asserting end-to-end metrics equality, and a
+  10,000-node topologies, with a cache-disabled leg (up to 1,000
+  nodes) asserting end-to-end metrics equality, and a
   ``BENCH_scale.json`` payload gated on speedup ratios.
 
 The layer-wide contract (see docs/PERFORMANCE.md): **no optimization may

@@ -17,10 +17,10 @@ Two layers are measured:
   side is reported.
 * **e2e** — whole campaign cells (``fig7``/``fig8``/``chaos`` reduced
   grids) run twice on the same build: once with every cache disabled
-  (:func:`repro.perf.cache.disabled` — the reference path) and once
-  warm.  The metrics dictionaries of both runs must be equal, which is
-  the end-to-end bit-identity check, and the wall-time ratio is the
-  layer's deployed speedup.
+  (:func:`repro.perf.cache.disabled` — the same kernel, no caches) and
+  once warm.  The metrics dictionaries of both runs must be equal,
+  which is the end-to-end cache-transparency check, and the wall-time
+  ratio is the caches' deployed speedup.
 
 ``python -m repro bench`` drives this module, writes
 ``BENCH_perf.json`` and can gate regressions against a committed

@@ -12,11 +12,13 @@ goes through :class:`LRUCache`, for three reasons:
   so every cache evicts least-recently-used entries past ``maxsize``
   instead of growing without limit;
 * **centrally switchable** — :func:`set_caching` / :func:`disabled`
-  turn every registered cache into a pass-through, which is how the
-  microbenchmark harness (:mod:`repro.perf.bench`) measures the
-  reference path on the same build, and how any doubt about a cache's
-  transparency can be settled empirically (``repro bench`` asserts
-  enabled == disabled outputs before timing them).
+  turn every registered cache into a pass-through and change nothing
+  else: the kernel, frame store and storage backends are the same
+  either way.  That is how the microbenchmark harness
+  (:mod:`repro.perf.bench`) measures the uncached cost on the same
+  build, and how any doubt about a cache's transparency can be settled
+  empirically (``repro bench`` asserts enabled == disabled outputs
+  before timing them).
 
 The registry is process-global; caches are keyed by name and report hit
 /miss/eviction counts through :func:`cache_stats`.
@@ -35,9 +37,9 @@ from ..errors import ConfigError
 _REGISTRY: "OrderedDict[str, LRUCache]" = OrderedDict()
 
 #: Environment override: set ``REPRO_DISABLE_PERF_CACHES=1`` to start the
-#: process with every cache off (the reference path).  CI runs the full
-#: test matrix a second time under this flag to prove warm and cache-free
-#: executions are bit-identical end to end.
+#: process with every cache off.  CI re-runs the full-stack matrix, the
+#: golden vectors and the kernel digests under this flag to prove warm
+#: and cache-free executions are bit-identical end to end.
 _DISABLED_BY_ENV = os.environ.get("REPRO_DISABLE_PERF_CACHES", "").strip().lower() in {
     "1", "true", "yes", "on",
 }
@@ -208,7 +210,7 @@ def set_caching(enabled: bool) -> None:
 
 @contextmanager
 def disabled() -> Iterator[None]:
-    """Run a block on the reference (cache-free) path."""
+    """Run a block with every cache off (the same kernel, no caches)."""
     previous = _ENABLED
     set_caching(False)
     try:

@@ -15,14 +15,16 @@ fixed number of honest ``MinQuery`` executions, and records
 * peak RSS (``ru_maxrss``; a process-wide high-water mark, so cells run
   smallest-first and each cell reports the mark *after* it ran).
 
-Cells up to 1,000 nodes also run the reference path (every cache
-disabled via :func:`repro.perf.cache.disabled`) on a fresh deployment
-with the same seed and assert ``Metrics.to_dict()`` equality — the same
-bit-identity contract the microbench enforces, applied end-to-end at
-scale.  The 10,000- and 100,000-node cells run optimized-only: their
-reference legs would dominate the whole suite's budget, and the
-contract they would check is already pinned by the smaller sizes (and
-by ``tests/test_soa.py``'s bit-identity matrix over the SoA kernel).
+Cells up to 1,000 nodes also run a cache-free leg (every cache
+disabled via :func:`repro.perf.cache.disabled`; the kernel is the same)
+on a fresh deployment with the same seed and assert
+``Metrics.to_dict()`` equality — the cache-transparency contract the
+microbench enforces, applied end-to-end at scale; ``ref_s``/``speedup``
+therefore measure what the caches alone buy.  The 10,000- and
+100,000-node cells run optimized-only: their cache-free legs would
+dominate the whole suite's budget, and the contract they would check is
+already pinned by the smaller sizes (and by
+``tests/test_kernel_digests.py``).
 
 Line topologies stop at 1,000 nodes by design: a 10k-node line has
 depth bound ~10k, and the paper's interval loop is O(n x L) — that cell
@@ -62,8 +64,8 @@ from .cache import cache_stats, clear_caches, disabled, merge_cache_stats
 
 #: Node counts the default sweep covers.  The 100k cell is the
 #: struct-of-arrays kernel's target: it only fits under the
-#: memory-per-node gate below (the object path at that size holds
-#: millions of per-node containers).
+#: memory-per-node gate below (the pre-SoA object kernel at that size
+#: held millions of per-node containers).
 SCALE_SIZES: Tuple[int, ...] = (100, 1_000, 10_000, 100_000)
 
 #: The opt-in top size: one million nodes on a 1000x1000 grid.  Not in
@@ -78,7 +80,7 @@ MEMORY_GATE_MIN_NODES = 100_000
 #: Wall-clock budget (seconds) for gated cells: deployment build plus
 #: the optimized executions must finish inside it.  Sized so the 100k
 #: cell (~30 s) passes with an order of magnitude of slack and a 1M
-#: cell that degenerated back to object-path scaling (> 10x the
+#: cell that degenerated back to per-node-object scaling (> 10x the
 #: column-kernel wall) fails.  ``REPRO_SCALE_BUDGET_S`` overrides.
 SCALE_BUDGET_S = 1_800.0
 
@@ -86,7 +88,7 @@ SCALE_BUDGET_S = 1_800.0
 #: cell's whole-process footprint *before* the struct-of-arrays kernel
 #: (404,844 KB for 10,000 nodes, BENCH_scale.json as of the resilience
 #: PR).  A 100k run must come in strictly below the per-node footprint
-#: the object path already paid at a tenth the size.
+#: the object kernel already paid at a tenth the size.
 MEMORY_BYTES_PER_NODE_GATE = 404_844 * 1024 // 10_000
 
 #: Sizes whose cells also run the cache-disabled reference leg.  The
@@ -203,7 +205,7 @@ def _build_deployment(kind: str, nodes: int, seed: int, malicious_ids=None):
     # a degree-4 grid keeps near-certain edge-key coverage: two rings
     # share a key with probability ~1 - e^(-r^2/u) ~ 0.98.  The toy
     # test-config pool (u = 200) would make every ring intersection
-    # trivially cheap and understate the reference path's real cost.
+    # trivially cheap and understate the uncached leg's real cost.
     config = small_test_config(
         depth_bound=_depth_bound(kind, nodes), pool_size=16_384, ring_size=250
     )
@@ -363,8 +365,9 @@ def attacked_reference_equality(
 ) -> Dict[str, float]:
     """Disabled-vs-warm equality for one *attacked* cell.
 
-    The hybrid kernel keeps adversarial runs on the columns, so the
-    same contract as :func:`reference_equality` must hold with a zoo
+    Adversarial runs use the same column kernel, so the same
+    cache-transparency contract as :func:`reference_equality` must hold
+    with a zoo
     strategy active: byte-identical ``Metrics.to_dict()``, identical
     outcome sequence, identical frame counts.  Two deterministic
     mid-topology sensors are compromised (colluding strategies need at

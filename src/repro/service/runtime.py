@@ -256,11 +256,13 @@ class ServiceRuntime:
         SIGKILL exit status is expected and carries no information.
         """
         errors: List[str] = []
+        answered: List[int] = []
         for i in sorted(self.channels):
             channel = self.channels[i]
             try:
                 record = channel.request("shutdown")
                 if record[0] == "metrics":
+                    answered.append(i)
                     self.network.metrics.merge(
                         Metrics.from_dict(json.loads(record[1]))
                     )
@@ -271,6 +273,9 @@ class ServiceRuntime:
             channel.close()
         self.channels = {}
         if self.supervisor is not None:
+            # Hosts that answered are exiting on their own; let them
+            # finish before the SIGTERM sweep instead of racing them.
+            self.supervisor.reap_exiting(answered)
             for host_exit in self.supervisor.shutdown_report():
                 if host_exit.expected:
                     continue

@@ -22,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
@@ -144,6 +145,25 @@ class Supervisor:
             proc.wait(timeout=self.grace)
         except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL reaps
             pass
+
+    def reap_exiting(self, host_indices: Sequence[int]) -> None:
+        """Wait (up to one shared grace period) for hosts that are
+        exiting on their own — they answered a shutdown request — so
+        :meth:`shutdown` does not SIGTERM a host mid-teardown.
+
+        A host hands its SIGTERM disposition from asyncio back to the
+        default and only then ignores the signal; a SIGTERM landing in
+        between kills an otherwise clean exit with status -15.
+        """
+        deadline = time.monotonic() + self.grace
+        for host_index in host_indices:
+            proc = self.by_host.get(host_index)
+            if proc is None:
+                continue
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                pass  # still running: shutdown() escalates as usual
 
     def alive(self) -> List[subprocess.Popen]:
         return [p for p in self.procs if p.poll() is None]

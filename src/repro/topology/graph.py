@@ -22,12 +22,9 @@ def depths_over(
     source: int = BASE_STATION_ID,
     allowed: Optional[Set[int]] = None,
 ) -> Dict[int, int]:
-    """BFS depths over a plain adjacency mapping.
+    """BFS depths over a plain adjacency mapping (behind
+    :meth:`Topology.depths`).
 
-    The workhorse behind :meth:`Topology.depths` and the incremental
-    secure-topology view (:mod:`repro.net.network`): running directly on
-    an adjacency dict lets callers maintain a filtered edge set in place
-    instead of materializing a :class:`Topology` copy per query.
     ``allowed`` restricts traversal (the source is always allowed);
     unreachable nodes are absent from the result.
     """
@@ -41,15 +38,6 @@ def depths_over(
                 depth[neighbor] = next_depth
                 frontier.append(neighbor)
     return depth
-
-
-def component_over(
-    adjacency: Dict[int, Iterable[int]],
-    source: int = BASE_STATION_ID,
-    allowed: Optional[Set[int]] = None,
-) -> Set[int]:
-    """Nodes reachable from ``source`` over ``adjacency`` within ``allowed``."""
-    return set(depths_over(adjacency, source=source, allowed=allowed))
 
 
 class Topology:

@@ -1,0 +1,331 @@
+"""Committed kernel digests: the simulator's observable output, frozen.
+
+Every cell below runs a short, fully seeded workload and folds what it
+observed into one chained SHA-256: each ``Tracer`` event
+(``json.dumps(sort_keys=True)``), then ``Metrics.to_dict()``, then the
+outcome sequence.  ``DIGESTS`` holds the values the cache-free reference
+path produced when the oracle was frozen.  The kernel may change shape
+freely underneath — caches on or off, any storage layout — as long as
+every cell still hashes to its committed digest.
+
+Three planted kernel mutants show the oracle is sharp: each must change
+at least one digest (a mutant that makes a cell raise counts as a
+change — the kernel no longer produces the frozen output).
+
+Regenerate the table (only when an output change is intended and
+reviewed) with::
+
+    PYTHONPATH=src python tests/test_kernel_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from contextlib import contextmanager
+from dataclasses import replace
+
+import pytest
+
+from repro import CountQuery, MinQuery, VMATProtocol, build_deployment, small_test_config
+from repro.adversary import Adversary, WormholeStrategy, make_strategy
+from repro.faults import ClockDrift, Duplicate, FaultInjector, FaultPlan
+from repro.perf.cache import clear_caches, disabled
+from repro.topology.generators import grid_topology, line_topology
+from repro.tracing import Tracer
+
+
+# ----------------------------------------------------------------------
+# Digest
+# ----------------------------------------------------------------------
+def _link(state: bytes, obj) -> bytes:
+    return hashlib.sha256(state + json.dumps(obj, sort_keys=True).encode()).digest()
+
+
+def chained_digest(tracer, metrics, outcomes) -> str:
+    state = b""
+    for event in tracer if tracer is not None else ():
+        state = _link(state, event.to_dict())
+    state = _link(state, metrics.to_dict())
+    for outcome in outcomes:
+        state = _link(state, outcome)
+    return state.hex()
+
+
+@contextmanager
+def _env(name, value):
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[name]
+        else:
+            os.environ[name] = previous
+
+
+# ----------------------------------------------------------------------
+# Cells
+# ----------------------------------------------------------------------
+def _zoo_cell(strategy, traced, topo, seed=17):
+    """The tests/test_soa.py adversarial matrix cell."""
+    topology = line_topology(10) if topo == "line" else grid_topology(4, 4)
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=20),
+        topology=topology,
+        malicious_ids={3, 5},
+        seed=seed,
+    )
+    network = deployment.network
+    adversary = Adversary(network, make_strategy(strategy), seed=seed)
+    tracer = Tracer.attach(network) if traced else None
+    protocol = VMATProtocol(network, adversary=adversary)
+    readings = {i: 50.0 + i for i in deployment.topology.sensor_ids}
+    outcomes = [protocol.execute(MinQuery(), readings).outcome.value for _ in range(2)]
+    return tracer, network.metrics, outcomes
+
+
+def _tree_cell(variant, inflation):
+    """A wormhole pair against either tree variant (Figure 2(c))."""
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=12),
+        topology=line_topology(12),
+        malicious_ids={2, 8},
+        seed=3,
+    )
+    network = deployment.network
+    strategy = WormholeStrategy(entry=2, exit=8, inflation=inflation)
+    adversary = Adversary(network, strategy, seed=3)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network, adversary=adversary, tree_variant=variant)
+    readings = {i: 40.0 + i for i in deployment.topology.sensor_ids}
+    outcomes = []
+    for _ in range(2):
+        result = protocol.execute(MinQuery(), readings)
+        tree = result.tree
+        outcomes.append(
+            [
+                result.outcome.value,
+                sorted(tree.levels.items()),
+                sorted(tree.parents.items()),
+                sorted(tree.invalid_level_sensors),
+            ]
+        )
+    return tracer, network.metrics, outcomes
+
+
+def _scale_cell(kind):
+    """The honest multipath scale leg (``repro.perf.scale``), 100 nodes."""
+    from repro.perf.scale import _build_deployment
+
+    deployment = _build_deployment(kind, 100, seed=2011)
+    network = deployment.network
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network)
+    readings = {i: 10.0 + (i % 9) for i in deployment.topology.sensor_ids}
+    outcomes = []
+    for _ in range(2):
+        result = protocol.execute(MinQuery(), readings)
+        outcomes.append([result.outcome.value, result.estimate])
+    return tracer, network.metrics, outcomes
+
+
+def _count_cell():
+    """Synopsis COUNT (Section VIII) with a junk-injecting sensor."""
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=10),
+        topology=grid_topology(4, 4),
+        malicious_ids={6},
+        seed=31,
+    )
+    network = deployment.network
+    adversary = Adversary(network, make_strategy("junk-minimum"), seed=31)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network, adversary=adversary)
+    query = CountQuery(predicate=lambda r: r > 50, num_synopses=40)
+    readings = {i: float(30 + (i * 13) % 60) for i in deployment.topology.sensor_ids}
+    outcomes = []
+    for _ in range(2):
+        result = protocol.execute(query, readings)
+        outcomes.append([result.outcome.value, result.estimate])
+    return tracer, network.metrics, outcomes
+
+
+def _fault_cell():
+    """Residual loss + injected duplicates + a clock escaping the guard band."""
+    config = small_test_config(depth_bound=8)
+    config = replace(config, network=replace(config.network, loss_rate=0.05))
+    deployment = build_deployment(config=config, topology=grid_topology(4, 4), seed=7)
+    network = deployment.network
+    plan = FaultPlan(
+        "digest-faults",
+        events=(
+            Duplicate(probability=0.3, start=1, end=80),
+            ClockDrift(node=5, drift=1.4, start=1, end=80),
+        ),
+    )
+    FaultInjector(plan, seed=7).attach(network)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network)
+    readings = {i: 20.0 + (i % 7) for i in deployment.topology.sensor_ids}
+    outcomes = []
+    for _ in range(2):
+        result = protocol.execute(MinQuery(), readings)
+        outcomes.append([result.outcome.value, result.estimate])
+    return tracer, network.metrics, outcomes
+
+
+def _regions_cell():
+    """An attacked 7x7 grid with delivery fanout split into 3 regions."""
+    with _env("REPRO_DELIVERY_REGIONS", "3"):
+        deployment = build_deployment(
+            config=small_test_config(depth_bound=14),
+            topology=grid_topology(7, 7),
+            malicious_ids={17},
+            seed=5,
+        )
+        network = deployment.network
+        adversary = Adversary(network, make_strategy("spurious-veto"), seed=5)
+        tracer = Tracer.attach(network)
+        protocol = VMATProtocol(network, adversary=adversary)
+        readings = {i: 60.0 + (i % 11) for i in deployment.topology.sensor_ids}
+        readings[40] = 1.0
+        outcomes = [protocol.execute(MinQuery(), readings).outcome.value for _ in range(2)]
+    return tracer, network.metrics, outcomes
+
+
+CELLS = {}
+for _strategy in ("relay-drop", "cover-accomplice"):
+    for _traced in (False, True):
+        for _topo in ("line", "grid"):
+            CELLS[f"zoo-{_strategy}-{'traced' if _traced else 'untraced'}-{_topo}"] = (
+                lambda s=_strategy, t=_traced, g=_topo: _zoo_cell(s, t, g)
+            )
+for _variant in ("timestamp", "hopcount"):
+    for _inflation in (10, -3, 2**31):
+        CELLS[f"tree-{_variant}-wormhole{_inflation:+d}"] = (
+            lambda v=_variant, i=_inflation: _tree_cell(v, i)
+        )
+CELLS["scale-grid-100"] = lambda: _scale_cell("grid")
+CELLS["scale-line-100"] = lambda: _scale_cell("line")
+CELLS["count-junk-grid"] = _count_cell
+CELLS["faults-loss-dup-clock"] = _fault_cell
+CELLS["regions-attacked-grid"] = _regions_cell
+
+
+def cell_digest(name: str) -> str:
+    clear_caches()
+    return chained_digest(*CELLS[name]())
+
+
+#: Recorded from the cache-free reference path (``perf.cache.disabled()``).
+DIGESTS = {
+    "count-junk-grid": "71501b336800ffd6da6b55584024e4173a7b392f36f0a487e5c448025a69331a",
+    "faults-loss-dup-clock": "4163c3b5ab41a898690a86fc9dc7b233fa727fd85c923412dde2aeb9f2480619",
+    "regions-attacked-grid": "1168a15f678f9a6460616c7d5ba5dde40df886516b1cf50ea6ede1d021f19cbe",
+    "scale-grid-100": "ef915a5d3218bde75a7d47fc3e69156337acea030e8b501fd41d60db05bc4bef",
+    "scale-line-100": "6a2fb3c015483620776bd9570c38c4501e75a31400cb7c39f32e773816d7ef8d",
+    "tree-hopcount-wormhole+10": "a066ff4be8386301675165b4977703e0bd61efe7d0ae43b28b27dddbfa180c56",
+    "tree-hopcount-wormhole+2147483648": "31d298d93dfb26b2c5a6b93ce892a672fdf63f0980285f8213e761af2aa77120",
+    "tree-hopcount-wormhole-3": "bf2083480c57e05e200642844fec01d9932e2229b1f036185c5632817e282739",
+    "tree-timestamp-wormhole+10": "df6b26f33de1b4ac809248f9851aa205c55b51acc22243bfbddb823dd153ce62",
+    "tree-timestamp-wormhole+2147483648": "df6b26f33de1b4ac809248f9851aa205c55b51acc22243bfbddb823dd153ce62",
+    "tree-timestamp-wormhole-3": "df6b26f33de1b4ac809248f9851aa205c55b51acc22243bfbddb823dd153ce62",
+    "zoo-cover-accomplice-traced-grid": "fc01f337dc7da55d2bae5d1bc403cce29fedd451fb7fb0eb02f5f48995414c87",
+    "zoo-cover-accomplice-traced-line": "06d64d6acc915a78555789e7de32f90b81b28ea985020ab00384abeb42849e7c",
+    "zoo-cover-accomplice-untraced-grid": "d64d9c297aaf0d77a7cd700034a7b1722d7049b2a805be015c7659ebd066bda4",
+    "zoo-cover-accomplice-untraced-line": "8c5149c3e7cefb9f4d8b42efd3964b7ad266056166b9cbc19236f128ce93049a",
+    "zoo-relay-drop-traced-grid": "251d833e094e0bb5a506f1a05ef22217d9e175568c436b66a1860bf3303ceab3",
+    "zoo-relay-drop-traced-line": "fcafdab8865128667a0e71a3fb18d79a37f442aa22b4f3bfcaa45f6cfe545301",
+    "zoo-relay-drop-untraced-grid": "95671fe0e64a88e3ef0ebb4beb318ea8de3c25c3b5436463875b093f20a5aa36",
+    "zoo-relay-drop-untraced-line": "62a619f726e58643976952fc2afc2ae7d8f41a0d816d097ccd35b53f8d8644de",
+}
+
+
+# ----------------------------------------------------------------------
+# Tests
+# ----------------------------------------------------------------------
+def test_every_cell_has_a_digest():
+    assert sorted(DIGESTS) == sorted(CELLS)
+
+
+@pytest.mark.parametrize("caches", ["warm", "disabled"])
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_cell_matches_frozen_digest(name, caches):
+    if caches == "disabled":
+        with disabled():
+            digest = cell_digest(name)
+    else:
+        digest = cell_digest(name)
+    assert digest == DIGESTS[name]
+
+
+def _first_changed_digest(cells):
+    """Name of the first cell whose output no longer matches, if any."""
+    for name in cells:
+        try:
+            digest = cell_digest(name)
+        except Exception:  # the kernel no longer produces the output
+            return name
+        if digest != DIGESTS[name]:
+            return name
+    return None
+
+
+def _reversed_groups(original):
+    def groups(self):
+        return {receiver: rows[::-1] for receiver, rows in original(self).items()}
+
+    return groups
+
+
+def _width_off_by_one(original):
+    def geometry(num_ids):
+        width, count = original(num_ids)
+        return width - 1, count
+
+    return geometry
+
+
+def _skip_revocation_patch(self):
+    # Advance the epoch and drop the memos, but never rewrite the
+    # edge keys the new log entries revoked.
+    self._epoch = len(self.network.registry.revocation.log)
+    self._component = None
+    self._depth_bound = None
+    self._neighbors_memo.clear()
+    self._degrees = None
+
+
+class TestMutantsChangeDigests:
+    """Each planted kernel mutant must break at least one frozen digest."""
+
+    def test_swapped_deposit_order(self, monkeypatch):
+        from repro.net import soa
+
+        monkeypatch.setattr(
+            soa._RegionColumns, "groups", _reversed_groups(soa._RegionColumns.groups)
+        )
+        assert _first_changed_digest(sorted(CELLS)) is not None
+
+    def test_region_geometry_off_by_one(self, monkeypatch):
+        from repro.net import soa
+
+        monkeypatch.setattr(
+            soa, "delivery_region_geometry", _width_off_by_one(soa.delivery_region_geometry)
+        )
+        assert _first_changed_digest(["regions-attacked-grid"]) is not None
+
+    def test_skipped_revocation_patch(self, monkeypatch):
+        from repro.net.network import _SecureTopologyView
+
+        monkeypatch.setattr(_SecureTopologyView, "sync", _skip_revocation_patch)
+        assert _first_changed_digest(sorted(CELLS)) is not None
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    with disabled():
+        for _name in sorted(CELLS):
+            print(f'    "{_name}": "{cell_digest(_name)}",')

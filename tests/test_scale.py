@@ -8,11 +8,11 @@ These tests pin the contracts the 10k-node path leans on:
   when ``start_time`` and the interval length are not float-aligned);
 * ``PhaseContext.arrival_map`` is a pure read-optimization over
   ``inbox`` — same readability gate, same membership;
-* lazy edge-MAC verification is observationally identical to the eager
-  reference path, including when revocations land between a frame's
-  transmission and its first read;
+* lazy edge-MAC verification is observationally identical to eager
+  verification at transmit time, including when revocations land
+  between a frame's transmission and its first read;
 * the incremental secure-topology view answers exactly like the
-  registry-backed reference path across revocation epochs;
+  registry's direct link computation across revocation epochs;
 * engine event ordering is deterministic and ``Event`` stays slotted;
 * the cache-stat algebra (merge/diff/sum) keeps honest counters across
   clears and worker processes;
@@ -29,7 +29,6 @@ from repro import build_deployment, small_test_config
 from repro.errors import NetworkError, ReproError, SimulationError
 from repro.net.message import TreeBeacon
 from repro.perf.cache import (
-    caching_enabled,
     clear_caches,
     diff_cache_stats,
     disabled,
@@ -168,7 +167,7 @@ class TestArrivalMap:
 
 
 # ----------------------------------------------------------------------
-# Lazy edge-MAC verification == eager reference path
+# Lazy edge-MAC verification == eager verification at transmit time
 # ----------------------------------------------------------------------
 class TestLazyVerification:
     def _one_frame(self, seed=7):
@@ -184,28 +183,45 @@ class TestLazyVerification:
         (delivery,) = phase.inbox(1, 1)
         return net, phase, delivery
 
+    @staticmethod
+    def _eager(net, phase, delivery):
+        """The frame's MAC and verdict computed eagerly, from scratch:
+        HMAC over the canonical edge message, then the receiver's full
+        acceptance check (prechecks plus MAC verification)."""
+        from repro.crypto.encoding import encode_parts
+        from repro.crypto.mac import compute_mac_message
+        from repro.net.network import _edge_mac_message
+
+        message = _edge_mac_message(
+            delivery.sender,
+            delivery.receiver,
+            encode_parts(phase.name),
+            delivery.interval,
+            delivery.payload.canonical_bytes(),
+        )
+        mac = compute_mac_message(net.registry.pool_key(delivery.key_index), message)
+        verdict = net.receiver_accepts(
+            delivery.receiver, delivery.key_index, mac, delivery.sender,
+            phase.name, delivery.interval, delivery.payload,
+        )
+        return mac, verdict
+
     def test_lazy_matches_eager_verdict(self):
-        assert caching_enabled()
-        net, _, lazy = self._one_frame()
+        net, phase, lazy = self._one_frame()
         assert lazy._verified is None  # genuinely deferred
-        with disabled():
-            _, _, eager = self._one_frame()
-            assert eager._verified is not None  # eagerly sealed
-            assert lazy.verified == eager.verified is True
+        _, eager_verdict = self._eager(net, phase, lazy)
+        assert lazy.verified == eager_verdict is True
 
     def test_revocation_between_send_and_read_does_not_flip_verdict(self):
-        # Eager reference: verification happened at transmit, so a key
-        # revoked *after* the frame is on the air does not unverify it.
-        with disabled():
-            net, phase, eager = self._one_frame()
-            net.registry.revoke_key(eager.key_index)
-            reference_verdict = eager.verified
-        assert reference_verdict is True
-        # Lazy path must agree even though it reads after the revocation.
+        # Eager verification happens at transmit, so a key revoked
+        # *after* the frame is on the air cannot unverify it.
         net, phase, lazy = self._one_frame()
         assert lazy._verified is None
+        _, transmit_verdict = self._eager(net, phase, lazy)
+        assert transmit_verdict is True
+        # The lazy read must agree even though it comes after the revocation.
         net.registry.revoke_key(lazy.key_index)
-        assert lazy.verified is reference_verdict
+        assert lazy.verified is transmit_verdict
 
     def test_key_revoked_before_send_sealed_unverified_both_paths(self):
         def run():
@@ -231,7 +247,7 @@ class TestLazyVerification:
 
     def test_materialized_mac_still_verifies(self):
         # Reading edge_mac first forces the HMAC to exist; verified must
-        # then check it for real and agree with the eager path.
+        # then check it for real and agree with eager verification.
         net, phase, delivery = self._one_frame()
         assert delivery._verified is None
         mac = delivery.edge_mac
@@ -241,32 +257,27 @@ class TestLazyVerification:
 
     def test_lazy_mac_equals_eager_mac_bytes(self):
         net, phase, lazy = self._one_frame()
-        with disabled():
-            _, _, eager = self._one_frame()
-            assert lazy.edge_mac == eager.edge_mac  # same bytes either path
+        eager_mac, _ = self._eager(net, phase, lazy)
+        assert lazy.edge_mac == eager_mac  # same bytes either way
 
 
 # ----------------------------------------------------------------------
-# Incremental secure-topology view vs the registry reference path
+# Incremental secure-topology view vs the registry's direct computation
 # ----------------------------------------------------------------------
 class TestSecureViewEquivalence:
     def _assert_views_agree(self, net):
-        topology = net.topology
+        registry, topology = net.registry, net.topology
         for a in topology.node_ids:
-            with disabled():
-                ref_neighbors = net.secure_neighbors(a)
-            assert net.secure_neighbors(a) == ref_neighbors
+            reference = [o for o in topology.neighbors(a) if registry.link_usable(a, o)]
+            assert net.secure_neighbors(a) == reference
             for b in topology.neighbors(a):
-                with disabled():
-                    ref_key = net.edge_key_index(a, b)
-                    ref_usable = net.link_usable(a, b)
-                assert net.edge_key_index(a, b) == ref_key
-                assert net.link_usable(a, b) == ref_usable
+                assert net.edge_key_index(a, b) == registry.edge_key_index(a, b)
+                assert net.link_usable(a, b) == registry.link_usable(a, b)
 
     def test_agreement_across_revocation_epochs(self, line_deployment):
         net = line_deployment.network
         self._assert_views_agree(net)
-        # Key revocation bumps the epoch; the warm view must resync.
+        # Key revocation bumps the epoch; the view must resync.
         key_index = net.edge_key_index(3, 4)
         net.registry.revoke_key(key_index)
         self._assert_views_agree(net)
@@ -277,8 +288,15 @@ class TestSecureViewEquivalence:
     def test_component_agreement_after_sensor_revocation(self, line_deployment):
         net = line_deployment.network
         net.registry.revoke_sensor(5)
-        with disabled():
-            reference = net.honest_secure_component()
+        revoked = net.registry.revoked_sensors
+        secure = net.topology.subgraph(net.registry.link_usable)
+        reference = secure.connected_component(
+            exclude={
+                i
+                for i in net.topology.node_ids
+                if i != 0 and (i not in net.nodes or i in revoked)
+            }
+        )
         assert net.honest_secure_component() == reference
         # A revoked mid-line sensor cuts everything behind it off.
         assert all(node <= 4 for node in reference)

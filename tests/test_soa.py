@@ -1,12 +1,13 @@
-"""The struct-of-arrays simulation kernel vs the object reference path.
+"""The struct-of-arrays simulation kernel and the caches around it.
 
 Covers the three SoA layers (keys table, column transport, phase column
 state) plus the sharding and cache-sizing machinery around them:
 
-* bit-identity matrix — full executions, warm vs cache-disabled, over
-  line / grid / flood-heavy multipath topologies;
+* cache transparency — full executions, warm vs cache-disabled, over
+  line / grid / flood-heavy multipath topologies (both legs run the one
+  column kernel; only the caches differ);
 * arrival-order preservation — the column store's stable grouping must
-  replay the reference deposit order exactly;
+  replay the plain list store's deposit order exactly;
 * region sharding edge cases (empty, singleton, more shards than items);
 * ring-table rows / intersections / bulk edge keys vs per-object rings;
 * revocation parity — the array-backed state's event log vs the dict
@@ -23,7 +24,9 @@ from repro import MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.errors import ConfigError
 from repro.keys.ring import ring_caches_fit, ring_indices_from_seed, ring_seed
 from repro.keys.soa import RingTable, RingTableRevocationState
+from repro.net.node import HonestNode
 from repro.net.soa import SoATransport
+from repro.net.transport import SimTransport
 from repro.perf.cache import (
     LRUCache,
     autosize_caches,
@@ -38,7 +41,7 @@ from repro.topology.generators import grid_topology, line_topology
 
 
 # ----------------------------------------------------------------------
-# End-to-end bit identity: SoA kernel vs cache-disabled object path
+# End-to-end cache transparency: warm caches vs every cache disabled
 # ----------------------------------------------------------------------
 class TestBitIdentityMatrix:
     @pytest.mark.parametrize(
@@ -48,7 +51,7 @@ class TestBitIdentityMatrix:
     )
     def test_scale_cells_bit_identical(self, kind, nodes):
         # Flood-heavy multipath cells (the scale bench's configuration):
-        # metrics and frame counts must match the disabled reference.
+        # metrics and frame counts must not depend on the caches.
         clear_caches()
         out = reference_equality(kind, nodes, executions=2)
         assert out["metrics_equal"] == 1.0
@@ -56,7 +59,7 @@ class TestBitIdentityMatrix:
 
     def test_single_path_line_bit_identical(self):
         # Non-multipath, default key config — exercises the column tree
-        # path with single-parent acceptance.
+        # with single-parent acceptance, caches warm vs disabled.
         def run():
             deployment = build_deployment(
                 config=small_test_config(depth_bound=40),
@@ -79,13 +82,17 @@ class TestBitIdentityMatrix:
 # Arrival-order preservation under the column frame store
 # ----------------------------------------------------------------------
 class TestTransportOrder:
-    def _phase(self):
+    def _phase(self, list_store=False):
         deployment = build_deployment(
             config=small_test_config(depth_bound=10),
             topology=line_topology(8),
             seed=3,
         )
         net = deployment.network
+        if list_store:
+            # The plain per-receiver list store, as a transport factory
+            # installs it: the order reference for the column store.
+            net.transport_factory = lambda phase: SimTransport()
         return net, net.new_phase("t", 3)
 
     def _send_pattern(self, net, phase):
@@ -105,18 +112,18 @@ class TestTransportOrder:
             for r in receivers
         }
 
+    def _reference_orders(self):
+        net_ref, phase_ref = self._phase(list_store=True)
+        assert type(phase_ref.transport) is SimTransport
+        self._send_pattern(net_ref, phase_ref)
+        return self._orders(phase_ref, (1, 3, 5))
+
     def test_soa_store_replays_reference_deposit_order(self):
-        assert caching_enabled()
         net, phase = self._phase()
         assert type(phase.transport) is SoATransport
         self._send_pattern(net, phase)
         warm = self._orders(phase, (1, 3, 5))
-        with disabled():
-            net_ref, phase_ref = self._phase()
-            assert type(phase_ref.transport) is not SoATransport
-            self._send_pattern(net_ref, phase_ref)
-            reference = self._orders(phase_ref, (1, 3, 5))
-        assert warm == reference
+        assert warm == self._reference_orders()
         assert warm[3] == [(2, 1), (4, 1), (2, 2)]
 
     def test_arrival_map_iterates_every_receiver(self):
@@ -132,26 +139,19 @@ class TestTransportOrder:
     def test_multi_region_store_replays_reference_deposit_order(self, monkeypatch):
         # Force the region-partitioned store on an 8-id topology (3
         # regions instead of the automatic 1) and replay against the
-        # reference transport at zero tolerance: per receiver, frames
-        # must come back in the exact reference deposit order even when
-        # senders straddle region boundaries.
-        assert caching_enabled()
+        # list store at zero tolerance: per receiver, frames must come
+        # back in the exact deposit order even when senders straddle
+        # region boundaries.
         monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "3")
         net, phase = self._phase()
         assert type(phase.transport) is SoATransport
+        assert phase.transport._num_regions == 3
         self._send_pattern(net, phase)
-        warm = self._orders(phase, (1, 3, 5))
-        monkeypatch.delenv("REPRO_DELIVERY_REGIONS")
-        with disabled():
-            net_ref, phase_ref = self._phase()
-            assert type(phase_ref.transport) is not SoATransport
-            self._send_pattern(net_ref, phase_ref)
-            reference = self._orders(phase_ref, (1, 3, 5))
-        assert warm == reference
+        assert self._orders(phase, (1, 3, 5)) == self._reference_orders()
 
     def test_multi_region_full_execution_bit_identical(self, monkeypatch):
         # End-to-end with the fanout forced multi-region: metrics must
-        # stay byte-identical to the cache-disabled reference.
+        # stay byte-identical with caches warm and disabled.
         monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "4")
         clear_caches()
         out = reference_equality("grid", 100, executions=2)
@@ -347,21 +347,29 @@ class TestCacheSizing:
 
 
 # ----------------------------------------------------------------------
-# Column-kernel gating: every inline run, honest or attacked
+# One kernel: every inline run, honest or attacked, caches on or off
 # ----------------------------------------------------------------------
-class TestColumnGating:
-    """`columns_enabled` pins which runs may take the SoA interval loops.
+def _assert_column_kernel(network):
+    """The network runs the column kernel: node views over shared
+    columns, the SoA frame store and the ring-table registry."""
+    nodes = list(network.nodes.values())
+    assert nodes and all(type(node) is HonestNode for node in nodes)
+    assert all(node._columns is network.node_columns for node in nodes)
+    assert type(network.new_phase("probe", 1).transport) is SoATransport
+    assert network.registry.ring_table is not None
+    assert isinstance(network.registry.revocation, RingTableRevocationState)
 
-    The hybrid kernel covers every inline configuration: attacked runs
-    stay columnar (adversary hooks mutate only their own
+
+class TestColumnGating:
+    """Every inline run takes the column kernel.
+
+    Attacked runs stay columnar (adversary hooks mutate only their own
     MaliciousNodeState rows and inject through the shared transport),
-    and tracer attachment stays columnar too (the transmit fast path
-    emits the identical trace event from scalars).  Only a service
-    driver or the cache-disable switch routes a phase through the
-    object reference loops.  These tests pin the gate in both
-    directions plus the bit-identity consequence: an attacked run
-    behaves identically whether the columns carried it or the perf
-    layer was disabled entirely.
+    traced runs too (the transmit path emits the trace event from
+    scalars), and ``perf.cache.disabled()`` turns off caches and
+    nothing else — the kernel is the same.  These tests pin the kernel
+    choice plus the cache-transparency consequence: an attacked run
+    behaves identically with caches warm or disabled.
     """
 
     def _deployment(self, malicious=frozenset()):
@@ -373,43 +381,30 @@ class TestColumnGating:
         )
 
     def test_honest_inline_run_engages_columns(self):
-        from repro.core.phase_state import columns_enabled
-
         assert caching_enabled()
-        network = self._deployment().network
-        assert columns_enabled(network, None)
+        _assert_column_kernel(self._deployment().network)
 
     def test_columns_cover_attacked_runs(self):
         from repro.adversary import Adversary, make_strategy
-        from repro.core.phase_state import columns_enabled
 
         network = self._deployment(malicious={4}).network
-        adversary = Adversary(network, make_strategy("drop-minimum"), seed=13)
-        assert columns_enabled(network, adversary)
+        Adversary(network, make_strategy("drop-minimum"), seed=13)
+        _assert_column_kernel(network)
 
     def test_columns_cover_traced_runs(self):
-        from repro.core.phase_state import columns_enabled
         from repro.tracing import Tracer
 
         network = self._deployment().network
         Tracer.attach(network)
-        try:
-            assert columns_enabled(network, None)
-        finally:
-            network.tracer = None
+        _assert_column_kernel(network)
 
-    def test_disable_switch_and_driver_disengage_columns(self):
-        from repro.core.phase_state import columns_enabled
-
-        network = self._deployment().network
+    def test_disable_switch_keeps_columns(self):
         with disabled():
-            assert not columns_enabled(network, None)
-        assert columns_enabled(network, None)
-        network.honest_driver = object()  # service seam: state lives off-process
-        try:
-            assert not columns_enabled(network, None)
-        finally:
-            network.honest_driver = None
+            network = self._deployment().network
+            _assert_column_kernel(network)
+            readings = {i: 5.0 + i for i in network.nodes}
+            assert VMATProtocol(network).execute(MinQuery(), readings).produced_result
+            _assert_column_kernel(network)
 
     def _attacked_metrics(self):
         from repro.adversary import Adversary, make_strategy
@@ -436,15 +431,15 @@ class TestColumnGating:
 # Adversarial bit-identity matrix: zoo x tracer x topology
 # ----------------------------------------------------------------------
 class TestAdversarialBitIdentityMatrix:
-    """The hybrid kernel's equality contract under active adversaries.
+    """Cache transparency under active adversaries.
 
-    Every cell runs the same two-execution campaign twice — warm column
-    kernel, then with every cache disabled (the object reference path)
-    — and asserts outcome sequence, ``Metrics.to_dict()`` and, when a
-    tracer is attached, the full event stream are equal.  The matrix
-    spans a single-node zoo strategy (relay-drop) and a colluding one
-    (cover-accomplice), tracer on/off, and line/grid topologies — the
-    configurations ISSUE 10 moved onto the columns.
+    Every cell runs the same two-execution campaign twice — caches warm,
+    then with every cache disabled — and asserts outcome sequence,
+    ``Metrics.to_dict()`` and, when a tracer is attached, the full event
+    stream are equal.  The matrix spans a single-node zoo strategy
+    (relay-drop) and a colluding one (cover-accomplice), tracer on/off,
+    and line/grid topologies; ``tests/test_kernel_digests.py`` freezes
+    the same cells' output.
     """
 
     def _run(self, strategy, topo, traced, seed=17):
@@ -496,32 +491,85 @@ class TestBackendSelection:
         assert deployment.registry.ring_table is not None
         assert isinstance(deployment.registry.revocation, RingTableRevocationState)
 
-    def test_disabled_build_uses_object_backend(self):
+    def test_disabled_build_uses_table_backend(self):
+        # The registry backend follows the ring source, not the caches.
         with disabled():
             deployment = build_deployment(
                 config=small_test_config(depth_bound=10),
                 topology=line_topology(6),
                 seed=1,
             )
-            assert deployment.registry.ring_table is None
-            assert not isinstance(
-                deployment.registry.revocation, RingTableRevocationState
-            )
+            _assert_column_kernel(deployment.network)
 
     def test_backends_agree_on_registry_api(self):
-        topology = line_topology(6)
-        config = small_test_config(depth_bound=10)
-        warm = build_deployment(config=config, topology=topology, seed=2).registry
-        with disabled():
-            ref = build_deployment(config=config, topology=topology, seed=2).registry
+        # The ring table vs the eager dict backend (what an explicit-ring
+        # scheme selects), fed the very same rings.
+        from repro.keys.registry import KeyRegistry
+
+        keys = small_test_config(depth_bound=10).keys
+        table = KeyRegistry(b"backend-parity", 6, keys)
+        rings = {s: table.ring(s).indices for s in range(1, 6)}
+        explicit = KeyRegistry(
+            b"backend-parity", 6, keys, ring_indices_factory=rings.__getitem__
+        )
+        assert table.ring_table is not None and explicit.ring_table is None
         for sensor in range(1, 6):
-            assert warm.ring(sensor).indices == ref.ring(sensor).indices
-            warm_mat = warm.sensor_deployment_material(sensor)
-            ref_mat = ref.sensor_deployment_material(sensor)
-            assert warm_mat.ring_indices == ref_mat.ring_indices
-            assert warm_mat.sensor_key == ref_mat.sensor_key
-            assert warm_mat.all_keys == ref_mat.all_keys
+            assert table.ring(sensor).indices == explicit.ring(sensor).indices
+            table_mat = table.sensor_deployment_material(sensor)
+            explicit_mat = explicit.sensor_deployment_material(sensor)
+            assert table_mat.ring_indices == explicit_mat.ring_indices
+            assert table_mat.sensor_key == explicit_mat.sensor_key
+            assert table_mat.all_keys == explicit_mat.all_keys
         for a in range(6):
             for b in range(a + 1, 6):
-                assert warm.shared_key_indices(a, b) == ref.shared_key_indices(a, b)
-                assert warm.edge_key_index(a, b) == ref.edge_key_index(a, b)
+                assert table.shared_key_indices(a, b) == explicit.shared_key_indices(a, b)
+                assert table.edge_key_index(a, b) == explicit.edge_key_index(a, b)
+
+
+# ----------------------------------------------------------------------
+# Hop-count levels: forged claims of any size, on the columns
+# ----------------------------------------------------------------------
+class TestHopCountLevels:
+    """The hop-count baseline adopts whatever hop count a beacon claims.
+
+    A wormhole can make that ``-1`` or past ``2**31``; neither may read
+    back as "no level" (and so re-accept a later beacon) or overflow an
+    ``int32`` cell.
+    """
+
+    def _tree(self, inflation):
+        from repro.adversary import Adversary, WormholeStrategy
+        from repro.core.tree import form_tree
+
+        deployment = build_deployment(
+            config=small_test_config(depth_bound=12),
+            topology=line_topology(12),
+            malicious_ids={2, 8},
+            seed=3,
+        )
+        network = deployment.network
+        adversary = Adversary(
+            network, WormholeStrategy(entry=2, exit=8, inflation=inflation), seed=3
+        )
+        return form_tree(network, adversary, 12, variant="hopcount")
+
+    @pytest.mark.parametrize("inflation", [-3, 2**31], ids=["negative", "past-int32"])
+    def test_forged_claims_leave_victims_invalid(self, inflation):
+        result = self._tree(inflation)
+        assert {7, 9} <= result.invalid_level_sensors
+        assert not {7, 9} & set(result.levels)
+        with disabled():
+            reference = self._tree(inflation)
+        assert reference.levels == result.levels
+        assert reference.invalid_level_sensors == result.invalid_level_sensors
+
+    def test_level_cells_hold_any_value(self):
+        network = build_deployment(
+            config=small_test_config(depth_bound=6), topology=line_topology(4), seed=1
+        ).network
+        node = network.nodes[2]
+        for value in (None, 0, -1, 5, 2**31 - 1, 2**31, -(2**31), 2**70, None):
+            node.level = value
+            assert node.level == value
+            assert node.has_valid_level(6) == (value is not None and 1 <= value <= 6)
+        assert network.nodes[1].level is None
