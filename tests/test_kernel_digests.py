@@ -8,6 +8,10 @@ path produced when the oracle was frozen.  The kernel may change shape
 freely underneath — caches on or off, any storage layout — as long as
 every cell still hashes to its committed digest.
 
+``SERVICE_DIGESTS`` does the same for ``repro.service`` sessions over
+node-host processes (estimate, outcomes, revocations and the protocol
+metrics), so the hosts' honest side is frozen too.
+
 Three planted kernel mutants show the oracle is sharp: each must change
 at least one digest (a mutant that makes a cell raise counts as a
 change — the kernel no longer produces the frozen output).
@@ -31,6 +35,7 @@ import pytest
 from repro import CountQuery, MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.adversary import Adversary, WormholeStrategy, make_strategy
 from repro.faults import ClockDrift, Duplicate, FaultInjector, FaultPlan
+from repro.faults.plan import LinkDown, NodeCrash
 from repro.perf.cache import clear_caches, disabled
 from repro.topology.generators import grid_topology, line_topology
 from repro.tracing import Tracer
@@ -220,6 +225,63 @@ def cell_digest(name: str) -> str:
     return chained_digest(*CELLS[name]())
 
 
+# ----------------------------------------------------------------------
+# Service cells: the same kind of oracle over node-host processes
+# ----------------------------------------------------------------------
+_ATTACKED_25 = dict(num_nodes=25, seed=0, malicious_ids=(5,), theta=6)
+_SERVICE_FAULT_PLAN = FaultPlan(
+    name="svc-faults",
+    events=(NodeCrash(start=3, end=9, node=7), LinkDown(start=5, end=14, a=2, b=3)),
+)
+
+#: name -> (ServiceSpec kwargs, attack)
+SERVICE_CELLS = {
+    "service-clean-8x2": (dict(num_nodes=8, processes=2, seed=3), None),
+    "service-spurious-veto-25x2": (dict(_ATTACKED_25, processes=2), "spurious-veto"),
+    "service-spurious-veto-25x3": (dict(_ATTACKED_25, processes=3), "spurious-veto"),
+    "service-faults-25x2": (
+        dict(num_nodes=25, processes=2, seed=2,
+             fault_plan=_SERVICE_FAULT_PLAN.to_json()),
+        None,
+    ),
+    "service-hopcount-multipath-25x3": (
+        dict(_ATTACKED_25, processes=3, tree_variant="hopcount", multipath=True),
+        "spurious-veto",
+    ),
+}
+
+
+def service_cell_digest(name: str) -> str:
+    """Chained SHA-256 over one ``run_service_session``: the estimate,
+    the outcome sequence, the revocation list and the protocol metrics
+    (runtime-only fields stripped)."""
+    from repro.service import ServiceSpec, run_service_session, strip_runtime_metrics
+
+    kwargs, attack = SERVICE_CELLS[name]
+    result = run_service_session(ServiceSpec(**kwargs), attack=attack)
+    state = b""
+    for obj in (
+        result.estimate,
+        result.outcomes,
+        result.revocations,
+        strip_runtime_metrics(result.metrics.to_dict()),
+    ):
+        state = _link(state, obj)
+    return state.hex()
+
+
+#: Recorded from ``run_service_session`` before the hosts ran the shared
+#: column steps (the per-node host loops were the reference).  The 2- and
+#: 3-host spurious-veto cells agree: sharding is not observable.
+SERVICE_DIGESTS = {
+    "service-clean-8x2": "e874d39f2d045d511bac01c66ba1f3bbae8a41bcd407fffb9734db204267afc2",
+    "service-faults-25x2": "f9bf9b72cc0f039de65a6dad99d8c27d53d4d582e0628386bfdbff263e3004d7",
+    "service-hopcount-multipath-25x3": "3964b7dd831dd5873d183ac85bb596a0c848d0c0d312c1c1dfbfd3c1a262e620",
+    "service-spurious-veto-25x2": "8d4a163147bc564e2e75cde49d0b0440a21cbcadd291b1ef3e3e424073423d48",
+    "service-spurious-veto-25x3": "8d4a163147bc564e2e75cde49d0b0440a21cbcadd291b1ef3e3e424073423d48",
+}
+
+
 #: Recorded from the cache-free reference path (``perf.cache.disabled()``).
 DIGESTS = {
     "count-junk-grid": "71501b336800ffd6da6b55584024e4173a7b392f36f0a487e5c448025a69331a",
@@ -249,6 +311,13 @@ DIGESTS = {
 # ----------------------------------------------------------------------
 def test_every_cell_has_a_digest():
     assert sorted(DIGESTS) == sorted(CELLS)
+    assert sorted(SERVICE_DIGESTS) == sorted(SERVICE_CELLS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(SERVICE_CELLS))
+def test_service_cell_matches_frozen_digest(name):
+    assert service_cell_digest(name) == SERVICE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("caches", ["warm", "disabled"])
@@ -329,3 +398,5 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     with disabled():
         for _name in sorted(CELLS):
             print(f'    "{_name}": "{cell_digest(_name)}",')
+    for _name in sorted(SERVICE_CELLS):
+        print(f'    "{_name}": "{service_cell_digest(_name)}",')
