@@ -85,12 +85,8 @@ tournament-smoke:
 		--strategy drop-minimum,spurious-veto --predtest truthful,deny \
 		--topology line-10,grid-16 --profile none --executions 2 \
 		--jobs 1 --name tournament-b --store .campaigns
-	$(PYTHON) -c "import sys; \
-	from repro.campaign import ResultStore, compare_runs; \
-	store = ResultStore('.campaigns'); \
-	runs = {r.read_manifest()['name']: r for r in store.list_runs()}; \
-	report = compare_runs(runs['tournament-a'], runs['tournament-b'], threshold=0.0); \
-	print(report.render()); sys.exit(0 if report.passed else 1)"
+	$(PYTHON) -m repro campaign compare tournament-a tournament-b \
+		--store .campaigns --threshold 0
 	$(PYTHON) -m repro campaign tournament report latest --store .campaigns \
 		--output .bench-tournament.json
 	$(PYTHON) -c "import json, sys; \

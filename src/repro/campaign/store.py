@@ -221,17 +221,25 @@ class ResultStore:
         return run, False
 
     def get_run(self, run_id: str) -> RunStore:
-        """Resolve a run id (the literal ``latest`` picks the newest run)."""
+        """Resolve a run: the literal ``latest`` (the newest run), an
+        exact run id, or the one run whose manifest ``name`` it is."""
+        if run_id != "latest":
+            run = RunStore(self.root / run_id)
+            if run.manifest_path.exists():
+                return run
+        runs = self.list_runs()
         if run_id == "latest":
-            runs = self.list_runs()
             if not runs:
                 raise ReproError(f"no runs in store {self.root}")
             return runs[-1]
-        run = RunStore(self.root / run_id)
-        if not run.manifest_path.exists():
-            known = ", ".join(r.run_id for r in self.list_runs()) or "<none>"
+        named = [r for r in runs if _manifest_name(r) == run_id]
+        if len(named) > 1:
+            ids = ", ".join(r.run_id for r in named)
+            raise ReproError(f"run name {run_id!r} is ambiguous in {self.root}: {ids}")
+        if not named:
+            known = ", ".join(r.run_id for r in runs) or "<none>"
             raise ReproError(f"unknown run {run_id!r} in {self.root}; known: {known}")
-        return run
+        return named[0]
 
     def list_runs(self) -> List[RunStore]:
         """All runs in the store, oldest first (by manifest timestamp)."""
@@ -248,3 +256,10 @@ class ResultStore:
                 runs.append((created, run))
         runs.sort(key=lambda pair: (pair[0], pair[1].run_id))
         return [run for _, run in runs]
+
+
+def _manifest_name(run: RunStore) -> Optional[str]:
+    try:
+        return run.read_manifest().get("name")
+    except ReproError:
+        return None

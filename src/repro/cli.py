@@ -644,17 +644,6 @@ def cmd_campaign_tournament_report(args: argparse.Namespace) -> int:
     return 0 if summary.get("cells_failed") == 0 else 1
 
 
-def cmd_campaign_tournament_compare(args: argparse.Namespace) -> int:
-    from .campaign import ResultStore, compare_runs
-
-    store = ResultStore(args.store)
-    report = compare_runs(
-        store.get_run(args.base_run), store.get_run(args.new_run), threshold=args.threshold
-    )
-    print(report.render())
-    return 0 if report.passed else 1
-
-
 def cmd_campaign_validate(args: argparse.Namespace) -> int:
     from .campaign import ResultStore
 
@@ -1237,7 +1226,7 @@ def _add_campaign_parser(sub) -> None:
     p.add_argument("--threshold", type=float, default=0.0,
                    help="relative mean shift tolerated (default 0: bit-identical)")
     common(p, jobs=False)
-    p.set_defaults(func=cmd_campaign_tournament_compare)
+    p.set_defaults(func=cmd_campaign_compare)
 
 
 def _add_invariants_parser(sub) -> None:

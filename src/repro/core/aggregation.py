@@ -25,13 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ProtocolError
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import ReadingMessage, SynopsisBundle
 from ..net.network import Delivery, Network
 from ..net.node import AggReceiptRecord, AggSendRecord
 from .contexts import AggregationContext
-from .phase_state import SlotSchedule
+from .phase_state import HonestStep, honest_step
 
 
 @dataclass
@@ -80,28 +82,13 @@ def run_aggregation(
     )
 
     revoked = network.registry.revoked_sensors
-    participants = [
-        i for i, node in network.nodes.items()
-        if i not in revoked and node.has_valid_level(L)
-    ]
-    # Participants grouped by level with one stable argsort, best-so-far
-    # rows addressed positionally (repro.core.phase_state): a level
-    # group's positions ascend with participant order, so each slot
-    # sends and listens in ascending id order.  Building the schedule
-    # also checks every participant brought its own messages.
-    schedule = SlotSchedule(network, participants, L, own_messages, num_instances)
+    honest_ids = [i for i in network.nodes if i not in revoked]
+    schedule = honest_step(
+        network, phase, SlotSchedule, honest_ids, num_instances,
+        own_messages=own_messages,
+    )
 
     bs_deliveries: List[Delivery] = []
-
-    # Service seam: honest transmit/collect runs on node hosts when a
-    # driver is attached (repro.service); the base station and the
-    # adversary stay on the coordinator either way.
-    driver = network.honest_driver
-    if driver is not None:
-        driver.phase_begin(
-            "aggregation", phase, nonce=nonce, num_instances=num_instances
-        )
-
     for k in phase.intervals():
         # Malicious sensors act first within the interval so injected
         # frames land in the same slot honest listeners are reading.
@@ -109,27 +96,74 @@ def run_aggregation(
             for node_id in sorted(network.malicious_ids):
                 adversary.agg_interval(ctx, node_id, k)
 
-        if driver is not None:
-            driver.tick(k)
-            driver.deliver(k)
-        else:
-            ids = schedule.ids
-            rows = schedule.best
-            for position in schedule.send_positions(k, L):
-                _honest_transmit(network, phase, ids[position], rows[position], k)
-            for position in schedule.listen_positions(k, L):
-                node = network.nodes[ids[position]]
-                _honest_collect(network, phase, node, rows[position], k, num_instances)
+        schedule.tick(k)
+        schedule.deliver(k)
 
         # Base station listens in interval L.
         if k == L:
             bs_deliveries = phase.verified_inbox(BASE_STATION_ID, L)
 
-    if driver is not None:
-        driver.phase_end()
-
     network.metrics.record_flooding_rounds(1.0, "aggregation-phase")
     return _base_station_decide(bs_deliveries, nonce, num_instances, verify_minimum)
+
+
+class SlotSchedule(HonestStep):
+    """The aggregation phase's honest step: participants grouped by
+    level via one stable argsort.
+
+    Participants are the step's ids with a valid level.  ``ids`` keeps
+    them as Python ints (ascending); ``best`` holds each participant's
+    best-so-far messages addressed by position.  A level group's
+    positions ascend with participant order, so every slot sends and
+    listens in ascending id order.  Building the schedule checks every
+    participant brought its own messages.
+    """
+
+    __slots__ = ("ids", "best", "num_instances", "_groups")
+
+    def __init__(self, network, phase, ids, num_instances, own_messages) -> None:
+        super().__init__(network, phase)
+        L = phase.num_intervals
+        nodes = network.nodes
+        self.ids: List[int] = [i for i in ids if nodes[i].has_valid_level(L)]
+        self.num_instances = num_instances
+        self.best: List[List[object]] = []
+        count = len(self.ids)
+        levels = np.fromiter(
+            (nodes[i].level for i in self.ids), dtype=np.int32, count=count
+        )
+        for node_id in self.ids:
+            messages = own_messages.get(node_id)
+            if messages is None or len(messages) != num_instances:
+                raise ProtocolError(f"sensor {node_id} is missing its own messages")
+            self.best.append(list(messages))
+        self._groups: Dict[int, List[int]] = {}
+        if count:
+            order = np.argsort(levels, kind="stable")
+            grouped = levels[order]
+            uniques, starts = np.unique(grouped, return_index=True)
+            bounds = starts.tolist() + [count]
+            for position, lv in enumerate(uniques.tolist()):
+                self._groups[int(lv)] = order[
+                    bounds[position]:bounds[position + 1]
+                ].tolist()
+
+    def tick(self, k: int) -> None:
+        """Level ``L - k + 1`` transmits its bundle."""
+        network, phase, ids, rows = self.network, self.phase, self.ids, self.best
+        for position in self._groups.get(self.phase.num_intervals - k + 1, ()):
+            _honest_transmit(network, phase, ids[position], rows[position], k)
+
+    def deliver(self, k: int) -> None:
+        """Level ``L - k`` collects its children's bundles (level 0 does
+        not exist, so interval ``L`` naturally has no listeners)."""
+        network, phase, ids, rows = self.network, self.phase, self.ids, self.best
+        nodes = network.nodes
+        for position in self._groups.get(self.phase.num_intervals - k, ()):
+            _honest_collect(
+                network, phase, nodes[ids[position]], rows[position], k,
+                self.num_instances,
+            )
 
 
 def _honest_transmit(network, phase, node_id, messages, interval) -> None:

@@ -26,13 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..crypto.mac import verify_mac
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import VetoMessage
 from ..net.network import Delivery, Network
 from ..net.node import ConfReceiptRecord, ConfSendRecord
 from .contexts import ConfirmationContext
-from .phase_state import VetoSchedule, node_id_bound
+from .phase_state import HonestStep, honest_step, node_id_bound
 
 
 @dataclass
@@ -76,25 +78,7 @@ def run_confirmation(
 
     revoked = network.registry.revoked_sensors
     honest_ids = [i for i in network.nodes if i not in revoked]
-    honest_set = set(honest_ids)
-    # Service seam: node hosts compute initial vetoes, transmit and adopt
-    # for their hosted sensors when a driver is attached (repro.service).
-    # Inline runs keep the forwarded flags as one boolean column and the
-    # veto schedule as parallel lists (repro.core.phase_state); node
-    # objects still get their forwarded_veto flag so post-phase readers
-    # see the same state either way.
-    driver = network.honest_driver
-    schedule = None
-    if driver is not None:
-        driver.phase_begin("confirmation", phase, nonce=nonce, minima=minima)
-    else:
-        schedule = VetoSchedule(node_id_bound(network))
-        for node_id in honest_ids:
-            node = network.nodes[node_id]
-            veto = _make_veto(node, minima, nonce, L)
-            if veto is not None:
-                schedule.schedule(node_id, veto)
-                node.forwarded_veto = True  # vetoers ignore all incoming vetoes
+    schedule = honest_step(network, phase, VetoSchedule, honest_ids, nonce, minima)
 
     bs_arrivals: List[Tuple[Delivery, int]] = []
 
@@ -103,39 +87,85 @@ def run_confirmation(
             for node_id in sorted(network.malicious_ids):
                 adversary.conf_interval(ctx, node_id, k)
 
-        if driver is not None:
-            driver.tick(k)
-            driver.deliver(k)
-        else:
-            # Transmit everything scheduled for this interval: the
-            # schedule drains in ascending id order (appends happen in
-            # ascending visit order and it empties every interval).
-            for node_id, veto in schedule.drain():
-                _transmit_veto(network, phase, node_id, veto, k)
-            # Non-vetoers adopt the first verified veto they received;
-            # only sensors with arrivals can adopt, so the loop visits
-            # the (typically sparse) arrival map in ascending id order.
-            if k < L:  # a forward scheduled for interval L+1 could never land
-                arrived = phase.arrival_map(k)
-                forwarded = schedule.forwarded
-                for node_id in sorted(arrived) if arrived else ():
-                    if node_id not in honest_set or forwarded[node_id]:
-                        continue
-                    node = network.nodes[node_id]
-                    adopted = _adopt_first_veto(network, phase, node, k)
-                    if adopted is not None:
-                        schedule.schedule(node_id, adopted)
+        schedule.tick(k)
+        schedule.deliver(k)
 
         # Base station collects arrivals.
         for delivery in phase.verified_inbox(BASE_STATION_ID, k):
             if isinstance(delivery.payload, VetoMessage):
                 bs_arrivals.append((delivery, k))
 
-    if driver is not None:
-        driver.phase_end()
-
     network.metrics.record_flooding_rounds(1.0, "confirmation-phase")
     return _base_station_classify(network, minima, nonce, bs_arrivals, L)
+
+
+class VetoSchedule(HonestStep):
+    """The SOF phase's honest step: forwarded flags as one bool column
+    plus the pending vetoes as parallel lists.
+
+    Building it makes every vetoer's veto (they transmit in interval 1
+    and ignore all incoming vetoes).  The pending lists drain in
+    ascending id order for free: the vetoer scan and each interval's
+    arrival scan both visit ascending ids, and the schedule is fully
+    drained every interval, so appends are always already sorted.
+    Node objects get their ``forwarded_veto`` flag too, so post-phase
+    readers (``ExecutionResult.num_vetoers``) see it.
+    """
+
+    __slots__ = ("honest_set", "forwarded", "vetoers", "_ids", "_vetoes")
+
+    def __init__(self, network, phase, ids, nonce, minima) -> None:
+        super().__init__(network, phase)
+        self.honest_set = set(ids)
+        self.forwarded = np.zeros(node_id_bound(network), dtype=bool)
+        self._ids: List[int] = []
+        self._vetoes: List[object] = []
+        depth_bound = phase.num_intervals
+        for node_id in ids:
+            node = network.nodes[node_id]
+            veto = _make_veto(node, minima, nonce, depth_bound)
+            if veto is not None:
+                self._schedule(node_id, veto)
+                node.forwarded_veto = True
+        # Vetoers not yet reported to a coordinator's copy.
+        self.vetoers: List[int] = list(self._ids)
+
+    def _schedule(self, node_id: int, veto) -> None:
+        self.forwarded[node_id] = True
+        self._ids.append(node_id)
+        self._vetoes.append(veto)
+
+    def tick(self, k: int) -> None:
+        """Transmit everything scheduled for this interval."""
+        pairs = list(zip(self._ids, self._vetoes))
+        self._ids.clear()
+        self._vetoes.clear()
+        for node_id, veto in pairs:
+            _transmit_veto(self.network, self.phase, node_id, veto, k)
+
+    def deliver(self, k: int) -> None:
+        """Non-vetoers adopt the first verified veto they received; only
+        sensors with arrivals can adopt, so the loop visits the
+        (typically sparse) arrival map in ascending id order."""
+        if k >= self.phase.num_intervals:
+            return  # a forward scheduled for interval L+1 could never land
+        network, phase = self.network, self.phase
+        honest_set, forwarded = self.honest_set, self.forwarded
+        arrived = phase.arrival_map(k)
+        for node_id in sorted(arrived) if arrived else ():
+            if node_id not in honest_set or forwarded[node_id]:
+                continue
+            adopted = _adopt_first_veto(network, phase, network.nodes[node_id], k)
+            if adopted is not None:
+                self._schedule(node_id, adopted)
+
+    def report(self) -> tuple:
+        vetoers, self.vetoers = self.vetoers, []
+        return tuple(vetoers)
+
+    def absorb(self, rows) -> None:
+        for node_id in rows:
+            self.network.nodes[node_id].forwarded_veto = True
 
 
 def _make_veto(node, minima, nonce, depth_bound) -> Optional[VetoMessage]:
@@ -203,8 +233,7 @@ def _adopt_first_veto(network, phase, node, interval) -> Optional[VetoMessage]:
     verified veto received in ``interval``, record the SOF receipt, and
     return the veto to schedule (``None`` when nothing verified arrived).
 
-    Shared between the inline simulator loop above and the service node
-    hosts (repro.service.node), which run it over their replica state.
+    Per-node form :meth:`VetoSchedule.deliver` applies to each sensor.
     """
     adopted = _first_verified_veto(phase, node.node_id, interval)
     if adopted is None:

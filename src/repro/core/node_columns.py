@@ -10,11 +10,11 @@ station, is simply unused):
 
 * ``reading`` — ``float64`` (readings are floats everywhere; the
   protocol driver coerces with ``float()`` before installing them);
-* ``level`` — ``int32``; a level the column cannot hold — ``None``
-  or a hop count outside ``int32`` (the hop-count baseline stores
-  whatever a possibly forged beacon claims, negative or past ``2**31``
-  included) — is the ``_LEVEL_SPILL`` sentinel, with the actual value
-  (if any) in the ``level_spill`` dict;
+* ``level`` — ``int32``, with ``None`` as the ``_NO_LEVEL`` sentinel.
+  A node's level is only ever ``None`` or a valid level in
+  ``[1, depth_bound]``: :meth:`~repro.core.tree.TreeColumns.install`
+  writes nothing else, and the hop-count baseline's raw (possibly
+  forged, any-size) claims stay in the tree step's own columns;
 * ``forwarded_veto`` / ``forwarded_beacon`` / ``crash_suspected`` —
   boolean columns.
 
@@ -26,18 +26,17 @@ objects are thin property wrappers over these arrays, not copies.
 Containers that are per-node but not scalar (``parents``,
 ``query_values``, the audit trail) stay object slots on the nodes; the
 tree phase arenas ``parents`` during its hot loop
-(:class:`~repro.core.phase_state.TreeColumns`).
+(:class:`~repro.core.tree.TreeColumns`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-#: ``level`` cell value meaning "``None``, or see ``level_spill``".
-_LEVEL_SPILL = int(np.iinfo(np.int32).min)
-_LEVEL_MAX = int(np.iinfo(np.int32).max)
+#: ``level`` cell value meaning ``None``.
+_NO_LEVEL = int(np.iinfo(np.int32).min)
 
 
 class NodeColumns:
@@ -46,7 +45,6 @@ class NodeColumns:
     __slots__ = (
         "reading",
         "level",
-        "level_spill",
         "forwarded_veto",
         "forwarded_beacon",
         "crash_suspected",
@@ -54,27 +52,14 @@ class NodeColumns:
 
     def __init__(self, num_ids: int) -> None:
         self.reading = np.zeros(num_ids, dtype=np.float64)
-        self.level = np.full(num_ids, _LEVEL_SPILL, dtype=np.int32)
-        self.level_spill: Dict[int, int] = {}
+        self.level = np.full(num_ids, _NO_LEVEL, dtype=np.int32)
         self.forwarded_veto = np.zeros(num_ids, dtype=bool)
         self.forwarded_beacon = np.zeros(num_ids, dtype=bool)
         self.crash_suspected = np.zeros(num_ids, dtype=bool)
 
     def get_level(self, node_id: int) -> Optional[int]:
         level = int(self.level[node_id])
-        if level != _LEVEL_SPILL:
-            return level
-        return self.level_spill.get(node_id)
+        return None if level == _NO_LEVEL else level
 
     def set_level(self, node_id: int, value: Optional[int]) -> None:
-        spill = self.level_spill
-        if value is not None and _LEVEL_SPILL < value <= _LEVEL_MAX:
-            self.level[node_id] = value
-            if spill:
-                spill.pop(node_id, None)
-            return
-        self.level[node_id] = _LEVEL_SPILL
-        if value is None:
-            spill.pop(node_id, None)
-        else:
-            spill[node_id] = value
+        self.level[node_id] = _NO_LEVEL if value is None else value

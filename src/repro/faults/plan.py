@@ -337,7 +337,13 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         """Parse a plan file produced by :meth:`to_json` (or by hand)."""
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"fault plan is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"a fault plan is a JSON object, not {type(data).__name__}")
+        return cls.from_dict(data)
 
     def plan_hash(self) -> str:
         """Stable content hash (hex) naming this plan's exact schedule."""

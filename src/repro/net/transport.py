@@ -1,14 +1,15 @@
 """Frame-store transports behind :class:`~repro.net.network.PhaseContext`.
 
 :class:`SimTransport` is a plain per-interval, per-receiver list of
-:class:`~repro.net.network.Delivery` frames: the store a second runtime
-builds on when it substitutes its own transport through
-``Network.transport_factory``.  The service runtime (:mod:`repro.service`)
-installs transports that *additionally* queue each deposited frame for
-shipment between OS processes, while reusing this in-process store for
-everything the local protocol logic reads.  Inline runs use the column
-store (:class:`~repro.net.soa.SoATransport`), which presents frames in
-the same per-receiver order.
+:class:`~repro.net.network.Delivery` frames, for a runtime that
+substitutes its own transport through ``Network.transport_factory``.
+The service coordinator (:mod:`repro.service`) builds on it: its
+mirror holds ``Delivery`` objects decoded off the wire, one at a time,
+and additionally queues frames for hosted sensors for shipment to their
+node hosts.  Every process runs the same honest phase steps
+(:mod:`repro.core.phase_state`) over whichever store it has.  Inline
+runs use the column store (:class:`~repro.net.soa.SoATransport`), which
+holds send batches and presents frames in the same per-receiver order.
 
 Transport contract (what ``PhaseContext`` relies on):
 

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import ConfigError, ServiceError
 from ..seeding import derive_rng
 from .resilience import CHAOS_REFUSE_ENV
-from .spec import ServiceSpec
+from .spec import ServiceSpec, query_by_name
 
 PROFILES = ("kill", "stop", "reset", "flaky", "mixed")
 
@@ -255,7 +255,6 @@ def run_chaos(
     the report unsafe but are returned, not raised.
     """
     from ..invariants import ExecutionView, HonestNodeSafety
-    from .node import _query_by_name
     from .runtime import (
         ServiceRuntime,
         _build_protocol,
@@ -267,7 +266,7 @@ def run_chaos(
     spec.validate()
     deployment, protocol = _build_protocol(spec, attack)
     network = deployment.network
-    query = _query_by_name(query_name)
+    query = query_by_name(query_name)
     readings = default_readings(spec)
 
     runtime = ServiceRuntime(network, spec)

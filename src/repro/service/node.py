@@ -9,17 +9,20 @@ Execution model (driven by the coordinator's :class:`~repro.service.
 runtime.ServiceRuntime` over the control channel, in lockstep with the
 unmodified phase functions in :mod:`repro.core`):
 
-* ``phase-begin`` — create the replica phase and run the phase's honest
-  *setup* for hosted sensors (tree reset, aggregation slotting, initial
-  vetoes, predicate-holder evaluation over the **local** audit stores).
-* ``tick k`` — run the hosted sensors' sends for interval ``k`` through
-  the real :meth:`PhaseContext.send` path (capacity, faults, metrics,
-  edge HMACs), ship frames to peer hosts over TCP and report every frame
-  up to the coordinator's mirror store.
+* ``phase-begin`` — create the replica phase and build the phase's
+  honest step (:mod:`repro.core.phase_state`) over the hosted shard:
+  the same object the in-process simulator builds over every honest
+  sensor.  Building it runs the phase's setup (initial vetoes, the
+  predicate evaluated over the **local** audit stores, ...).
+* ``tick k`` — the step's sends for interval ``k``, through the real
+  :meth:`PhaseContext.send` path (capacity, faults, metrics, edge
+  HMACs); frames are shipped to peer hosts over TCP and every frame is
+  reported up to the coordinator's mirror store.
 * ``deliver k`` — ingest coordinator frames (base station + adversary),
-  run the hosted sensors' acceptance logic — the same module-level
-  functions the in-process simulator uses — and report state deltas
-  (tree levels, veto adoptions) for the coordinator's mirror.
+  run the step's acceptance, and reply with the rows the coordinator's
+  copy of the step absorbs (:meth:`HonestStep.report`).
+* ``phase-end`` — the step's ``finish`` (the tree installs the hosted
+  sensors' levels and parents).
 
 Frames are ordered by the ``(band, order, subseq)`` key (see
 :mod:`repro.service.wire`), which reproduces the simulator's chronological
@@ -38,17 +41,14 @@ import os
 import signal
 from typing import Dict, List, Optional, Tuple
 
-from ..core.aggregation import _honest_collect, _honest_transmit
-from ..core.confirmation import _adopt_first_veto, _make_veto, _transmit_veto
-from ..core.predicate_test import decode_predicate, node_key, reply_mac_for
+from ..core.aggregation import SlotSchedule
+from ..core.confirmation import VetoSchedule
+from ..core.predicate_test import ReplyRelay
 from ..core.protocol import sign_instance_values
-from ..core.queries import MaxQuery, MinQuery
-from ..core.tree import _accept_hopcount, _accept_timestamp
-from ..crypto.hash import oneway_hash
-from ..errors import ConfigError, ServiceError
+from ..core.tree import TreeColumns
+from ..errors import ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
-from ..net.message import PredicateReply, TreeBeacon
 from .resilience import (
     CHAOS_REFUSE_ENV,
     DEGRADE_HORIZON,
@@ -56,19 +56,8 @@ from .resilience import (
     RetryPolicy,
     control_timeout,
 )
-from .spec import METRICS_DIR_ENV, ServiceSpec
+from .spec import METRICS_DIR_ENV, ServiceSpec, query_by_name
 from .wire import AsyncRecordStream, delivery_envelope, ingest_envelope
-
-
-def _query_by_name(name: str):
-    if name == "min":
-        return MinQuery()
-    if name == "max":
-        return MaxQuery()
-    raise ConfigError(
-        f"query {name!r} is not reconstructible on node hosts; "
-        f"service v1 supports: min, max"
-    )
 
 
 class ReplicaTransport:
@@ -168,9 +157,18 @@ class NodeHost:
         self.peer_ports: Tuple[int, ...] = ()
         self._peer_streams: Dict[int, AsyncRecordStream] = {}
         self._batch_counter: Dict[int, int] = {}  # retry-schedule identity
-        self._ctx: Dict[str, object] = {}
-        self._phase_kind: Optional[str] = None
+        self.step = None  # the current phase's honest step (repro.core)
         self.own_messages: Dict[int, list] = {}
+        # Phase kind -> honest step, built over the hosted shard.  The
+        # sensors' signed own messages are host state, never wire args.
+        self._steps = {
+            "tree": TreeColumns,
+            "aggregation": lambda *args: SlotSchedule(
+                *args, own_messages=self.own_messages
+            ),
+            "confirmation": VetoSchedule,
+            "predicate-reply": ReplyRelay,
+        }
         self._stopping = False
         self.timeouts = ControlTimeouts.from_spec(spec)
         self.retry = RetryPolicy.from_spec(spec)
@@ -407,12 +405,12 @@ class NodeHost:
         if kind == "degrade":
             return self._handle_degrade(record[1], record[2])
         if kind == "phase-begin":
-            return self._handle_phase_begin(record)
+            return self._handle_phase_begin(*record[1:])
         if kind == "phase-end":
+            self.step.finish()
             self.phase = None
             self.transport = None
-            self._phase_kind = None
-            self._ctx = {}
+            self.step = None
             return ("ok",)
         if kind == "broadcast":
             self.network.authenticated_flood(*record[1])
@@ -453,7 +451,7 @@ class NodeHost:
     ) -> tuple:
         network = self.network
         readings = {int(node_id): float(value) for node_id, value in reading_pairs}
-        query = _query_by_name(query_name)
+        query = query_by_name(query_name)
         if query.num_instances != num_instances:
             raise ServiceError(
                 f"query {query_name!r} instance mismatch: "
@@ -477,103 +475,17 @@ class NodeHost:
     # ------------------------------------------------------------------
     # Phase setup
     # ------------------------------------------------------------------
-    def _handle_phase_begin(self, record) -> tuple:
+    def _handle_phase_begin(self, kind, num_intervals, args) -> tuple:
         network = self.network
-        kind, num_intervals = record[1], record[2]
+        step = self._steps.get(kind)
+        if step is None:
+            raise ServiceError(f"unknown phase kind {kind!r}")
         self.phase = network.new_phase(kind, num_intervals)
         self.transport = self.phase.transport
-        self._phase_kind = kind
         revoked = network.registry.revoked_sensors
         hosted_honest = [i for i in self.hosted if i not in revoked]
-        ctx: Dict[str, object] = {
-            "hosted_honest": hosted_honest,
-            "hosted_honest_set": set(hosted_honest),
-            "L": num_intervals,
-        }
-        self._ctx = ctx
-        report: tuple = ()
-
-        if kind == "tree":
-            _, _, _, depth_bound, variant = record
-            for node in network.nodes.values():
-                node.level = None
-                node.parents = []
-                node.forwarded_beacon = False
-            ctx.update(
-                depth_bound=depth_bound,
-                variant=variant,
-                multipath=network.config.network.multipath,
-                pending_forward={},
-            )
-        elif kind == "aggregation":
-            _, _, _, nonce, num_instances = record
-            L = num_intervals
-            participants = [
-                i for i in hosted_honest if network.nodes[i].has_valid_level(L)
-            ]
-            send_slot: Dict[int, List[int]] = {}
-            listen_slot: Dict[int, List[int]] = {}
-            best: Dict[int, list] = {}
-            for node_id in participants:
-                level = network.nodes[node_id].level
-                send_slot.setdefault(L - level + 1, []).append(node_id)
-                if level <= L - 1:
-                    listen_slot.setdefault(L - level, []).append(node_id)
-                messages = self.own_messages.get(node_id)
-                if messages is None or len(messages) != num_instances:
-                    raise ServiceError(
-                        f"hosted sensor {node_id} is missing its own messages"
-                    )
-                best[node_id] = list(messages)
-            ctx.update(
-                nonce=nonce,
-                num_instances=num_instances,
-                send_slot=send_slot,
-                listen_slot=listen_slot,
-                best=best,
-            )
-        elif kind == "confirmation":
-            _, _, _, nonce, minima = record
-            pending: Dict[int, object] = {}
-            vetoers: List[int] = []
-            for node_id in hosted_honest:
-                node = network.nodes[node_id]
-                veto = _make_veto(node, minima, nonce, num_intervals)
-                if veto is not None:
-                    pending[node_id] = veto
-                    vetoers.append(node_id)
-                    node.forwarded_veto = True
-            ctx.update(nonce=nonce, minima=minima, pending=pending)
-            report = tuple(vetoers)
-        elif kind == "predicate-reply":
-            _, _, _, ref_kind, ref_ident, predicate_bytes, nonce, reply_hash = record
-            key_ref = (ref_kind, ref_ident)
-            predicate = decode_predicate(predicate_bytes)
-            if ref_kind == "sensor":
-                holder_ids = [ref_ident]
-            elif ref_kind == "pool":
-                holder_ids = list(network.registry.holders(ref_ident))
-            else:
-                raise ServiceError(f"unknown key reference kind {ref_kind!r}")
-            pending = {}
-            for holder in holder_ids:
-                if holder not in ctx["hosted_honest_set"]:
-                    continue
-                node = network.nodes.get(holder)
-                if node is None:
-                    continue
-                if predicate.evaluate(node, num_intervals):
-                    pending[holder] = PredicateReply(
-                        mac=reply_mac_for(node_key(network, key_ref, node), nonce)
-                    )
-            ctx.update(
-                reply_hash=reply_hash,
-                pending=pending,
-                relayed=set(pending),
-            )
-        else:
-            raise ServiceError(f"unknown phase kind {kind!r}")
-        return ("phase-begun", report)
+        self.step = step(network, self.phase, hosted_honest, *args)
+        return ("phase-begun", self.step.report())
 
     # ------------------------------------------------------------------
     # tick: hosted sends for interval k
@@ -583,7 +495,7 @@ class NodeHost:
         if phase is None:
             raise ServiceError("tick outside any phase")
         phase.begin_interval(k)
-        self._exec_tick(k)
+        self.step.tick(k)
         await self._flush_peer_outbox()
         up = tuple(self.up_outbox)
         self.up_outbox = []
@@ -603,7 +515,7 @@ class NodeHost:
         if phase is None:
             raise ServiceError("replay-tick outside any phase")
         phase.begin_interval(k)
-        self._exec_tick(k)
+        self.step.tick(k)
         self.peer_outbox = {}
         self.up_outbox = []
         transport = self.transport
@@ -625,7 +537,7 @@ class NodeHost:
         if phase is None:
             raise ServiceError("catchup-tick outside any phase")
         phase.begin_interval(k)
-        self._exec_tick(k)
+        self.step.tick(k)
         await self._flush_peer_outbox()
         transport = self.transport
         assert transport is not None
@@ -659,31 +571,6 @@ class NodeHost:
         injector.advance_to(int(now))
         return ("ok",)
 
-    def _exec_tick(self, k: int) -> None:
-        network, phase, ctx = self.network, self.phase, self._ctx
-        kind = self._phase_kind
-        if kind == "tree":
-            pending_forward = ctx["pending_forward"]
-            for node_id, beacon in list(pending_forward.items()):
-                neighbors = network.secure_neighbors(node_id)
-                phase.send(node_id, neighbors, beacon, interval=k)
-                del pending_forward[node_id]
-        elif kind == "aggregation":
-            for node_id in sorted(ctx["send_slot"].get(k, ())):
-                _honest_transmit(network, phase, node_id, ctx["best"][node_id], k)
-        elif kind == "confirmation":
-            pending = ctx["pending"]
-            for node_id, veto in sorted(pending.items()):
-                _transmit_veto(network, phase, node_id, veto, k)
-            pending.clear()
-        elif kind == "predicate-reply":
-            pending = ctx["pending"]
-            for node_id, reply in sorted(pending.items()):
-                neighbors = network.secure_neighbors(node_id)
-                if neighbors:
-                    phase.send(node_id, neighbors, reply, interval=k)
-            pending.clear()
-
     # ------------------------------------------------------------------
     # deliver: coordinator frames + hosted acceptance for interval k
     # ------------------------------------------------------------------
@@ -693,84 +580,8 @@ class NodeHost:
             raise ServiceError("deliver outside any phase")
         for env in envelopes:
             transport.ingest(env)
-        return ("deliver-done", self._exec_deliver(k))
-
-    def _exec_deliver(self, k: int) -> tuple:
-        network, phase, ctx = self.network, self.phase, self._ctx
-        kind = self._phase_kind
-        hosted_honest_set = ctx["hosted_honest_set"]
-
-        if kind == "tree":
-            report = []
-            arrived = phase.arrival_map(k)
-            pending_forward = ctx["pending_forward"]
-            for node_id in sorted(arrived) if arrived else ():
-                if node_id not in hosted_honest_set:
-                    continue
-                node = network.nodes[node_id]
-                arrivals = phase.verified_inbox(node_id, k)
-                beacons = [d for d in arrivals if isinstance(d.payload, TreeBeacon)]
-                if not beacons:
-                    continue
-                if ctx["variant"] == "timestamp":
-                    _accept_timestamp(
-                        node, beacons, k, ctx["depth_bound"], ctx["multipath"],
-                        pending_forward,
-                    )
-                else:
-                    _accept_hopcount(
-                        node, beacons, ctx["depth_bound"], ctx["multipath"],
-                        pending_forward,
-                    )
-                if node.level is not None:
-                    report.append((node_id, node.level, tuple(node.parents)))
-            return tuple(report)
-
-        if kind == "aggregation":
-            for node_id in ctx["listen_slot"].get(k, ()):
-                node = network.nodes[node_id]
-                _honest_collect(
-                    network, phase, node, ctx["best"][node_id], k,
-                    ctx["num_instances"],
-                )
-            return ()
-
-        if kind == "confirmation":
-            adopted_ids = []
-            if k < ctx["L"]:
-                arrived = phase.arrival_map(k)
-                pending = ctx["pending"]
-                for node_id in sorted(arrived) if arrived else ():
-                    if node_id not in hosted_honest_set:
-                        continue
-                    node = network.nodes[node_id]
-                    if node.forwarded_veto:
-                        continue
-                    adopted = _adopt_first_veto(network, phase, node, k)
-                    if adopted is not None:
-                        pending[node_id] = adopted
-                        adopted_ids.append(node_id)
-            return tuple(adopted_ids)
-
-        if kind == "predicate-reply":
-            pending = ctx["pending"]
-            relayed = ctx["relayed"]
-            reply_hash = ctx["reply_hash"]
-            for node_id in ctx["hosted_honest"]:
-                if node_id in relayed:
-                    continue
-                for delivery in phase.inbox(node_id, k):
-                    payload = delivery.payload
-                    if (
-                        isinstance(payload, PredicateReply)
-                        and oneway_hash(payload.mac) == reply_hash
-                    ):
-                        relayed.add(node_id)
-                        pending[node_id] = payload
-                        break
-            return ()
-
-        raise ServiceError(f"deliver in unknown phase kind {kind!r}")
+        self.step.deliver(k)
+        return ("deliver-done", self.step.report())
 
 
 def run_node_host(spec: ServiceSpec, host_index: int) -> int:

@@ -1,12 +1,14 @@
 """The service coordinator: the unmodified protocol over real processes.
 
-:class:`ServiceRuntime` is the *driver* the core phase loops delegate to
-when ``network.honest_driver`` is set.  The coordinator process keeps the
-base station, the adversary and a complete mirror of every frame (so the
-in-process protocol logic — aggregation decisions, veto classification,
-pinpointing — runs unchanged); the honest sensors' per-interval work runs
-on node-host OS processes (:mod:`repro.service.node`) speaking the
-byte-level frame encodings over length-prefixed TCP.
+:class:`ServiceRuntime` is the *driver* the core phase loops hand their
+honest step to when ``network.honest_driver`` is set
+(:func:`repro.core.phase_state.honest_step`).  The coordinator process
+keeps the base station, the adversary and a complete mirror of every
+frame (so the in-process protocol logic — aggregation decisions, veto
+classification, pinpointing — runs unchanged); each phase's honest step
+runs on node-host OS processes (:mod:`repro.service.node`), each over
+its hosted shard, speaking the byte-level frame encodings over
+length-prefixed TCP.
 
 Interval discipline (one ``tick``/``deliver`` round trip per slot):
 
@@ -15,8 +17,9 @@ Interval discipline (one ``tick``/``deliver`` round trip per slot):
   *all* frames up; the coordinator folds them into its mirror store in
   the canonical ``(band, order, subseq)`` order.
 * ``deliver k`` — the coordinator ships its own deposits (base-station
-  and adversary frames) down, hosts run acceptance, and state deltas
-  (tree levels, veto adoptions) come back to keep the mirror exact.
+  and adversary frames) down, hosts run acceptance, and the step's
+  report rows (tree levels and parents; vetoers come back with
+  ``phase-begin``) feed the coordinator's copy of the step.
 
 Frames the coordinator deposits get *band 0* before the tick (adversary
 hooks that run first in the interval, sends into future intervals) and
@@ -43,8 +46,6 @@ from ..errors import ConfigError, HostChannelError, ProtocolError, ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
 from ..metrics import Metrics
-from ..net.message import VetoMessage
-from ..net.node import ConfReceiptRecord
 from ..net.transport import SimTransport
 from .resilience import (
     DEGRADE_HORIZON,
@@ -53,7 +54,7 @@ from .resilience import (
     control_timeout,
     shutdown_grace,
 )
-from .spec import SUPPORTED_QUERIES, ServiceSpec
+from .spec import ServiceSpec, query_by_name
 from .supervisor import Supervisor
 from .wire import RecordChannel, delivery_envelope, envelope_sort_key, \
     ingest_envelope
@@ -159,7 +160,6 @@ class ServiceRuntime:
         self.supervisor: Optional[Supervisor] = None
         self.server: Optional[socket.socket] = None
         self.phase = None
-        self._phase_kind: Optional[str] = None
         self.tick_done = False
         self.order_counter = 0
         self.pending_ship: Dict[int, List[tuple]] = {}
@@ -614,47 +614,24 @@ class ServiceRuntime:
             if record[0] != "ok":
                 raise ServiceError(f"begin-execution failed: {record[0]!r}")
 
-    def phase_begin(self, kind: str, phase, **kwargs) -> None:
+    def phase_begin(self, mirror, args: tuple) -> "_HostedStep":
+        """Start ``mirror``'s phase on every host, each building the same
+        step over its hosted shard from ``args``; returns the step the
+        phase loop drives."""
+        phase = mirror.phase
         self.phase = phase
-        self._phase_kind = kind
         self.tick_done = False
         self.pending_ship = {}
-        if kind == "tree":
-            record = (
-                "phase-begin", kind, phase.num_intervals,
-                kwargs["depth_bound"], kwargs["variant"],
+        replies = self._exchange(
+            JournalEntry(
+                "phase-begin", ("phase-begin", phase.name, phase.num_intervals, args)
             )
-        elif kind == "aggregation":
-            record = (
-                "phase-begin", kind, phase.num_intervals,
-                kwargs["nonce"], kwargs["num_instances"],
-            )
-        elif kind == "confirmation":
-            record = (
-                "phase-begin", kind, phase.num_intervals,
-                kwargs["nonce"], tuple(kwargs["minima"]),
-            )
-        elif kind == "predicate-reply":
-            ref_kind, ref_ident = kwargs["key_ref"]
-            record = (
-                "phase-begin", kind, phase.num_intervals,
-                ref_kind, ref_ident, kwargs["predicate_bytes"],
-                kwargs["nonce"], kwargs["reply_hash"],
-            )
-        else:
-            raise ServiceError(f"unknown phase kind {kind!r}")
-
-        replies = self._exchange(JournalEntry("phase-begin", record))
-        for reply in replies.values():
-            if reply[0] != "phase-begun":
-                raise ServiceError(f"phase-begin failed: {reply[0]!r}")
-        if kind == "confirmation":
-            # Mirror the hosts' initial vetoers: a vetoer has
-            # forwarded_veto set and no SOF receipt, which is exactly the
-            # pair num_vetoers counts on the coordinator.
-            for i in sorted(replies):
-                for node_id in replies[i][1]:
-                    self.network.nodes[node_id].forwarded_veto = True
+        )
+        for i in sorted(replies):
+            if replies[i][0] != "phase-begun":
+                raise ServiceError(f"phase-begin failed: {replies[i][0]!r}")
+            mirror.absorb(replies[i][1])
+        return _HostedStep(self, mirror)
 
     def tick(self, k: int) -> None:
         self._interval_started = time.perf_counter()
@@ -673,7 +650,9 @@ class ServiceRuntime:
             transport.ingest(env)
         self.tick_done = True
 
-    def deliver(self, k: int) -> None:
+    def deliver(self, k: int) -> List[tuple]:
+        """Ship the coordinator's frames down and run the hosts'
+        acceptance; returns each host's reported rows, by host index."""
         pending = self.pending_ship
         self.pending_ship = {}
         # Journal a record for *every* host index (not just live ones):
@@ -687,34 +666,11 @@ class ServiceRuntime:
         for record in replies.values():
             if record[0] != "deliver-done":
                 raise ServiceError(f"deliver failed: {record[0]!r}")
-        kind = self._phase_kind
-        if kind == "tree":
-            for i in sorted(replies):
-                for node_id, level, parents in replies[i][1]:
-                    node = self.network.nodes[node_id]
-                    node.level = level
-                    node.parents = list(parents)
-        elif kind == "confirmation":
-            # Adopters: forwarded_veto plus a sentinel SOF receipt, so
-            # num_vetoers (vetoer = forwarded, *no* receipt) stays exact.
-            for i in sorted(replies):
-                for node_id in replies[i][1]:
-                    node = self.network.nodes[node_id]
-                    node.forwarded_veto = True
-                    node.audit.conf_receipts.append(
-                        ConfReceiptRecord(
-                            interval=k,
-                            message=VetoMessage(
-                                sensor_id=0, value=0.0, level=0, mac=b"", instance=0
-                            ),
-                            in_edge_index=-1,
-                            frm=-1,
-                        )
-                    )
         self.tick_done = False
         self.network.metrics.record_wall_clock(
-            kind or "interval", time.perf_counter() - self._interval_started
+            self.phase.name, time.perf_counter() - self._interval_started
         )
+        return [replies[i][1] for i in sorted(replies)]
 
     def phase_end(self) -> None:
         replies = self._exchange(JournalEntry("phase-end", ("phase-end",)))
@@ -722,7 +678,32 @@ class ServiceRuntime:
             if record[0] != "ok":
                 raise ServiceError(f"phase-end failed: {record[0]!r}")
         self.phase = None
-        self._phase_kind = None
+
+
+class _HostedStep:
+    """A phase's honest step running on the node hosts.
+
+    ``tick``/``deliver`` drive the hosts; ``mirror`` — the same step
+    over no ids — absorbs the rows they report, and every other
+    attribute (``TreeColumns.install``) reads it.  The phase ends on the
+    hosts right after its last interval is delivered.
+    """
+
+    def __init__(self, runtime: ServiceRuntime, mirror) -> None:
+        self.runtime = runtime
+        self.mirror = mirror
+
+    def tick(self, k: int) -> None:
+        self.runtime.tick(k)
+
+    def deliver(self, k: int) -> None:
+        for rows in self.runtime.deliver(k):
+            self.mirror.absorb(rows)
+        if k == self.mirror.phase.num_intervals:
+            self.runtime.phase_end()
+
+    def __getattr__(self, name):
+        return getattr(self.mirror, name)
 
 
 # ----------------------------------------------------------------------
@@ -843,17 +824,10 @@ def run_service_session(
     result (Theorem 7 semantics), merges every host's metrics, and always
     tears the deployment down — no orphan survives an exception.
     """
-    from .node import _query_by_name
-
     spec.validate()
-    if query_name not in SUPPORTED_QUERIES:
-        raise ConfigError(
-            f"query {query_name!r} not supported by the service runtime; "
-            f"supported: {SUPPORTED_QUERIES}"
-        )
+    query = query_by_name(query_name)
     deployment, protocol = _build_protocol(spec, attack)
     network = deployment.network
-    query = _query_by_name(query_name)
     if readings is None:
         readings = default_readings(spec)
 
@@ -883,11 +857,9 @@ def run_sim_session(
 ) -> ServiceRunResult:
     """The in-process control leg: the same seeded session ``spec``
     describes, run entirely inside the simulator (no processes)."""
-    from .node import _query_by_name
-
     spec.validate()
+    query = query_by_name(query_name)
     deployment, protocol = _build_protocol(spec, attack)
-    query = _query_by_name(query_name)
     if readings is None:
         readings = default_readings(spec)
     executions, estimate = _session_loop(protocol, query, readings, max_executions)

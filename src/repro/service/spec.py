@@ -22,9 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.queries import MaxQuery, MinQuery
 from ..errors import ConfigError
 from ..faults.plan import FaultPlan
 
@@ -37,7 +39,19 @@ UNSUPPORTED_FAULT_KINDS = frozenset({"burst-loss", "duplicate", "clock-drift"})
 
 #: Queries the v1 service runtime can reconstruct on node hosts from the
 #: query name alone (no per-query parameters ride the wire yet).
-SUPPORTED_QUERIES = ("min", "max")
+_QUERIES = {"min": MinQuery, "max": MaxQuery}
+SUPPORTED_QUERIES = tuple(_QUERIES)
+
+
+def query_by_name(name: str):
+    """The query a service session runs, rebuilt from its name alone."""
+    query = _QUERIES.get(name)
+    if query is None:
+        raise ConfigError(
+            f"query {name!r} not supported by the service runtime; "
+            f"supported: {SUPPORTED_QUERIES}"
+        )
+    return query()
 
 
 @dataclass(frozen=True)
@@ -207,12 +221,23 @@ class ServiceSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ServiceSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        """Rebuild a spec, checking each field against its annotation."""
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"a ServiceSpec is a JSON object, not {type(data).__name__}"
+            )
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(data) - set(hints))
         if unknown:
             raise ConfigError(f"unknown ServiceSpec field(s): {unknown}")
         payload = dict(data)
-        payload["malicious_ids"] = tuple(payload.get("malicious_ids", ()))
+        if isinstance(payload.get("malicious_ids"), list):
+            payload["malicious_ids"] = tuple(payload["malicious_ids"])
+        for name, value in payload.items():
+            if not _matches(value, hints[name]):
+                raise ConfigError(
+                    f"ServiceSpec field {name!r} must be {hints[name]}, got {value!r}"
+                )
         return cls(**payload)  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -220,7 +245,11 @@ class ServiceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ServiceSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"ServiceSpec is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def from_env(cls) -> "ServiceSpec":
@@ -228,3 +257,20 @@ class ServiceSpec:
         if not text:
             raise ConfigError(f"{SPEC_ENV} is not set; node hosts need the spec")
         return cls.from_json(text)
+
+
+def _matches(value, hint) -> bool:
+    """Whether a decoded JSON value fits a ServiceSpec annotation: ints
+    are not bools, floats accept ints, ``Optional`` accepts ``None``, and
+    ``Tuple[int, ...]`` holds ints."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:
+        return any(_matches(value, arm) for arm in typing.get_args(hint))
+    if origin is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_matches(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint

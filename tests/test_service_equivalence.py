@@ -46,17 +46,24 @@ def test_clean_session_matches_simulator():
 
 
 @pytest.mark.slow
-def test_attacked_session_with_revocations_matches_simulator():
-    """25 nodes / 2 hosts, spurious-veto attacker, θ=6.
+@pytest.mark.parametrize(
+    "tree",
+    [
+        dict(processes=2),
+        dict(processes=3, tree_variant="hopcount", multipath=True),
+    ],
+    ids=["timestamp", "hopcount-multipath"],
+)
+def test_attacked_session_with_revocations_matches_simulator(tree):
+    """25 nodes, spurious-veto attacker, θ=6, under either tree variant.
 
     Drives the full VMAT session loop — repeated executions, key
     revocations, the θ-cascade and finally a sensor revocation — and the
     cross-process replica must reproduce the simulator's every step:
-    same executions, same revocation sequence, same estimate.
+    same executions, same revocation sequence, same estimate.  The
+    hop-count case runs the naive tree with multi-path parents on 3 hosts.
     """
-    spec = ServiceSpec(
-        num_nodes=25, processes=2, seed=0, malicious_ids=(5,), theta=6
-    )
+    spec = ServiceSpec(num_nodes=25, seed=0, malicious_ids=(5,), theta=6, **tree)
     report = run_equivalence(spec, attack="spurious-veto")
     assert_equivalent(report)
     assert report.service.num_executions > 1

@@ -66,6 +66,39 @@ def test_spec_validation_rejects(kwargs, match):
         ServiceSpec(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "not json",
+        '{"num_nodes": "x"}',
+        '{"malicious_ids": 5}',
+        '{"malicious_ids": [3, "4"]}',
+        '{"seed": "a"}',
+        '{"num_nodes": 2.5}',
+        '{"multipath": "yes"}',
+        '{"processes": true}',
+        '{"theta": 6.5}',
+        '{"fault_plan": 7}',
+        '{"fault_plan": "{"}',
+        '{"fault_plan": "[]"}',
+    ],
+)
+def test_spec_from_json_rejects_malformed_input_with_config_error(text):
+    """What a node host parses off REPRO_SERVICE_SPEC fails typed."""
+    with pytest.raises(ConfigError):
+        ServiceSpec.from_json(text).validate()
+
+
+def test_spec_from_json_accepts_ints_for_floats_and_nulls_for_optionals():
+    spec = ServiceSpec.from_json(
+        '{"control_timeout_s": 30, "theta": null, "malicious_ids": [4]}'
+    )
+    assert spec.control_timeout_s == 30
+    assert spec.theta is None
+    assert spec.malicious_ids == (4,)
+
+
 def test_spec_rejects_unreplayable_fault_kinds():
     plan = FaultPlan(
         name="bad", events=(BurstLoss(start=1, end=4, loss_rate=0.5),)
