@@ -18,6 +18,7 @@ from repro.crypto import (
     verify_mac,
 )
 from repro.crypto.hash import verify_chain_link
+from repro.crypto import prf
 from repro.crypto.nonce import NonceSource
 from repro.errors import CryptoError, MacVerificationError
 
@@ -177,6 +178,16 @@ class TestPrf:
     def test_sample_rejects_oversampling(self):
         with pytest.raises(CryptoError):
             sample_distinct_indices(b"s", 5, 6)
+
+    @pytest.mark.parametrize(
+        "population,count", [(10, -1), (-1, -2), (-5, 0)], ids=["count", "both", "population"]
+    )
+    def test_samplers_reject_negative_shapes_typed(self, population, count):
+        # random.sample's own ValueError must not leak past the boundary.
+        with pytest.raises(CryptoError):
+            sample_distinct_indices(b"s", population, count)
+        with pytest.raises(CryptoError):
+            prf.sample_distinct_rows([b"s"], population, count)
 
 
 class TestNonceSource:
