@@ -35,7 +35,7 @@ import pytest
 from repro import CountQuery, MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.adversary import Adversary, WormholeStrategy, make_strategy
 from repro.faults import ClockDrift, Duplicate, FaultInjector, FaultPlan
-from repro.faults.plan import LinkDown, NodeCrash
+from repro.faults.plan import BurstLoss, LinkDown, NodeCrash
 from repro.perf.cache import clear_caches, disabled
 from repro.topology.generators import grid_topology, line_topology
 from repro.tracing import Tracer
@@ -182,6 +182,36 @@ def _fault_cell():
     return tracer, network.metrics, outcomes
 
 
+def _drop_cell():
+    """Every link-layer drop branch: a crashed sender, a crashed
+    receiver, a severed link and per-receiver burst loss."""
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=8), topology=grid_topology(4, 4), seed=11
+    )
+    network = deployment.network
+    plan = FaultPlan(
+        "digest-drops",
+        events=(
+            # Sensor 5 is down in the slot it beacons in (it heard its
+            # parent one slot earlier); sensor 15, a far corner, is down
+            # while only its neighbours transmit to it.
+            NodeCrash(node=5, start=3, end=4),
+            NodeCrash(node=15, start=12, end=30),
+            LinkDown(a=1, b=2, start=1, end=40),
+            BurstLoss(loss_rate=0.35, start=1, end=60),
+        ),
+    )
+    FaultInjector(plan, seed=11).attach(network)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network)
+    readings = {i: 30.0 + (i % 5) for i in deployment.topology.sensor_ids}
+    outcomes = []
+    for _ in range(2):
+        result = protocol.execute(MinQuery(), readings)
+        outcomes.append([result.outcome.value, result.estimate])
+    return tracer, network.metrics, outcomes
+
+
 def _regions_cell():
     """An attacked 7x7 grid with delivery fanout split into 3 regions."""
     with _env("REPRO_DELIVERY_REGIONS", "3"):
@@ -217,6 +247,7 @@ CELLS["scale-grid-100"] = lambda: _scale_cell("grid")
 CELLS["scale-line-100"] = lambda: _scale_cell("line")
 CELLS["count-junk-grid"] = _count_cell
 CELLS["faults-loss-dup-clock"] = _fault_cell
+CELLS["faults-burst-crash-link"] = _drop_cell
 CELLS["regions-attacked-grid"] = _regions_cell
 
 
@@ -285,6 +316,7 @@ SERVICE_DIGESTS = {
 #: Recorded from the cache-free reference path (``perf.cache.disabled()``).
 DIGESTS = {
     "count-junk-grid": "71501b336800ffd6da6b55584024e4173a7b392f36f0a487e5c448025a69331a",
+    "faults-burst-crash-link": "ebfb18801aff7d96dce83ad1a65f03723daab51a8d8a70f55cb49458007422f4",
     "faults-loss-dup-clock": "4163c3b5ab41a898690a86fc9dc7b233fa727fd85c923412dde2aeb9f2480619",
     "regions-attacked-grid": "1168a15f678f9a6460616c7d5ba5dde40df886516b1cf50ea6ede1d021f19cbe",
     "scale-grid-100": "ef915a5d3218bde75a7d47fc3e69156337acea030e8b501fd41d60db05bc4bef",

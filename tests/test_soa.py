@@ -27,6 +27,7 @@ from repro import MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.config import KeyConfig
 from repro.crypto import prf
 from repro.errors import ConfigError, CryptoError
+from repro.faults import Duplicate, FaultInjector, FaultPlan
 from repro.keys.ring import ring_caches_fit, ring_indices_from_seed, ring_seed
 from repro.keys.soa import RingTable, RingTableRevocationState
 from repro.net.node import HonestNode
@@ -153,6 +154,36 @@ class TestTransportOrder:
         assert phase.transport._num_regions == 3
         self._send_pattern(net, phase)
         assert self._orders(phase, (1, 3, 5)) == self._reference_orders()
+
+    def _duplicate_frames(self, list_store=False):
+        """A fanout pattern under a Duplicate plan: every frame of every
+        inbox, duplicates included, as (sender, hop, key, verdict)."""
+        from repro.net.message import TreeBeacon
+
+        net, phase = self._phase(list_store=list_store)
+        plan = FaultPlan("dup-order", events=(Duplicate(probability=0.5, start=1, end=9),))
+        FaultInjector(plan, seed=4).attach(net)
+        phase.begin_interval(1)
+        for hop in range(1, 4):
+            phase.send(2, [1, 3], TreeBeacon(origin=2, hop_count=hop), interval=1)
+            phase.send(4, [3, 5], TreeBeacon(origin=4, hop_count=hop), interval=1)
+            phase.send(6, [5, 7], TreeBeacon(origin=6, hop_count=hop), interval=1)
+        phase.send(0, [1], TreeBeacon(origin=0, hop_count=1), interval=1)
+        frames = {
+            r: [(d.sender, d.payload.hop_count, d.key_index, d.verified)
+                for d in phase.inbox(r, 1)]
+            for r in range(8)
+        }
+        return frames, net.metrics.to_dict()
+
+    @pytest.mark.parametrize("num_regions", [None, "3"])
+    def test_duplicate_plan_replays_on_every_store(self, num_regions, monkeypatch):
+        reference = self._duplicate_frames(list_store=True)
+        # The plan duplicated some frames: the pattern is not vacuous.
+        assert reference[1]["faults_injected"].get("duplicate", 0) > 0
+        if num_regions is not None:
+            monkeypatch.setenv("REPRO_DELIVERY_REGIONS", num_regions)
+        assert self._duplicate_frames() == reference
 
     def test_multi_region_full_execution_bit_identical(self, monkeypatch):
         # End-to-end with the fanout forced multi-region: metrics must
