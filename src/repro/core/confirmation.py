@@ -205,15 +205,12 @@ def _make_veto(node, minima, nonce, depth_bound) -> Optional[VetoMessage]:
 
 
 def _transmit_veto(network, phase, node_id, veto, interval) -> None:
-    neighbors = network.secure_neighbors(node_id)
-    if not neighbors:
+    links = network.secure_links(node_id)
+    if not links:
         return
-    phase.send(node_id, neighbors, veto, interval=interval)
+    phase.send(node_id, [neighbor for neighbor, _ in links], veto, interval=interval)
     node = network.nodes[node_id]
-    for neighbor in neighbors:
-        out_index = network.edge_key_index(node_id, neighbor)
-        if out_index is None:
-            continue
+    for neighbor, out_index in links:
         node.audit.conf_sends.append(
             ConfSendRecord(
                 interval=interval, message=veto, out_edge_index=out_index, to=neighbor

@@ -177,7 +177,7 @@ class FaultInjector:
                 )
 
     # ------------------------------------------------------------------
-    # Hook: link layer (queried per frame by ``_transmit_one``)
+    # Hook: link layer (queried per frame by ``PhaseContext.send``)
     # ------------------------------------------------------------------
     def node_down(self, node_id: int) -> bool:
         """Whether ``node_id`` is crashed right now."""

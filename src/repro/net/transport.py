@@ -13,15 +13,26 @@ holds send batches and presents frames in the same per-receiver order.
 
 Transport contract (what ``PhaseContext`` relies on):
 
-* ``deposit(interval, receiver, delivery)`` appends one received frame.
-  Deposit order **is** protocol semantics: honest logic adopts the first
-  verified beacon/veto in inbox order, so a transport must present
-  frames in exactly the order the simulator would have deposited them.
+* ``deposit_send(interval, batch, receivers, key_indices, verdicts)``
+  appends the frames of one ``PhaseContext.send``: row ``i`` is a frame
+  of ``batch`` (the broadcast's shared :class:`~repro.net.network._SendBatch`)
+  for ``receivers[i]`` under edge key ``key_indices[i]``, with
+  transmit-time verdict ``verdicts[i]`` (true: accepted pending the MAC,
+  false: rejected).  A fault-injected duplicate is a repeated row right
+  after its original.  Deposit order **is** protocol semantics: honest
+  logic adopts the first verified beacon/veto in inbox order, so a
+  transport must present frames in exactly the order of these rows,
+  send after send.
 * ``frames(interval, receiver)`` returns a fresh list of that inbox (the
   caller may filter/slice it freely).
 * ``arrivals(interval)`` returns a read-only mapping
   ``receiver -> frames`` for cheap emptiness tests; callers treat it as
   frozen.
+
+:class:`SimTransport` implements ``deposit_send`` as one
+``deposit(interval, receiver, delivery)`` per row, its per-frame
+primitive: the service transports override ``deposit`` to ship each
+frame between processes.
 
 The readability gates (an inbox is visible only once its interval has
 begun) stay in ``PhaseContext`` — transports store and order frames,
@@ -38,6 +49,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 #: Shared empty arrival map (never mutated; see ``arrivals``).
 _EMPTY_ARRIVALS: Dict[int, List["Delivery"]] = {}
+
+#: Resolved lazily to dodge the import cycle (network.py imports the
+#: transports at load time).
+_DELIVERY = None
+
+
+def _delivery_class():
+    global _DELIVERY
+    if _DELIVERY is None:
+        from .network import Delivery
+
+        _DELIVERY = Delivery
+    return _DELIVERY
 
 
 class SimTransport:
@@ -58,6 +82,21 @@ class SimTransport:
 
     def deposit(self, interval: int, receiver: int, delivery: "Delivery") -> None:
         self._pending[interval][receiver].append(delivery)
+
+    def deposit_send(
+        self,
+        interval: int,
+        batch: object,
+        receivers: Sequence[int],
+        key_indices: Sequence[int],
+        verdicts: Sequence[bool],
+    ) -> None:
+        delivery = _delivery_class()
+        for receiver, key_index, verdict in zip(receivers, key_indices, verdicts):
+            frame = delivery(
+                batch, receiver, key_index, interval, verified=None if verdict else False
+            )
+            self.deposit(interval, receiver, frame)
 
     def frames(self, interval: int, receiver: int) -> List["Delivery"]:
         return list(self._pending.get(interval, {}).get(receiver, ()))

@@ -295,7 +295,7 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
     Crypto benches replicate the deployed call sites end to end: their
     reference sides re-derive keys, re-encode tuples and re-canonicalize
     payloads exactly where the pre-optimization code did
-    (``protocol._sign_values`` + ``network._transmit_one`` /
+    (``protocol._sign_values`` + ``PhaseContext.send``'s per-frame path /
     ``receiver_accepts`` / ``protocol._verify_minimum`` as of the commit
     preceding this layer).
     """
@@ -332,8 +332,8 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
     # --- mac_sign_interval: one sensor's per-interval signing work ----
     # Sign m instances, bundle them, edge-MAC the bundle to each
     # neighbour.  The reference re-derives the sensor key per interval
-    # and re-canonicalizes the bundle per receiver (as _transmit_one
-    # did); the optimized side is the deployed pattern: cached key,
+    # and re-canonicalizes the bundle per receiver (as the per-frame
+    # path of PhaseContext.send did); the optimized side is the deployed pattern: cached key,
     # stitched static prefixes, one canonicalization per broadcast.
     edge_tag = encode_parts("edge")
     phase_enc = encode_parts("aggregate")
@@ -391,7 +391,7 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
     # --- mac_edge_delivery: deliver one broadcast to k receivers ------
     # Send-side MAC plus receiver-side verification per link.  The
     # reference re-canonicalizes the payload on both sides per receiver
-    # (pre-optimization _transmit_one + receiver_accepts).
+    # (pre-optimization PhaseContext.send per frame + receiver_accepts).
     bundles = {
         sid: SynopsisBundle(
             messages=tuple(

@@ -49,6 +49,7 @@ from ..core.tree import TreeColumns
 from ..errors import ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
+from ..net.transport import SimTransport
 from .resilience import (
     CHAOS_REFUSE_ENV,
     DEGRADE_HORIZON,
@@ -85,6 +86,9 @@ class ReplicaTransport:
         # the same batches its dead incarnation may have partially
         # delivered, and receivers keep exactly one copy.
         self._ingested: set = set()
+
+    # One send's rows become one ``deposit`` (and one envelope) per frame.
+    deposit_send = SimTransport.deposit_send
 
     def deposit(self, interval, receiver, delivery) -> None:
         host = self.host

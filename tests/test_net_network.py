@@ -79,6 +79,52 @@ class TestDelivery:
         with pytest.raises(NetworkError):
             phase.send(0, [far], beacon(), interval=1)
 
+    def test_invalid_receiver_leaves_send_without_effect(self, net):
+        # The valid neighbour comes first: a send that validated and
+        # charged receiver by receiver would already have delivered and
+        # byte-charged it, and spent the sender's capacity, when the
+        # non-neighbour raised.
+        neighbor = net.secure_neighbors(0)[0]
+        far = next(
+            i for i in net.topology.sensor_ids if not net.topology.has_edge(0, i)
+        )
+        phase = net.new_phase("t", 2)
+        phase.begin_interval(1)
+        capacity = phase.remaining_capacity(0, 1)
+        before = net.metrics.to_dict()
+        with pytest.raises(NetworkError):
+            phase.send(0, [neighbor, far], beacon(), interval=1)
+        assert phase.inbox(neighbor, 1) == []
+        assert phase.inbox(far, 1) == []
+        assert net.metrics.to_dict() == before
+        assert phase.remaining_capacity(0, 1) == capacity
+
+    def test_unheld_key_leaves_send_without_effect(self):
+        dep = build_deployment(num_nodes=10, seed=1, malicious_ids={2})
+        net = dep.network
+        outside = next(
+            i for i in range(dep.config.keys.pool_size)
+            if i not in net.adversary_pool_indices()
+        )
+        receivers = sorted(net.topology.neighbors(2))
+        phase = net.new_phase("t", 2)
+        phase.begin_interval(1)
+        before = net.metrics.to_dict()
+        with pytest.raises(NetworkError):
+            phase.send(2, receivers, beacon(), interval=1, key_index=outside)
+        assert all(phase.inbox(r, 1) == [] for r in receivers)
+        assert net.metrics.to_dict() == before
+        assert phase.remaining_capacity(2, 1) == net.config.network.forwarding_capacity
+
+    def test_exhausted_sender_returns_false_before_validation(self, net):
+        cap = net.config.network.forwarding_capacity
+        neighbor = net.secure_neighbors(0)[0]
+        phase = net.new_phase("t", 2)
+        phase.begin_interval(1)
+        for i in range(cap):
+            phase.send(0, [neighbor], beacon(hop=i), interval=1)
+        assert phase.send(0, [0], beacon(), interval=1) is False
+
     def test_bytes_accounted(self, net):
         neighbor = net.secure_neighbors(0)[0]
         before = net.metrics.bytes_sent[0]
