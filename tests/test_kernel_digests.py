@@ -231,6 +231,36 @@ def _regions_cell():
     return tracer, network.metrics, outcomes
 
 
+def _pairwise_cell():
+    """Explicit pairwise rings (Section III) under a spurious vetoer:
+    two pinpointed keys reach θ=2 and revoke the sensor in full."""
+    config = small_test_config(depth_bound=10)
+    config = replace(config, revocation=replace(config.revocation, theta=2))
+    deployment = build_deployment(
+        config=config,
+        topology=grid_topology(4, 4),
+        malicious_ids={6},
+        seed=23,
+        key_scheme="pairwise",
+    )
+    network = deployment.network
+    adversary = Adversary(network, make_strategy("spurious-veto"), seed=23)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network, adversary=adversary)
+    readings = {i: 70.0 + (i % 9) for i in deployment.topology.sensor_ids}
+    readings[15] = 3.0
+    outcomes = []
+    for _ in range(3):
+        result = protocol.execute(MinQuery(), readings)
+        outcomes.append([result.outcome.value, result.estimate])
+    # The cell must exercise the θ rule, not only per-key revocation.
+    assert any(
+        event.kind == "sensor" and event.target == 6 and event.triggered_by_key is not None
+        for event in deployment.registry.revocation.log
+    ), "no θ-triggered sensor revocation"
+    return tracer, network.metrics, outcomes
+
+
 CELLS = {}
 for _strategy in ("relay-drop", "cover-accomplice"):
     for _traced in (False, True):
@@ -249,6 +279,7 @@ CELLS["count-junk-grid"] = _count_cell
 CELLS["faults-loss-dup-clock"] = _fault_cell
 CELLS["faults-burst-crash-link"] = _drop_cell
 CELLS["regions-attacked-grid"] = _regions_cell
+CELLS["pairwise-spurious-veto-grid"] = _pairwise_cell
 
 
 def cell_digest(name: str) -> str:
@@ -318,6 +349,7 @@ DIGESTS = {
     "count-junk-grid": "71501b336800ffd6da6b55584024e4173a7b392f36f0a487e5c448025a69331a",
     "faults-burst-crash-link": "ebfb18801aff7d96dce83ad1a65f03723daab51a8d8a70f55cb49458007422f4",
     "faults-loss-dup-clock": "4163c3b5ab41a898690a86fc9dc7b233fa727fd85c923412dde2aeb9f2480619",
+    "pairwise-spurious-veto-grid": "6c790ecdf8e3f6aa2bfc2e178bd2a2e057eca90a6a4334d2e1a10d6914efa988",
     "regions-attacked-grid": "1168a15f678f9a6460616c7d5ba5dde40df886516b1cf50ea6ede1d021f19cbe",
     "scale-grid-100": "ef915a5d3218bde75a7d47fc3e69156337acea030e8b501fd41d60db05bc4bef",
     "scale-line-100": "6a2fb3c015483620776bd9570c38c4501e75a31400cb7c39f32e773816d7ef8d",

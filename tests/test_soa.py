@@ -7,13 +7,13 @@ state) plus the sharding and cache-sizing machinery around them:
   line / grid / flood-heavy multipath topologies (both legs run the one
   column kernel; only the caches differ);
 * arrival-order preservation — the column store's stable grouping must
-  replay the plain list store's deposit order exactly;
+  replay the deposit order the plain list store recorded, exactly;
 * region sharding edge cases (empty, singleton, more shards than items);
 * ring-table rows / intersections / bulk edge keys vs per-object rings;
 * whole-table hashes of the large-build ring path, and the batched ring
   sampler vs the per-seed reference;
-* revocation parity — the array-backed state's event log vs the dict
-  backend's, entry for entry;
+* revocation parity — the array-backed state's event log vs the one
+  the dict backend recorded, entry for entry;
 * cache autosizing (grow-only) and the large-build ring-cache bypass.
 """
 
@@ -32,7 +32,6 @@ from repro.keys.ring import ring_caches_fit, ring_indices_from_seed, ring_seed
 from repro.keys.soa import RingTable, RingTableRevocationState
 from repro.net.node import HonestNode
 from repro.net.soa import SoATransport
-from repro.net.transport import SimTransport
 from repro.perf.cache import (
     LRUCache,
     autosize_caches,
@@ -88,17 +87,57 @@ class TestBitIdentityMatrix:
 # Arrival-order preservation under the column frame store
 # ----------------------------------------------------------------------
 class TestTransportOrder:
-    def _phase(self, list_store=False):
+    #: Per-receiver inbox order of ``_send_pattern``, as the plain
+    #: per-receiver list store delivered it (recorded before the column
+    #: store became the only store).
+    REFERENCE_ORDERS = {
+        1: [(2, 1), (2, 2), (0, 1)],
+        3: [(2, 1), (4, 1), (2, 2)],
+        5: [(4, 1)],
+    }
+
+    #: Every inbox of ``_duplicate_frames`` as (sender, hop, key,
+    #: verdict), duplicates included, plus the run's metrics, as the
+    #: list store produced them.
+    DUPLICATE_FRAMES = {
+        0: [],
+        1: [(2, 1, 11, True), (2, 2, 11, True), (2, 3, 11, True), (2, 3, 11, True),
+            (0, 1, 6, True)],
+        2: [],
+        3: [(2, 1, 26, True), (2, 1, 26, True), (4, 1, 5, True), (4, 1, 5, True),
+            (2, 2, 26, True), (2, 2, 26, True), (4, 2, 5, True), (2, 3, 26, True),
+            (4, 3, 5, True)],
+        4: [],
+        5: [(4, 1, 1, True), (4, 1, 1, True), (6, 1, 37, True), (6, 1, 37, True),
+            (4, 2, 1, True), (6, 2, 37, True), (6, 2, 37, True), (4, 3, 1, True),
+            (4, 3, 1, True), (6, 3, 37, True), (6, 3, 37, True)],
+        6: [],
+        7: [(6, 1, 37, True), (6, 1, 37, True), (6, 2, 37, True), (6, 2, 37, True),
+            (6, 3, 37, True)],
+    }
+    DUPLICATE_METRICS = {
+        "authenticated_broadcasts": 0,
+        "bytes_received": {"1": 65, "3": 117, "5": 143, "7": 65},
+        "bytes_sent": {"0": 13, "2": 78, "4": 78, "6": 78},
+        "crash_intervals": 0,
+        "faults_injected": {"duplicate": 12},
+        "flooding_rounds": 0.0,
+        "intervals_elapsed": 1,
+        "messages_lost": 0,
+        "messages_received": {"1": 5, "3": 9, "5": 11, "7": 5},
+        "messages_sent": {"0": 1, "2": 6, "4": 6, "6": 6},
+        "partition_intervals": 0,
+        "predicate_tests": 0,
+        "round_log": [],
+    }
+
+    def _phase(self):
         deployment = build_deployment(
             config=small_test_config(depth_bound=10),
             topology=line_topology(8),
             seed=3,
         )
         net = deployment.network
-        if list_store:
-            # The plain per-receiver list store, as a transport factory
-            # installs it: the order reference for the column store.
-            net.transport_factory = lambda phase: SimTransport()
         return net, net.new_phase("t", 3)
 
     def _send_pattern(self, net, phase):
@@ -118,19 +157,12 @@ class TestTransportOrder:
             for r in receivers
         }
 
-    def _reference_orders(self):
-        net_ref, phase_ref = self._phase(list_store=True)
-        assert type(phase_ref.transport) is SimTransport
-        self._send_pattern(net_ref, phase_ref)
-        return self._orders(phase_ref, (1, 3, 5))
-
     def test_soa_store_replays_reference_deposit_order(self):
         net, phase = self._phase()
         assert type(phase.transport) is SoATransport
         self._send_pattern(net, phase)
         warm = self._orders(phase, (1, 3, 5))
-        assert warm == self._reference_orders()
-        assert warm[3] == [(2, 1), (4, 1), (2, 2)]
+        assert warm == self.REFERENCE_ORDERS
 
     def test_arrival_map_iterates_every_receiver(self):
         net, phase = self._phase()
@@ -145,7 +177,7 @@ class TestTransportOrder:
     def test_multi_region_store_replays_reference_deposit_order(self, monkeypatch):
         # Force the region-partitioned store on an 8-id topology (3
         # regions instead of the automatic 1) and replay against the
-        # list store at zero tolerance: per receiver, frames must come
+        # list store's recorded order at zero tolerance: per receiver, frames must come
         # back in the exact deposit order even when senders straddle
         # region boundaries.
         monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "3")
@@ -153,14 +185,14 @@ class TestTransportOrder:
         assert type(phase.transport) is SoATransport
         assert phase.transport._num_regions == 3
         self._send_pattern(net, phase)
-        assert self._orders(phase, (1, 3, 5)) == self._reference_orders()
+        assert self._orders(phase, (1, 3, 5)) == self.REFERENCE_ORDERS
 
-    def _duplicate_frames(self, list_store=False):
+    def _duplicate_frames(self):
         """A fanout pattern under a Duplicate plan: every frame of every
         inbox, duplicates included, as (sender, hop, key, verdict)."""
         from repro.net.message import TreeBeacon
 
-        net, phase = self._phase(list_store=list_store)
+        net, phase = self._phase()
         plan = FaultPlan("dup-order", events=(Duplicate(probability=0.5, start=1, end=9),))
         FaultInjector(plan, seed=4).attach(net)
         phase.begin_interval(1)
@@ -178,12 +210,11 @@ class TestTransportOrder:
 
     @pytest.mark.parametrize("num_regions", [None, "3"])
     def test_duplicate_plan_replays_on_every_store(self, num_regions, monkeypatch):
-        reference = self._duplicate_frames(list_store=True)
         # The plan duplicated some frames: the pattern is not vacuous.
-        assert reference[1]["faults_injected"].get("duplicate", 0) > 0
+        assert self.DUPLICATE_METRICS["faults_injected"]["duplicate"] > 0
         if num_regions is not None:
             monkeypatch.setenv("REPRO_DELIVERY_REGIONS", num_regions)
-        assert self._duplicate_frames() == reference
+        assert self._duplicate_frames() == (self.DUPLICATE_FRAMES, self.DUPLICATE_METRICS)
 
     def test_multi_region_full_execution_bit_identical(self, monkeypatch):
         # End-to-end with the fanout forced multi-region: metrics must
@@ -417,39 +448,104 @@ class TestRingSelectionBatch:
 
 
 # ----------------------------------------------------------------------
-# Revocation parity: array-backed state vs dict backend
+# Revocation parity: the array-backed state vs the dict backend's record
 # ----------------------------------------------------------------------
-class TestRevocationParity:
-    def _pair(self, theta, cascade):
-        from repro.keys.revocation import RevocationState
+_THETA3 = "threshold theta=3 reached"
 
+
+def _ring_dump(sensor, keys):
+    return [("key", key, f"ring of sensor {sensor}", None) for key in keys]
+
+
+class TestRevocationParity:
+    """Event logs and ring counts of one scripted revocation run, as the
+    per-object dict backend produced them (recorded before the array
+    state became the only backend), for both cascade modes."""
+
+    SCRIPT = [4, 8, 14, 18, 4, 10]  # ring 1's first four keys, ring 2's first two
+
+    EXPECTED = {
+        False: dict(
+            call_events=[1, 1, 20, 0, 0, 1],
+            sensor_events=8,
+            log=[
+                ("key", 4, "pinpointed", None),
+                ("key", 8, "pinpointed", None),
+                ("key", 14, "pinpointed", None),
+                ("sensor", 1, _THETA3, 14),
+                *_ring_dump(1, [18, 27, 29, 36, 43, 45, 49, 54, 58]),
+                ("sensor", 4, _THETA3, 14),
+                *_ring_dump(4, [19, 20, 23, 24, 26, 38, 47, 53]),
+                ("key", 10, "pinpointed", None),
+                ("sensor", 5, "pinpointed", None),
+                *_ring_dump(5, [2, 13, 17, 21, 33, 35, 52]),
+            ],
+            revoked_sensors={1, 4, 5},
+            counts=[(12, 3), (5, 2), (6, 1), (12, 3), (12, 1), (6, 0), (4, 0), (3, 1), (4, 0)],
+        ),
+        True: dict(
+            call_events=[1, 1, 60, 0, 0, 0],
+            sensor_events=0,
+            log=[
+                ("key", 4, "pinpointed", None),
+                ("key", 8, "pinpointed", None),
+                ("key", 14, "pinpointed", None),
+                ("sensor", 1, _THETA3, 14),
+                *_ring_dump(1, [18, 27, 29, 36, 43, 45, 49, 54, 58]),
+                ("sensor", 4, _THETA3, 14),
+                *_ring_dump(4, [19, 20, 23, 24, 26, 38, 47, 53]),
+                ("sensor", 3, _THETA3, 14),
+                *_ring_dump(3, [1, 6, 10, 13, 30, 50, 51, 57]),
+                ("sensor", 5, _THETA3, 14),
+                *_ring_dump(5, [2, 17, 21, 33, 35, 52]),
+                ("sensor", 6, _THETA3, 14),
+                *_ring_dump(6, [0, 9, 15, 42]),
+                ("sensor", 9, _THETA3, 14),
+                *_ring_dump(9, [34, 37, 48, 55, 56]),
+                ("sensor", 2, _THETA3, 14),
+                *_ring_dump(2, [11, 12, 16, 22, 32, 44]),
+                ("sensor", 7, _THETA3, 14),
+                *_ring_dump(7, [7, 28, 40]),
+                ("sensor", 8, _THETA3, 14),
+                *_ring_dump(8, [41]),
+            ],
+            revoked_sensors=set(range(1, 10)),
+            counts=[(12, 12)] * 9,
+        ),
+    }
+
+    def _state(self, theta, cascade):
         config = small_test_config(pool_size=60, ring_size=12).keys
         table = RingTable(b"revocation-parity", num_nodes=10, config=config)
-        array_state = RingTableRevocationState(table, theta=theta, cascade=cascade)
-        rings = {s: tuple(table.row_list(s)) for s in range(1, 10)}
-        dict_state = RevocationState(rings, theta=theta, cascade=cascade)
-        return array_state, dict_state
+        return table, RingTableRevocationState(table, theta=theta, cascade=cascade)
 
     @pytest.mark.parametrize("cascade", [False, True])
     def test_event_logs_identical(self, cascade):
-        array_state, dict_state = self._pair(theta=3, cascade=cascade)
-        script = list(dict_state._rings[1][:4]) + list(dict_state._rings[2][:2])
-        for index in script:
-            assert array_state.revoke_key(index) == dict_state.revoke_key(index)
-        assert array_state.revoke_sensor(5) == dict_state.revoke_sensor(5)
-        assert array_state.log == dict_state.log
-        assert array_state.revoked_keys == dict_state.revoked_keys
-        assert array_state.revoked_sensors == dict_state.revoked_sensors
-        for sensor in range(1, 10):
-            assert array_state.revoked_ring_count(sensor) == dict_state.revoked_ring_count(sensor)
-            assert array_state.exposed_ring_count(sensor) == dict_state.exposed_ring_count(sensor)
-        assert array_state.threshold_pending() == dict_state.threshold_pending()
+        expected = self.EXPECTED[cascade]
+        table, state = self._state(theta=3, cascade=cascade)
+        assert self.SCRIPT == table.row_list(1)[:4] + table.row_list(2)[:2]
+        returned = [state.revoke_key(index) for index in self.SCRIPT]
+        returned.append(state.revoke_sensor(5))
+        assert [len(events) for events in returned[:-1]] == expected["call_events"]
+        assert len(returned[-1]) == expected["sensor_events"]
+        log = [(e.kind, e.target, e.reason, e.triggered_by_key) for e in state.log]
+        assert log == expected["log"]
+        assert [e for events in returned for e in events] == state.log
+        assert state.revoked_keys == {t for kind, t, _, _ in log if kind == "key"}
+        assert state.revoked_sensors == expected["revoked_sensors"]
+        counts = [
+            (state.revoked_ring_count(s), state.exposed_ring_count(s)) for s in range(1, 10)
+        ]
+        assert counts == expected["counts"]
+        assert state.threshold_pending() == set()
 
     def test_holders_identical(self):
-        array_state, dict_state = self._pair(theta=None, cascade=False)
+        table, state = self._state(theta=None, cascade=False)
+        rows = {s: set(table.row_list(s)) for s in range(1, 10)}
         for index in range(60):
-            assert array_state.holders_of(index) == dict_state.holders_of(index)
-            assert all(isinstance(s, int) for s in array_state.holders_of(index))
+            expected = tuple(s for s in range(1, 10) if index in rows[s])
+            assert state.holders_of(index) == expected
+            assert all(isinstance(s, int) for s in state.holders_of(index))
 
 
 # ----------------------------------------------------------------------
