@@ -82,12 +82,14 @@ def revocation_sweep(
         order = list(range(pool_size))
         rng.shuffle(order)
         revoked_so_far = 0
-        revocation = deployment.registry.revocation
+        registry = deployment.registry
+        # Through the logged path, so the secure view sees every key.
+        registry.revocation.theta = None
         num_sensors = len(deployment.network.nodes)
         for fraction in fractions:
             target = math.ceil(fraction * pool_size)
             while revoked_so_far < target:
-                revocation._apply_key(order[revoked_so_far], exposed=False)
+                registry.revoke_key(order[revoked_so_far], reason="mass revocation")
                 revoked_so_far += 1
             component = deployment.network.honest_secure_component()
             connected_sensors = len(component) - 1  # minus the BS

@@ -16,14 +16,14 @@ base station the candidates are simply the sensor's ring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..config import KeyConfig, RevocationConfig
 from ..errors import KeyManagementError
 from .pool import KeyPool
 from .revocation import RevocationEvent, RevocationState
-from .ring import KeyRing, ring_seed
-from .soa import LazyRingMap, LazySensorKeyMaterial, RingTable, RingTableRevocationState
+from .ring import KeyRing
+from .soa import LazyRingMap, LazySensorKeyMaterial, RingTable
 
 BASE_STATION_ID = 0
 
@@ -48,34 +48,19 @@ class KeyRegistry:
         self.pool = KeyPool(master_secret, key_config)
         self.num_nodes = num_nodes
         theta = revocation_config.theta if revocation_config is not None else None
-        # Storage backend, chosen by the ring source alone: the default
-        # Eschenauer–Gligor draw lives in one shared int32 table
-        # (repro.keys.soa) — per-sensor objects materialize lazily and
-        # revocation counters are flat arrays; a scheme that supplies
-        # explicit rings gets the eager dict build below.
-        self.ring_table = None
+        # One shared int32 ring table (repro.keys.soa) backs every
+        # scheme: the default Eschenauer–Gligor draw, or a scheme's
+        # explicit rings.  Per-sensor objects materialize lazily and
+        # revocation counters are flat arrays.
         if ring_indices_factory is None:
             self.ring_table = RingTable(master_secret, num_nodes, key_config)
-            self.rings: Dict[int, KeyRing] = LazyRingMap(
-                master_secret, self.pool, self.ring_table
-            )
-            self.revocation = RingTableRevocationState(
-                self.ring_table, theta=theta, cascade=cascade
-            )
         else:
-            self.rings = {}
-            for sensor_id in range(1, num_nodes):
-                self.rings[sensor_id] = KeyRing(
-                    sensor_id,
-                    ring_seed(master_secret, sensor_id),
-                    self.pool,
-                    indices=tuple(ring_indices_factory(sensor_id)),
-                )
-            self.revocation = RevocationState(
-                {sensor: ring.indices for sensor, ring in self.rings.items()},
-                theta=theta,
-                cascade=cascade,
+            self.ring_table = RingTable.from_rows(
+                [ring_indices_factory(sensor_id) for sensor_id in range(1, num_nodes)],
+                key_config.pool_size,
             )
+        self.rings: Dict[int, KeyRing] = LazyRingMap(master_secret, self.pool, self.ring_table)
+        self.revocation = RevocationState(self.ring_table, theta=theta, cascade=cascade)
         # Rings are immutable for the deployment's lifetime, so the set
         # intersection behind shared_key_indices is a pure per-edge
         # constant, memoized per registry instance.
@@ -118,11 +103,7 @@ class KeyRegistry:
         """Whether ``node_id`` holds pool key ``index`` (BS holds all)."""
         if node_id == BASE_STATION_ID:
             return True
-        if self.ring_table is not None:
-            if not 1 <= node_id < self.num_nodes:
-                raise KeyManagementError(f"no ring for node {node_id}")
-            return self.ring_table.holds(node_id, index)
-        return index in self.ring(node_id)
+        return self.ring_table.holds(node_id, index)
 
     # ------------------------------------------------------------------
     # Edge keys
@@ -138,11 +119,7 @@ class KeyRegistry:
         edge = (a, b) if a < b else (b, a)
         shared = self._shared_indices_memo.get(edge)
         if shared is None:
-            if self.ring_table is not None:
-                shared = self.ring_table.intersect(a, b)
-            else:
-                shared = self.ring(a).shared_indices(self.ring(b))
-            self._shared_indices_memo[edge] = shared
+            shared = self._shared_indices_memo[edge] = self.ring_table.intersect(a, b)
         return shared
 
     def edge_key_index(self, a: int, b: int) -> Optional[int]:
@@ -189,47 +166,9 @@ class KeyRegistry:
     # ------------------------------------------------------------------
     # Deployment-side material (what gets loaded onto one sensor)
     # ------------------------------------------------------------------
-    def sensor_deployment_material(self, sensor_id: int) -> "SensorKeyMaterial":
+    def sensor_deployment_material(self, sensor_id: int) -> LazySensorKeyMaterial:
         """The key material physically stored on one sensor — and hence
         the exact loot an adversary obtains by compromising it."""
-        if self.ring_table is not None:
-            if not 1 <= sensor_id < self.num_nodes:
-                raise KeyManagementError(f"no ring for node {sensor_id}")
-            return LazySensorKeyMaterial(sensor_id, self.pool, self.ring_table)
-        ring = self.ring(sensor_id)
-        return SensorKeyMaterial(
-            sensor_id=sensor_id,
-            sensor_key=self.sensor_key(sensor_id),
-            ring_indices=ring.indices,
-            ring_keys={index: ring.key(index) for index in ring.indices},
-        )
-
-
-class SensorKeyMaterial:
-    """Immutable bundle of the keys stored on a single sensor."""
-
-    def __init__(
-        self,
-        sensor_id: int,
-        sensor_key: bytes,
-        ring_indices: Sequence[int],
-        ring_keys: Dict[int, bytes],
-    ) -> None:
-        self.sensor_id = sensor_id
-        self.sensor_key = sensor_key
-        self.ring_indices = tuple(ring_indices)
-        self._ring_keys = dict(ring_keys)
-
-    def holds(self, index: int) -> bool:
-        return index in self._ring_keys
-
-    def key(self, index: int) -> bytes:
-        if index not in self._ring_keys:
-            raise KeyManagementError(
-                f"sensor {self.sensor_id} material does not include pool key {index}"
-            )
-        return self._ring_keys[index]
-
-    @property
-    def all_keys(self) -> Dict[int, bytes]:
-        return dict(self._ring_keys)
+        if not 1 <= sensor_id < self.num_nodes:
+            raise KeyManagementError(f"no ring for node {sensor_id}")
+        return LazySensorKeyMaterial(sensor_id, self.pool, self.ring_table)

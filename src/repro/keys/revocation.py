@@ -8,23 +8,25 @@ than ``theta`` pool keys with the adversary's combined rings can be
 framed.  Figure 7 of the paper — reproduced in
 :mod:`repro.analysis.misrevocation` — quantifies that trade-off.
 
-The revoke/threshold logic lives here once; storage is pluggable.  This
-dict backend (``{sensor: ring}``, inverted holder lists, per-sensor
-counters) serves explicit-ring schemes and is the reference semantics
-the array backend is tested against.
-:class:`repro.keys.soa.RingTableRevocationState` overrides the small
-storage hooks (``_ring_of``, ``_holder_ids``, ``_bump``,
-``_due_sensors`` and friends) to run the same algorithm over shared
-``int32`` arrays — event logs are identical between the two because the
-control flow never forks.
+One implementation serves every key scheme.  Rings are the rows of the
+deployment's shared :class:`repro.keys.soa.RingTable` (drawn
+Eschenauer–Gligor rows or a scheme's explicit ones), per-sensor revoked
+and exposed counts are two flat integer arrays, and the inverted
+``key -> holders`` index is a CSR built on the first revocation, so
+honest large-scale runs never pay for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Literal, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import RevocationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .soa import RingTable
 
 RevocationKind = Literal["key", "sensor"]
 
@@ -46,8 +48,9 @@ class RevocationState:
 
     Parameters
     ----------
-    rings:
-        ``{sensor_id: sorted pool indices}`` for every deployed sensor.
+    table:
+        The deployment's :class:`repro.keys.soa.RingTable`: row
+        ``s - 1`` holds sensor ``s``'s sorted pool indices.
     theta:
         Threshold of *exposed* ring keys at which a sensor is revoked in
         full.  ``None`` disables the rule (pure per-key revocation, the
@@ -63,74 +66,41 @@ class RevocationState:
     """
 
     def __init__(
-        self,
-        rings: Mapping[int, Sequence[int]],
-        theta: Optional[int] = None,
-        cascade: bool = False,
+        self, table: "RingTable", theta: Optional[int] = None, cascade: bool = False
     ) -> None:
-        self._init_scalars(theta, cascade)
-        self._rings: Dict[int, Tuple[int, ...]] = {
-            sensor: tuple(indices) for sensor, indices in rings.items()
-        }
-        self._holders: Dict[int, List[int]] = {}
-        for sensor, indices in self._rings.items():
-            for index in indices:
-                self._holders.setdefault(index, []).append(sensor)
-        for holders in self._holders.values():
-            holders.sort()
-        # Total revoked keys per ring (any reason) vs keys *exposed* by
-        # individual revocations — only the latter feed the θ rule when
-        # cascade is off.
-        self._revoked_count: Dict[int, int] = {sensor: 0 for sensor in self._rings}
-        self._exposed_count: Dict[int, int] = {sensor: 0 for sensor in self._rings}
-
-    def _init_scalars(self, theta: Optional[int], cascade: bool) -> None:
-        """Backend-independent state; subclasses call this instead of
-        ``__init__`` and provide their own ring/holder/counter storage."""
         if theta is not None and theta < 1:
             raise RevocationError("theta must be >= 1 when set")
         self.theta = theta
         self.cascade = cascade
+        self._table = table
         self._revoked_keys: Set[int] = set()
         self._revoked_sensors: Set[int] = set()
         self.log: List[RevocationEvent] = []
+        # Total revoked keys per ring (any reason) vs keys *exposed* by
+        # individual revocations — only the latter feed the θ rule when
+        # cascade is off.  Indexed by sensor id; slot 0 (the base
+        # station) has no ring and never counts.
+        self._revoked_count = np.zeros(table.num_nodes, dtype=np.int64)
+        self._exposed_count = np.zeros(table.num_nodes, dtype=np.int64)
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    # ------------------------------------------------------------------
-    # Storage hooks (overridden by array-backed states)
-    # ------------------------------------------------------------------
-    def _known_sensor(self, sensor_id: int) -> bool:
-        return sensor_id in self._rings
+    def _check_sensor(self, sensor_id: int) -> None:
+        if not 1 <= sensor_id < self._table.num_nodes:
+            raise RevocationError(f"unknown sensor {sensor_id}")
 
-    def _ring_of(self, sensor_id: int) -> Sequence[int]:
-        """This sensor's sorted ring indices (Python ints)."""
-        return self._rings[sensor_id]
-
-    def _holder_ids(self, index: int) -> Sequence[int]:
+    def _holder_ids(self, index: int) -> List[int]:
         """Ascending sensor ids holding pool key ``index``."""
-        return self._holders.get(index, ())
-
-    def _bump(self, sensors: Iterable[int], exposed: bool) -> None:
-        """Count one revoked (and possibly exposed) key against each
-        holder; ids are distinct within one call."""
-        for sensor in sensors:
-            self._revoked_count[sensor] += 1
-            if exposed:
-                self._exposed_count[sensor] += 1
-
-    def _revoked_count_of(self, sensor_id: int) -> int:
-        return self._revoked_count[sensor_id]
-
-    def _exposed_count_of(self, sensor_id: int) -> int:
-        return self._exposed_count[sensor_id]
-
-    def _due_sensors(self) -> List[int]:
-        """Unrevoked sensors at/over θ by exposed count, in deployment
-        order (registry-built states enumerate sensors ascending)."""
-        return [
-            sensor
-            for sensor, count in self._exposed_count.items()
-            if count >= self.theta and sensor not in self._revoked_sensors
-        ]
+        if not 0 <= index < self._table.pool_size:
+            return []
+        if self._csr is None:
+            flat = self._table.rows.ravel()
+            order = np.argsort(flat, kind="stable")
+            # Stable sort keeps equal keys in row order: ascending ids.
+            holders = (order // max(1, self._table.ring_size) + 1).astype(np.int32)
+            indptr = np.searchsorted(flat[order], np.arange(self._table.pool_size + 1))
+            self._csr = (indptr, holders)
+        indptr, holders = self._csr
+        return holders[int(indptr[index]):int(indptr[index + 1])].tolist()
 
     # ------------------------------------------------------------------
     # Queries
@@ -151,16 +121,14 @@ class RevocationState:
 
     def revoked_ring_count(self, sensor_id: int) -> int:
         """How many of this sensor's ring keys are currently revoked."""
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
-        return self._revoked_count_of(sensor_id)
+        self._check_sensor(sensor_id)
+        return int(self._revoked_count[sensor_id])
 
     def exposed_ring_count(self, sensor_id: int) -> int:
         """How many of this sensor's ring keys were individually exposed
         (the count the θ rule uses under no-cascade semantics)."""
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
-        return self._exposed_count_of(sensor_id)
+        self._check_sensor(sensor_id)
+        return int(self._exposed_count[sensor_id])
 
     def holders_of(self, index: int) -> Tuple[int, ...]:
         """Sorted sensor ids holding pool key ``index`` (revoked or not)."""
@@ -173,8 +141,11 @@ class RevocationState:
         """Revoke one pool key; apply the θ rule.  Idempotent.
 
         Returns the list of events this action produced (possibly empty
-        when the key was already revoked).
+        when the key was already revoked).  An index outside the pool is
+        rejected: nobody holds it, so it could only pad the log.
         """
+        if not 0 <= index < self._table.pool_size:
+            raise RevocationError(f"pool key {index} outside the pool")
         if index in self._revoked_keys:
             return []
         events = [RevocationEvent(kind="key", target=index, reason=reason)]
@@ -194,8 +165,7 @@ class RevocationState:
         Idempotent.  The induced key revocations trigger further sensor
         revocations only under ``cascade=True``.
         """
-        if not self._known_sensor(sensor_id):
-            raise RevocationError(f"unknown sensor {sensor_id}")
+        self._check_sensor(sensor_id)
         if sensor_id in self._revoked_sensors:
             return []
         events = self._revoke_sensor_direct(sensor_id, reason, triggered_by_key)
@@ -217,7 +187,7 @@ class RevocationState:
         self._revoked_sensors.add(sensor_id)
         self.log.append(event)
         events = [event]
-        for index in self._ring_of(sensor_id):
+        for index in self._table.row_list(sensor_id):
             if index not in self._revoked_keys:
                 key_event = RevocationEvent(
                     kind="key", target=index, reason=f"ring of sensor {sensor_id}"
@@ -228,8 +198,19 @@ class RevocationState:
         return events
 
     def _apply_key(self, index: int, exposed: bool) -> None:
+        """Mark a key revoked and count it against each holder's ring
+        (callers append the log entry)."""
         self._revoked_keys.add(index)
-        self._bump(self._holder_ids(index), exposed)
+        holders = self._holder_ids(index)
+        if holders:
+            self._revoked_count[holders] += 1
+            if exposed:
+                self._exposed_count[holders] += 1
+
+    def _due_sensors(self) -> List[int]:
+        """Unrevoked sensors at/over θ by exposed count, ascending."""
+        due = np.nonzero(self._exposed_count >= self.theta)[0]
+        return [s for s in due.tolist() if s not in self._revoked_sensors]
 
     def _run_threshold(self, trigger_key: Optional[int]) -> List[RevocationEvent]:
         """Revoke every sensor whose *exposed* count is at/over θ.

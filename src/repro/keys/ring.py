@@ -7,16 +7,11 @@ the paper leans on for cheap bulk revocation: "To revoke all of A's edge
 keys, the base station only needs to announce the associated random seed
 used for the selection" (Section VI-A).
 
-Two storage backends share the :class:`KeyRing` API:
-
-* the **object** backend materializes the sorted index tuple and a
-  frozenset per ring (explicit-ring schemes, and rings built directly);
-* the **table** backend defers to a shared
-  :class:`repro.keys.soa.RingTable` row — one ``int32`` array row per
-  sensor instead of ~3 KB of boxed Python ints — and answers membership
-  by binary search.  Every Eschenauer–Gligor registry uses it; the
-  values it returns are byte-identical to the object backend by
-  construction.
+A registry's rings defer to its shared :class:`repro.keys.soa.RingTable`
+— one ``int32`` array row per sensor instead of ~3 KB of boxed Python
+ints — and answer membership by binary search.  A ring built directly
+from a seed, with no table, expands the seed itself and keeps the sorted
+index tuple: the row an Eschenauer–Gligor table holds for that seed.
 """
 
 from __future__ import annotations
@@ -92,25 +87,19 @@ class KeyRing:
         sensor_id: int,
         seed: bytes,
         pool: KeyPool,
-        indices: "Tuple[int, ...] | None" = None,
         table=None,
     ) -> None:
         self.sensor_id = sensor_id
         self.seed = seed
         self._pool = pool
         # ``table`` points this ring at a shared RingTable row instead of
-        # materializing per-ring containers; explicit ``indices`` support
-        # deterministic schemes (e.g. pairwise, see repro.keys.schemes);
-        # the default is the seed-derived Eschenauer–Gligor draw.
-        self._table = table if indices is None else None
+        # materializing per-ring containers; without one, the ring is
+        # the seed-derived Eschenauer–Gligor draw.
+        self._table = table
         self._indices: Optional[Tuple[int, ...]] = None
         self._index_set: Optional[FrozenSet[int]] = None
-        if self._table is None:
-            self._indices = (
-                tuple(sorted(indices))
-                if indices is not None
-                else tuple(ring_indices_from_seed(seed, pool.config))
-            )
+        if table is None:
+            self._indices = tuple(ring_indices_from_seed(seed, pool.config))
             self._index_set = frozenset(self._indices)
 
     @property

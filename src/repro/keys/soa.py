@@ -1,4 +1,4 @@
-"""Struct-of-arrays key storage for large deployments.
+"""Struct-of-arrays key storage: one ring table per deployment.
 
 At 10k nodes the profile of a single execution was dominated not by
 crypto but by *containers*: per-sensor index tuples and frozensets
@@ -8,31 +8,28 @@ module replaces all of them with one shared table:
 
 * :class:`RingTable` — every ring as one ``int32`` row of a single
   ``(num_sensors, ring_size)`` array (4 bytes per held key instead of
-  ~90), built region-sharded across fork workers, each region's rings
-  drawn in one batch by :func:`repro.crypto.prf.sample_distinct_rows`;
-* :class:`RingTableRevocationState` — the θ-threshold algorithm of
-  :class:`repro.keys.revocation.RevocationState` over ``int32`` counter
-  arrays and a lazily-built CSR holder index;
+  ~90).  Eschenauer–Gligor rows are built region-sharded across fork
+  workers, each region's rings drawn in one batch by
+  :func:`repro.crypto.prf.sample_distinct_rows`;
+  :meth:`RingTable.from_rows` takes a scheme's explicit rows instead
+  (the pairwise scheme, :mod:`repro.keys.schemes`);
 * :class:`LazyRingMap` / :class:`LazySensorKeyMaterial` — the public
   ``registry.rings`` / deployment-material API, materializing per-sensor
   objects only when something actually asks for them (adversary loot,
   pinpoint protocols, tests).
 
-Everything here is a *storage* change, not a semantics change: rows hold
-exactly the indices :func:`repro.crypto.prf.sample_distinct_indices`
-draws (the batch sampler replays it bit for bit), intersections return
-exactly the tuples the frozenset path returns, and the revocation
-subclass overrides only the storage hooks of the shared algorithm, so
-event logs match entry for entry.  The registry builds on this table
-for every Eschenauer–Gligor deployment, caches on or off; the
-per-object dict backend serves only schemes that supply explicit rings
-(``tests/test_soa.py`` compares the two).
+:class:`repro.keys.revocation.RevocationState` keeps its counters and
+holder index over the same table.  Rows hold exactly the indices
+:func:`repro.crypto.prf.sample_distinct_indices` draws (the batch
+sampler replays it bit for bit), and intersections return exactly the
+tuples a frozenset intersection would.  Every registry builds on this
+table, whatever the key scheme, caches on or off.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +38,6 @@ from ..crypto.prf import derive_key, sample_distinct_rows
 from ..errors import KeyManagementError
 from ..perf.shard import fork_map, regions, shard_count
 from .pool import KeyPool
-from .revocation import RevocationState
 from .ring import KeyRing, ring_caches_fit, ring_indices_from_seed, ring_seed
 
 #: Read-only state handed to edge-key fork workers by copy-on-write
@@ -100,13 +96,37 @@ class RingTable:
     """
 
     def __init__(self, master_secret: bytes, num_nodes: int, config: KeyConfig) -> None:
-        self.master_secret = master_secret
         self.num_nodes = num_nodes
         self.pool_size = config.pool_size
         self.ring_size = config.ring_size
-        self.rows = self._build_rows(num_nodes - 1, config)
+        self.rows = self._build_rows(master_secret, num_nodes - 1, config)
 
-    def _build_rows(self, num_sensors: int, config: KeyConfig) -> np.ndarray:
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], pool_size: int) -> "RingTable":
+        """A table over explicit rings: ``rows[s - 1]`` is sensor ``s``'s.
+
+        Every ring must have the same length and hold distinct indices
+        inside the pool; each row is stored sorted.
+        """
+        try:
+            array = np.array(rows, dtype=np.int64)
+        except ValueError as exc:
+            raise KeyManagementError("explicit rings must all have one length") from exc
+        if array.ndim != 2 or array.shape[0] == 0:
+            raise KeyManagementError("explicit rings must be a non-empty list of rows")
+        array.sort(axis=1)
+        if array.size and (array[:, 0].min() < 0 or array[:, -1].max() >= pool_size):
+            raise KeyManagementError(f"explicit ring index outside pool [0, {pool_size})")
+        if (np.diff(array, axis=1) == 0).any():
+            raise KeyManagementError("explicit ring holds a pool index twice")
+        table = cls.__new__(cls)
+        table.num_nodes = array.shape[0] + 1
+        table.pool_size = pool_size
+        table.ring_size = array.shape[1]
+        table.rows = array.astype(np.int32)
+        return table
+
+    def _build_rows(self, master_secret: bytes, num_sensors: int, config: KeyConfig) -> np.ndarray:
         if num_sensors <= 0:
             return np.empty((0, self.ring_size), dtype=np.int32)
         if ring_caches_fit(num_sensors):
@@ -114,7 +134,7 @@ class RingTable:
             # Monte-Carlo rebuilds of the same master secret still hit.
             out = np.empty((num_sensors, self.ring_size), dtype=np.int32)
             for sensor_id in range(1, num_sensors + 1):
-                seed = ring_seed(self.master_secret, sensor_id)
+                seed = ring_seed(master_secret, sensor_id)
                 out[sensor_id - 1] = ring_indices_from_seed(seed, config)
             return out
         # Large deployment: bypass the caches (every lookup would be a
@@ -124,7 +144,7 @@ class RingTable:
         chunks = fork_map(
             _ring_rows_region,
             [
-                (self.master_secret, self.pool_size, self.ring_size, start + 1, stop + 1)
+                (master_secret, self.pool_size, self.ring_size, start + 1, stop + 1)
                 for start, stop in parts
             ],
             shards,
@@ -143,9 +163,6 @@ class RingTable:
     def row_list(self, sensor_id: int) -> List[int]:
         """This sensor's sorted ring indices as Python ints."""
         return self._row(sensor_id).tolist()
-
-    def rows_flat(self) -> np.ndarray:
-        return self.rows.ravel()
 
     def holds(self, sensor_id: int, pool_index: int) -> bool:
         row = self._row(sensor_id)
@@ -187,76 +204,6 @@ class RingTable:
         finally:
             _EDGE_STATE = None
         return np.frombuffer(b"".join(chunks), dtype=np.int32).copy()
-
-
-class RingTableRevocationState(RevocationState):
-    """The θ-threshold algorithm over shared ``int32`` storage.
-
-    Only the storage hooks of :class:`RevocationState` are overridden —
-    rings come from the table rows, per-sensor counters live in flat
-    arrays, and the inverted holder index is a CSR built lazily on the
-    first revocation (honest large-scale runs never pay for it).  Event
-    logs are identical to the dict backend's.
-    """
-
-    def __init__(
-        self, table: RingTable, theta: Optional[int] = None, cascade: bool = False
-    ) -> None:
-        self._init_scalars(theta, cascade)
-        self._table = table
-        self._revoked_arr = np.zeros(table.num_nodes, dtype=np.int64)
-        self._exposed_arr = np.zeros(table.num_nodes, dtype=np.int64)
-        self._csr: "Optional[Tuple[np.ndarray, np.ndarray]]" = None
-
-    def _ensure_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            flat = self._table.rows_flat()
-            order = np.argsort(flat, kind="stable")
-            sorted_keys = flat[order]
-            # Stable sort keeps equal keys in row order, i.e. ascending
-            # sensor ids — the order the dict backend's sorted holder
-            # lists expose.
-            holders = (order // max(1, self._table.ring_size) + 1).astype(np.int32)
-            indptr = np.searchsorted(
-                sorted_keys, np.arange(self._table.pool_size + 1)
-            )
-            self._csr = (indptr, holders)
-        return self._csr
-
-    # Storage hooks ----------------------------------------------------
-    def _known_sensor(self, sensor_id: int) -> bool:
-        return 1 <= sensor_id < self._table.num_nodes
-
-    def _ring_of(self, sensor_id: int) -> Sequence[int]:
-        return self._table.row_list(sensor_id)
-
-    def _holder_ids(self, index: int) -> Sequence[int]:
-        if not 0 <= index < self._table.pool_size:
-            return ()
-        indptr, holders = self._ensure_csr()
-        lo, hi = int(indptr[index]), int(indptr[index + 1])
-        return tuple(holders[lo:hi].tolist())
-
-    def _bump(self, sensors: Iterable[int], exposed: bool) -> None:
-        ids = list(sensors)
-        if not ids:
-            return
-        self._revoked_arr[ids] += 1
-        if exposed:
-            self._exposed_arr[ids] += 1
-
-    def _revoked_count_of(self, sensor_id: int) -> int:
-        return int(self._revoked_arr[sensor_id])
-
-    def _exposed_count_of(self, sensor_id: int) -> int:
-        return int(self._exposed_arr[sensor_id])
-
-    def _due_sensors(self) -> List[int]:
-        # Ascending, matching the dict backend's insertion order for
-        # registry-built states; slot 0 (base station) never trips the
-        # rule because nothing ever counts against it.
-        due = np.nonzero(self._exposed_arr >= self.theta)[0]
-        return [int(s) for s in due.tolist() if s not in self._revoked_sensors]
 
 
 class LazyRingMap(Mapping):
@@ -301,8 +248,7 @@ class LazyRingMap(Mapping):
 class LazySensorKeyMaterial:
     """Deployment material served from the shared table.
 
-    API-compatible with :class:`repro.keys.registry.SensorKeyMaterial`
-    but stores nothing per sensor beyond the memoized sensor key: ring
+    Stores nothing per sensor beyond the memoized sensor key: ring
     indices come from the table row and key bytes from the pool PRF on
     demand.  ``all_keys`` still returns the full loot dict (what an
     adversary extracts from a captured node) — built per call.

@@ -961,12 +961,13 @@ class _SecureTopologyView:
         # Transient (a < b) edge -> current-key map feeding the CSR fill
         # below; freed when __init__ returns.
         edge_key: Dict[Tuple[int, int], Optional[int]] = {}
-        table = getattr(registry, "ring_table", None)
-        if table is not None and registry.revocation_epoch == 0 and edges:
+        if registry.revocation_epoch == 0 and edges:
             # Nothing revoked yet: every edge key is the epoch-zero
             # first-shared index, computed in bulk over region-sharded
             # fork workers instead of one ring intersection per edge.
-            bulk = table.edge_keys([e[0] for e in edges], [e[1] for e in edges])
+            bulk = registry.ring_table.edge_keys(
+                [e[0] for e in edges], [e[1] for e in edges]
+            )
             for edge, index in zip(edges, bulk.tolist()):
                 edge_key[edge] = None if index < 0 else index
         else:

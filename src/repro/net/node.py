@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..crypto.authenticated_broadcast import BroadcastVerifier
-from ..keys.registry import SensorKeyMaterial
+from ..keys.soa import LazySensorKeyMaterial
 from ..sim.clock import LocalClock
 from .message import ReadingMessage, VetoMessage, message_digest
 
@@ -202,7 +202,7 @@ class HonestNode:
     def __init__(
         self,
         node_id: int,
-        material: SensorKeyMaterial,
+        material: LazySensorKeyMaterial,
         clock: LocalClock,
         broadcast_anchor: bytes,
         columns,

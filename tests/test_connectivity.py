@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
+from collections import deque
+
 import pytest
 
+from repro import build_deployment
 from repro.analysis import link_survival_probability, revocation_sweep
 from repro.config import ExperimentConfig, KeyConfig, ProtocolConfig
 from repro.errors import ConfigError
@@ -35,7 +40,46 @@ class TestLinkSurvival:
             link_survival_probability(KeyConfig(), 1.5)
 
 
+def _bfs_connected_share(num_nodes, fraction, config, trials, seed):
+    """Ground truth for the sweep: revoke the same keys on the same
+    deployments through the registry, then BFS over ``link_usable``."""
+    total = 0.0
+    pool_size = config.keys.pool_size
+    for trial in range(trials):
+        deployment = build_deployment(
+            num_nodes=num_nodes, seed=seed + 1000 * trial, config=config
+        )
+        registry = deployment.registry
+        registry.revocation.theta = None
+        order = list(range(pool_size))
+        random.Random(("connectivity", seed, trial).__repr__()).shuffle(order)
+        for index in order[: math.ceil(fraction * pool_size)]:
+            registry.revoke_key(index)
+        reached = {0}
+        frontier = deque([0])
+        while frontier:
+            node = frontier.popleft()
+            for other in deployment.topology.neighbors(node):
+                if other not in reached and registry.link_usable(node, other):
+                    reached.add(other)
+                    frontier.append(other)
+        total += (len(reached) - 1) / len(deployment.network.nodes)
+    return total / trials
+
+
 class TestRevocationSweep:
+    def test_sweep_matches_link_usable_ground_truth(self):
+        # Sparse rings so 90% revocation really cuts links; the sweep
+        # must see every revoked key, not the epoch-0 secure view.
+        config = ExperimentConfig(
+            keys=KeyConfig(pool_size=1_000, ring_size=60),
+            protocol=ProtocolConfig(depth_bound=12),
+        )
+        series = revocation_sweep(60, [0.9], config=config, trials=2, seed=0)
+        truth = _bfs_connected_share(60, 0.9, config, trials=2, seed=0)
+        assert truth < 0.95
+        assert series.connected_share[0.9] == pytest.approx(truth)
+
     def test_sweep_shape(self):
         config = ExperimentConfig(
             keys=KeyConfig(pool_size=500, ring_size=50),

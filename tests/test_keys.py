@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KeyConfig, RevocationConfig
-from repro.errors import KeyManagementError
+from repro.errors import KeyManagementError, RevocationError
 from repro.keys import KeyPool, KeyRegistry, KeyRing, ring_seed
 
 CFG = KeyConfig(pool_size=200, ring_size=40)
@@ -118,10 +118,19 @@ class TestKeyRegistry:
         assert not registry.link_usable(1, 2)
 
     def test_link_unusable_when_all_shared_keys_revoked(self, registry):
+        registry.revocation.theta = None  # bypass θ noise
         for index in registry.shared_key_indices(0, 1):
-            registry.revocation._apply_key(index, exposed=False)  # bypass θ noise
+            registry.revoke_key(index)
         assert registry.edge_key_index(0, 1) is None
         assert not registry.link_usable(0, 1)
+
+    def test_revoke_key_outside_pool_rejected(self, registry):
+        for index in (-1, CFG.pool_size, 10**9):
+            with pytest.raises(RevocationError):
+                registry.revoke_key(index)
+            assert registry.holders(index) == ()
+        assert registry.revocation_epoch == 0
+        assert registry.revoked_keys == frozenset()
 
     def test_no_edge_key_with_self(self, registry):
         with pytest.raises(KeyManagementError):

@@ -91,8 +91,9 @@ class TestRingBinarySearch:
 
     def test_empty_domain_returns_none(self, pinpointer):
         dep, pin = pinpointer
+        dep.registry.revocation.theta = None  # keep sensor 3 itself unrevoked
         for index in dep.registry.ring(3).indices:
-            dep.registry.revocation._apply_key(index, exposed=False)
+            dep.registry.revoke_key(index)
         script(pin, lambda ref, p: True)
         assert pin._ring_binary_search(
             3, lambda low, high: AggForwarded(1, 5.0, low, high)

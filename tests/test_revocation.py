@@ -7,10 +7,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RevocationError
 from repro.keys.revocation import RevocationState
+from repro.keys.soa import RingTable
+
+#: Padding keys start here: each belongs to one sensor only and no test
+#: revokes one individually (revoking that sensor dumps them with its ring).
+PAD_BASE = 1000
 
 
 def make_state(rings, theta=None, cascade=False):
-    return RevocationState(rings, theta=theta, cascade=cascade)
+    """State over ``{sensor: ring}`` for sensors ``1..n``.
+
+    Rings shorter than the longest are padded to one length with keys
+    only that sensor holds.  The pool covers every index below
+    ``PAD_BASE`` plus the padding.
+    """
+    width = max(len(ring) for ring in rings.values())
+    rows = [
+        list(rings[sensor])
+        + [PAD_BASE + width * sensor + j for j in range(width - len(rings[sensor]))]
+        for sensor in range(1, len(rings) + 1)
+    ]
+    pool_size = PAD_BASE + width * (len(rings) + 1)
+    return RevocationState(RingTable.from_rows(rows, pool_size), theta=theta, cascade=cascade)
 
 
 class TestBasicRevocation:
@@ -58,6 +76,21 @@ class TestBasicRevocation:
         state.revoke_sensor(1, reason="test-b")
         reasons = [e.reason for e in state.log]
         assert "test-a" in reasons and "test-b" in reasons
+
+
+    def test_key_outside_pool_rejected(self):
+        state = make_state({1: [10, 11]})
+        for index in (-1, 2 * PAD_BASE, 10**9):
+            with pytest.raises(RevocationError):
+                state.revoke_key(index)
+            assert state.holders_of(index) == ()
+        assert state.log == [] and state.revoked_keys == frozenset()
+
+    def test_padding_keys_belong_to_one_sensor(self):
+        state = make_state({1: [10, 11, 12], 2: [12]})
+        pads = [k for k in range(PAD_BASE, PAD_BASE + 10) if state.holders_of(k)]
+        assert [state.holders_of(k) for k in pads] == [(2,), (2,)]
+        assert state.revoked_ring_count(2) == 0
 
 
 class TestThresholdRule:
@@ -151,9 +184,10 @@ class TestRevocationProperties:
         """After any sequence of key revocations, every unrevoked sensor
         is strictly below θ *unless* it crossed only via ring-induced
         revocations (no-cascade semantics)."""
+        length = data.draw(st.integers(1, 8))
         rings = {
             sensor: data.draw(
-                st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True)
+                st.lists(st.integers(0, 30), min_size=length, max_size=length, unique=True)
             )
             for sensor in range(1, 6)
         }

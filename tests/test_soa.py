@@ -29,7 +29,8 @@ from repro.crypto import prf
 from repro.errors import ConfigError, CryptoError
 from repro.faults import Duplicate, FaultInjector, FaultPlan
 from repro.keys.ring import ring_caches_fit, ring_indices_from_seed, ring_seed
-from repro.keys.soa import RingTable, RingTableRevocationState
+from repro.keys.revocation import RevocationState
+from repro.keys.soa import RingTable
 from repro.net.node import HonestNode
 from repro.net.soa import SoATransport
 from repro.perf.cache import (
@@ -321,6 +322,24 @@ class TestRingTable:
                 expected = shared[0] if shared else -1
             assert bulk[position] == expected
 
+    def test_explicit_rows_sorted_and_validated(self):
+        from repro.errors import KeyManagementError
+
+        table = RingTable.from_rows([(4, 0, 2), (5, 2, 3)], pool_size=6)
+        assert (table.num_nodes, table.ring_size, table.pool_size) == (3, 3, 6)
+        assert table.row_list(1) == [0, 2, 4] and table.row_list(2) == [2, 3, 5]
+        assert table.intersect(1, 2) == (2,)
+        assert table.edge_keys([0, 1], [2, 2]).tolist() == [2, 2]
+        for rows, message in (
+            ([(0, 1), (2,)], "one length"),
+            ([], "non-empty"),
+            ([(0, 6)], "outside pool"),
+            ([(-1, 2)], "outside pool"),
+            ([(1, 1)], "twice"),
+        ):
+            with pytest.raises(KeyManagementError, match=message):
+                RingTable.from_rows(rows, pool_size=6)
+
 
 # ----------------------------------------------------------------------
 # Whole-table oracle: row bytes of the large-build (region) path
@@ -517,7 +536,7 @@ class TestRevocationParity:
     def _state(self, theta, cascade):
         config = small_test_config(pool_size=60, ring_size=12).keys
         table = RingTable(b"revocation-parity", num_nodes=10, config=config)
-        return table, RingTableRevocationState(table, theta=theta, cascade=cascade)
+        return table, RevocationState(table, theta=theta, cascade=cascade)
 
     @pytest.mark.parametrize("cascade", [False, True])
     def test_event_logs_identical(self, cascade):
@@ -614,7 +633,7 @@ def _assert_column_kernel(network):
     assert all(node._columns is network.node_columns for node in nodes)
     assert type(network.new_phase("probe", 1).transport) is SoATransport
     assert network.registry.ring_table is not None
-    assert isinstance(network.registry.revocation, RingTableRevocationState)
+    assert isinstance(network.registry.revocation, RevocationState)
 
 
 class TestColumnGating:
@@ -746,7 +765,7 @@ class TestBackendSelection:
             seed=1,
         )
         assert deployment.registry.ring_table is not None
-        assert isinstance(deployment.registry.revocation, RingTableRevocationState)
+        assert isinstance(deployment.registry.revocation, RevocationState)
 
     def test_disabled_build_uses_table_backend(self):
         # The registry backend follows the ring source, not the caches.
@@ -759,8 +778,8 @@ class TestBackendSelection:
             _assert_column_kernel(deployment.network)
 
     def test_backends_agree_on_registry_api(self):
-        # The ring table vs the eager dict backend (what an explicit-ring
-        # scheme selects), fed the very same rings.
+        # Drawn rows vs the same rings supplied explicitly (the path an
+        # explicit-ring scheme takes).
         from repro.keys.registry import KeyRegistry
 
         keys = small_test_config(depth_bound=10).keys
@@ -769,7 +788,6 @@ class TestBackendSelection:
         explicit = KeyRegistry(
             b"backend-parity", 6, keys, ring_indices_factory=rings.__getitem__
         )
-        assert table.ring_table is not None and explicit.ring_table is None
         for sensor in range(1, 6):
             assert table.ring(sensor).indices == explicit.ring(sensor).indices
             table_mat = table.sensor_deployment_material(sensor)
