@@ -1,12 +1,38 @@
-"""Struct-of-arrays frame store for the interval hot path.
+"""The column frame store behind :class:`~repro.net.network.PhaseContext`.
 
-:class:`SimTransport` keeps one Python list of :class:`Delivery` objects
-per (interval, receiver) — at 100k nodes that is hundreds of thousands
-of lists and millions of object headers per phase.  :class:`SoATransport`
-stores the same frames as four flat append-only columns per interval
-(receiver id, edge-key index, batch index, transmit-time verdict) plus
-one shared list of :class:`_SendBatch` objects, and materializes
-``Delivery`` objects *per read*:
+Transport contract (what ``PhaseContext`` relies on):
+
+* ``deposit_send(interval, batch, receivers, key_indices, verdicts)``
+  appends the frames of one ``PhaseContext.send``: row ``i`` is a frame
+  of ``batch`` (the broadcast's shared :class:`~repro.net.network._SendBatch`)
+  for ``receivers[i]`` under edge key ``key_indices[i]``, with
+  transmit-time verdict ``verdicts[i]`` (true: accepted pending the MAC,
+  false: rejected).  A fault-injected duplicate is a repeated row right
+  after its original.  Deposit order **is** protocol semantics: honest
+  logic adopts the first verified beacon/veto in inbox order, so a
+  transport must present frames in exactly the order of these rows,
+  send after send.
+* ``frames(interval, receiver)`` returns a fresh list of that inbox (the
+  caller may filter/slice it freely).
+* ``arrivals(interval)`` returns a read-only mapping
+  ``receiver -> frames`` for cheap emptiness tests; callers treat it as
+  frozen.
+
+The readability gates (an inbox is visible only once its interval has
+begun) stay in ``PhaseContext`` — transports store and order frames,
+they do not police phase time.
+
+:class:`SoATransport` is the one store.  Every inline run uses it, and
+the service coordinator's mirror (:mod:`repro.service.runtime`)
+subclasses it: frames decoded off the wire go in as ordinary rows.  A
+node host substitutes its own envelope-sorted buckets through
+``Network.transport_factory``.  The store keeps four flat append-only
+columns per interval (receiver id, edge-key index, batch index,
+transmit-time verdict) plus one shared list of :class:`_SendBatch`
+objects — not one Python list of ``Delivery`` objects per receiver,
+which at 100k nodes is hundreds of thousands of lists and millions of
+object headers per phase — and materializes ``Delivery`` objects *per
+read*:
 
 * **Deposit order is protocol semantics** (first verified beacon/veto in
   inbox order), so reads group the receiver column with a *stable*
@@ -37,23 +63,20 @@ cover every id below the transport's ``num_ids`` (every node id of the
 topology); a receiver outside it is an error, not something a region
 silently absorbs.
 
-**One write per send.**  :meth:`SoATransport.deposit_send` takes the
-rows of one :meth:`~repro.net.network.PhaseContext.send` and appends
-them with one ``extend`` per column when they fall in one region (always,
-for a single-region store), row by row into their regions otherwise.
+**One write per send.**  :meth:`SoATransport.deposit_send` appends the
+rows of one :meth:`~repro.net.network.PhaseContext.send` with one
+``extend`` per column when they fall in one region (always, for a
+single-region store), row by row into their regions otherwise.
 
 The verdict column holds the transmit-time precheck outcome: true rows
 materialize with ``verified=None`` (the lazy path — resolves ``True``
 unless an adversary materializes the MAC first) and false rows with
-``verified=False``, exactly the two ``Delivery`` forms
-:meth:`~repro.net.transport.SimTransport.deposit_send` builds per row.
-:class:`~repro.net.network.PhaseContext` installs this store for every
-inline run — honest, attacked or traced, caches on or off; only a
-transport factory (the service runtime) substitutes another.
+``verified=False``.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence
@@ -61,7 +84,9 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..perf.shard import delivery_region_geometry
-from .transport import _EMPTY_ARRIVALS, _delivery_class
+
+#: Shared empty arrival map (never mutated; see ``arrivals``).
+_EMPTY_ARRIVALS: Mapping = {}
 
 
 class _RegionColumns:
@@ -150,9 +175,12 @@ class SoATransport:
     """Column frame store: the transport contract's reads
     (``frames``/``arrivals``) over column deposits."""
 
-    __slots__ = ("_stores", "_batches", "_region_size", "_num_regions")
+    __slots__ = ("_stores", "_batches", "_region_size", "_num_regions", "_delivery")
 
     def __init__(self, num_ids: int) -> None:
+        from .network import Delivery  # network.py imports this module at load
+
+        self._delivery = Delivery
         self._stores: Dict[int, _IntervalStore] = {}
         self._batches: List[object] = []
         self._region_size, self._num_regions = delivery_region_geometry(num_ids)
@@ -203,7 +231,7 @@ class SoATransport:
     def _materialize(
         self, columns: _RegionColumns, rows: np.ndarray, receiver: int, interval: int
     ) -> List[object]:
-        delivery_cls = _delivery_class()
+        delivery_cls = self._delivery
         batches = self._batches
         keys = columns.keys
         batch_ids = columns.batch_ids
@@ -231,12 +259,12 @@ class SoATransport:
 class _SoAArrivals(Mapping):
     """Read-only ``receiver -> frames`` view over one interval store.
 
-    Iteration is ascending by receiver id (every consumer sorts anyway;
-    :class:`~repro.net.transport.SimTransport` iterates in first-deposit
-    order, which no code path observes): regions are ascending
-    contiguous id ranges, so
-    walking regions in order and sorting within each yields the global
-    sorted order.  ``__getitem__`` materializes frames on demand.
+    Iteration is ascending by receiver id: regions are ascending
+    contiguous id ranges, so walking regions in order and sorting within
+    each yields the global sorted order.  Keys are normalized with
+    ``operator.index``, so any integer type (``numpy.int64`` included)
+    finds its receiver and anything else is simply absent.
+    ``__getitem__`` materializes frames on demand.
     """
 
     __slots__ = ("_transport", "_interval", "_store")
@@ -246,20 +274,30 @@ class _SoAArrivals(Mapping):
         self._interval = interval
         self._store = store
 
-    def __getitem__(self, receiver: int) -> List[object]:
+    def _rows(self, receiver: object):
+        """``(receiver, columns, rows)`` for a receiver with frames, else
+        ``None``."""
+        try:
+            receiver = operator.index(receiver)
+        except TypeError:
+            return None
+        if not 0 <= receiver < self._store.region_size * self._store.num_regions:
+            return None
         columns = self._store.peek_columns(receiver)
         if columns is None:
-            raise KeyError(receiver)
+            return None
         rows = columns.groups().get(receiver)
-        if rows is None:
+        return None if rows is None else (receiver, columns, rows)
+
+    def __getitem__(self, receiver: int) -> List[object]:
+        found = self._rows(receiver)
+        if found is None:
             raise KeyError(receiver)
+        receiver, columns, rows = found
         return self._transport._materialize(columns, rows, receiver, self._interval)
 
     def __contains__(self, receiver: object) -> bool:
-        if not isinstance(receiver, int):
-            return False
-        columns = self._store.peek_columns(receiver)
-        return columns is not None and receiver in columns.groups()
+        return self._rows(receiver) is not None
 
     def __iter__(self) -> Iterator[int]:
         for columns in self._store.region_iter():

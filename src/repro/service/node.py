@@ -49,7 +49,7 @@ from ..core.tree import TreeColumns
 from ..errors import ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
-from ..net.transport import SimTransport
+from ..net.network import Delivery
 from .resilience import (
     CHAOS_REFUSE_ENV,
     DEGRADE_HORIZON,
@@ -87,37 +87,44 @@ class ReplicaTransport:
         # delivered, and receivers keep exactly one copy.
         self._ingested: set = set()
 
-    # One send's rows become one ``deposit`` (and one envelope) per frame.
-    deposit_send = SimTransport.deposit_send
-
-    def deposit(self, interval, receiver, delivery) -> None:
+    def deposit_send(self, interval, batch, receivers, key_indices, verdicts) -> None:
+        """One envelope per row: every row is reported up, a hosted
+        receiver's also goes into its bucket, a peer-hosted one's is
+        shipped to that peer."""
         host = self.host
-        self._seq += 1
-        key = (1, delivery.sender, self._seq)
-        env = delivery_envelope(delivery, 1, delivery.sender, self._seq)
-        host.up_outbox.append(env)
-        if receiver in host.hosted_set:
-            bucket = self._buckets.setdefault(interval, {}).setdefault(receiver, [])
-            bucket.append((key, delivery))
-            return
-        peer = host.host_of.get(receiver)
-        if peer is not None and peer != host.host_index:
-            host.peer_outbox.setdefault(peer, []).append(env)
-        # Base-station / malicious receivers live on the coordinator; the
-        # up-report above is their delivery.
+        sender = batch.claimed_sender
+        for receiver, key_index, verdict in zip(receivers, key_indices, verdicts):
+            delivery = Delivery(
+                batch, receiver, key_index, interval, verified=None if verdict else False
+            )
+            self._seq += 1
+            env = delivery_envelope(delivery, 1, sender, self._seq)
+            host.up_outbox.append(env)
+            if receiver in host.hosted_set:
+                self._bucket(interval, receiver).append(((1, sender, self._seq), delivery))
+                continue
+            peer = host.host_of.get(receiver)
+            if peer is not None and peer != host.host_index:
+                host.peer_outbox.setdefault(peer, []).append(env)
+            # Base-station / malicious receivers live on the coordinator;
+            # the up-report above is their delivery.
 
     def ingest(self, env) -> None:
         if env in self._ingested:
             return
-        interval, receiver, key, delivery = ingest_envelope(self.phase, env)
+        interval, receiver, band, order, subseq, _sender, key_index, mac, _payload = env
+        batch, verified = ingest_envelope(self.phase, env)
         if receiver not in self.host.hosted_set:
             raise ServiceError(
                 f"host {self.host.host_index} received a frame for "
                 f"non-hosted sensor {receiver}"
             )
         self._ingested.add(env)
-        bucket = self._buckets.setdefault(interval, {}).setdefault(receiver, [])
-        bucket.append((key, delivery))
+        delivery = Delivery(batch, receiver, key_index, interval, edge_mac=mac, verified=verified)
+        self._bucket(interval, receiver).append(((band, order, subseq), delivery))
+
+    def _bucket(self, interval: int, receiver: int) -> List[tuple]:
+        return self._buckets.setdefault(interval, {}).setdefault(receiver, [])
 
     def _sorted(self, pairs: List[tuple]) -> List[object]:
         pairs.sort(key=lambda pair: pair[0])

@@ -46,7 +46,7 @@ from ..errors import ConfigError, HostChannelError, ProtocolError, ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
 from ..metrics import Metrics
-from ..net.transport import SimTransport
+from ..net.soa import SoATransport
 from .resilience import (
     DEGRADE_HORIZON,
     ControlTimeouts,
@@ -68,40 +68,46 @@ ATTACKS = {
 }
 
 
-class CoordinatorTransport(SimTransport):
+class CoordinatorTransport(SoATransport):
     """The coordinator's frame store: the full mirror, plus down-shipping.
 
-    Every deposit lands in the in-process store (so the base station and
-    the adversary read exactly what the simulator would have shown them);
-    deposits addressed to a *hosted* sensor are additionally queued for
+    Every deposit lands in the column store (so the base station and the
+    adversary read exactly what the simulator would have shown them);
+    rows addressed to a *hosted* sensor are additionally packed for
     shipment to that sensor's host on the next ``deliver``.
     """
 
     __slots__ = ("runtime", "phase")
 
     def __init__(self, runtime: "ServiceRuntime", phase) -> None:
-        super().__init__()
+        super().__init__(phase.network.topology.num_nodes)
         self.runtime = runtime
         self.phase = phase
 
-    def deposit(self, interval, receiver, delivery) -> None:
-        super().deposit(interval, receiver, delivery)
+    def deposit_send(self, interval, batch, receivers, key_indices, verdicts) -> None:
+        super().deposit_send(interval, batch, receivers, key_indices, verdicts)
         runtime = self.runtime
-        host = runtime.host_of.get(receiver)
-        if host is None:
-            return  # base station or malicious sensor: coordinator-local
         if interval > self.phase.current_interval or not runtime.tick_done:
             band = 0  # lands before the interval's honest sends
         else:
             band = 2  # post-tick (tree-phase adversary): after honest sends
-        runtime.order_counter += 1
-        env = delivery_envelope(delivery, band, runtime.order_counter, 0)
-        runtime.pending_ship.setdefault(host, []).append(env)
+        for receiver, key_index, verdict in zip(receivers, key_indices, verdicts):
+            host = runtime.host_of.get(receiver)
+            if host is None:
+                continue  # base station or malicious sensor: coordinator-local
+            runtime.order_counter += 1
+            delivery = self._delivery(
+                batch, receiver, key_index, interval, verified=None if verdict else False
+            )
+            env = delivery_envelope(delivery, band, runtime.order_counter, 0)
+            runtime.pending_ship.setdefault(host, []).append(env)
 
     def ingest(self, env) -> None:
-        """Fold one host-reported frame into the mirror (no re-shipping)."""
-        interval, receiver, _key, delivery = ingest_envelope(self.phase, env)
-        super().deposit(interval, receiver, delivery)
+        """Fold one host-reported frame into the mirror as one row (no
+        re-shipping)."""
+        interval, receiver, _band, _order, _subseq, _sender, key_index, _mac, _payload = env
+        batch, verified = ingest_envelope(self.phase, env)
+        super().deposit_send(interval, batch, (receiver,), (key_index,), (verified,))
 
 
 class _SyncingRegistry:

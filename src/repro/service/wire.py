@@ -78,20 +78,17 @@ def envelope_sort_key(env: Envelope) -> Tuple[int, int, int]:
     return (env[2], env[3], env[4])
 
 
-def ingest_envelope(
-    phase: PhaseContext, env: Envelope
-) -> Tuple[int, int, Tuple[int, int, int], Delivery]:
-    """Rebuild a :class:`Delivery` from an envelope on the receiving side.
+def ingest_envelope(phase: PhaseContext, env: Envelope) -> Tuple[_SendBatch, bool]:
+    """Decode an envelope on the receiving side: ``(batch, verified)``.
 
-    Returns ``(interval, receiver, sort_key, delivery)``.  The payload is
-    re-decoded from its canonical bytes, the canonical encoding check
-    guards against any decode/encode asymmetry, and ``verified`` is
-    recomputed locally from the shipped HMAC — the receiving process
-    trusts only the cryptography, not the sender's verdict.
+    The payload is re-decoded from its canonical bytes, the canonical
+    encoding check guards against any decode/encode asymmetry, and the
+    verdict is recomputed locally from the shipped HMAC — the receiving
+    process trusts only the cryptography, not the sender's verdict.
     """
     from ..net.framing import decode_payload
 
-    interval, receiver, band, order, subseq, sender, key_index, mac, payload_bytes = env
+    interval, receiver, _band, _order, _subseq, sender, key_index, mac, payload_bytes = env
     payload = decode_payload(payload_bytes)
     batch = _SendBatch(phase, sender, payload)
     if batch.payload_bytes != payload_bytes:
@@ -99,13 +96,9 @@ def ingest_envelope(
             f"frame payload re-encoding mismatch for sender {sender} -> "
             f"{receiver} in interval {interval}"
         )
-    network = phase.network
     message = batch.message_for(receiver, interval)
-    verified = network._accepts_message(receiver, key_index, mac, message)
-    delivery = Delivery(
-        batch, receiver, key_index, interval, edge_mac=mac, verified=verified
-    )
-    return interval, receiver, (band, order, subseq), delivery
+    verified = phase.network._accepts_message(receiver, key_index, mac, message)
+    return batch, verified
 
 
 # ----------------------------------------------------------------------

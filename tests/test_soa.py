@@ -174,6 +174,16 @@ class TestTransportOrder:
         assert 7 not in arrived
         with pytest.raises(KeyError):
             arrived[7]
+        # Membership follows the Mapping contract for any integer type.
+        assert np.int64(3) in arrived and np.int32(5) in arrived
+        assert [(d.sender, d.payload.hop_count) for d in arrived[np.int64(3)]] == (
+            self.REFERENCE_ORDERS[3]
+        )
+        assert np.int64(7) not in arrived
+        for absent in (-1, 8, 10**9, "3", 3.0, None):
+            assert absent not in arrived
+            with pytest.raises(KeyError):
+                arrived[absent]
 
     def test_multi_region_store_replays_reference_deposit_order(self, monkeypatch):
         # Force the region-partitioned store on an 8-id topology (3
