@@ -145,10 +145,15 @@ class _SendBatch:
     canonical bytes, its wire size, the claimed sender and its encoding,
     the per-interval ``encode_parts(interval, payload_bytes)`` suffix —
     is computed once here instead of once per frame.
+
+    A batch keeps the network and the phase's name, not the phase: the
+    phase's frame store holds its batches, so a back-reference would make
+    every phase a reference cycle that only the cyclic collector frees.
     """
 
     __slots__ = (
-        "phase",
+        "network",
+        "phase_name_encoded",
         "claimed_sender",
         "payload",
         "payload_bytes",
@@ -160,7 +165,8 @@ class _SendBatch:
     def __init__(
         self, phase: "PhaseContext", claimed_sender: int, payload: Payload
     ) -> None:
-        self.phase = phase
+        self.network = phase.network
+        self.phase_name_encoded = phase._name_encoded
         self.claimed_sender = claimed_sender
         self.payload = payload
         # One local broadcast, one canonical encoding: every receiver's
@@ -183,7 +189,7 @@ class _SendBatch:
             _EDGE_TAG_ENCODED
             + self.claimed_enc
             + _encode_id(receiver)
-            + self.phase._name_encoded
+            + self.phase_name_encoded
             + suffix
         )
 
@@ -231,7 +237,7 @@ class Delivery:
         mac = self._mac
         if mac is None:
             batch = self._batch
-            key = batch.phase.network.registry.pool_key(self.key_index)
+            key = batch.network.registry.pool_key(self.key_index)
             mac = compute_mac_message(
                 key, batch.message_for(self.receiver, self.interval)
             )
@@ -269,7 +275,7 @@ class Delivery:
                 # read it): verify for real, once per (edge key,
                 # payload) via the memo.
                 batch = self._batch
-                key = batch.phase.network.registry.pool_key(self.key_index)
+                key = batch.network.registry.pool_key(self.key_index)
                 memo_key = (key, batch.payload_bytes)
                 if memo_key in _VERIFIED_MACS_VIEW:
                     _VERIFIED_MACS.hits += 1

@@ -41,11 +41,12 @@ read*:
 * **Reads return fresh objects.**  Honest logic and audit records
   consume frame *values* (sender, payload, key, verdict), never object
   identity, so materializing a frame twice is indistinguishable from
-  reading the same object twice.  Fresh objects are also what keeps the
-  store safe under the bench harness's ``gc.disable()`` windows: nothing
-  here retains a ``Delivery`` (whose batch → phase → transport edge
-  would form an uncollectable cycle); frames die by refcount as soon as
-  the caller drops them.
+  reading the same object twice.  Fresh objects also keep the store
+  free of reference cycles, which matters under the bench harness's
+  ``gc.disable()`` windows: nothing here retains a ``Delivery``, and a
+  batch holds the network rather than the phase, so frames die by
+  refcount as soon as the caller drops them and a finished phase dies
+  with its store.
 
 **Sharded delivery fanout.**  Above
 :data:`~repro.perf.shard.DELIVERY_REGION_MIN_IDS` ids, each interval's

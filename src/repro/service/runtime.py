@@ -38,6 +38,7 @@ import dataclasses
 import json
 import socket
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,17 +78,19 @@ class CoordinatorTransport(SoATransport):
     shipment to that sensor's host on the next ``deliver``.
     """
 
-    __slots__ = ("runtime", "phase")
+    __slots__ = ("runtime", "_phase")
 
     def __init__(self, runtime: "ServiceRuntime", phase) -> None:
         super().__init__(phase.network.topology.num_nodes)
         self.runtime = runtime
-        self.phase = phase
+        # Weak: the phase owns this store, and a strong back-reference
+        # would leave every finished phase for the cyclic collector.
+        self._phase = weakref.ref(phase)
 
     def deposit_send(self, interval, batch, receivers, key_indices, verdicts) -> None:
         super().deposit_send(interval, batch, receivers, key_indices, verdicts)
         runtime = self.runtime
-        if interval > self.phase.current_interval or not runtime.tick_done:
+        if interval > self._phase().current_interval or not runtime.tick_done:
             band = 0  # lands before the interval's honest sends
         else:
             band = 2  # post-tick (tree-phase adversary): after honest sends
@@ -106,7 +109,7 @@ class CoordinatorTransport(SoATransport):
         """Fold one host-reported frame into the mirror as one row (no
         re-shipping)."""
         interval, receiver, _band, _order, _subseq, _sender, key_index, _mac, _payload = env
-        batch, verified = ingest_envelope(self.phase, env)
+        batch, verified = ingest_envelope(self._phase(), env)
         super().deposit_send(interval, batch, (receiver,), (key_index,), (verified,))
 
 

@@ -77,7 +77,6 @@ class TestBasicRevocation:
         reasons = [e.reason for e in state.log]
         assert "test-a" in reasons and "test-b" in reasons
 
-
     def test_key_outside_pool_rejected(self):
         state = make_state({1: [10, 11]})
         for index in (-1, 2 * PAD_BASE, 10**9):
@@ -85,12 +84,6 @@ class TestBasicRevocation:
                 state.revoke_key(index)
             assert state.holders_of(index) == ()
         assert state.log == [] and state.revoked_keys == frozenset()
-
-    def test_padding_keys_belong_to_one_sensor(self):
-        state = make_state({1: [10, 11, 12], 2: [12]})
-        pads = [k for k in range(PAD_BASE, PAD_BASE + 10) if state.holders_of(k)]
-        assert [state.holders_of(k) for k in pads] == [(2,), (2,)]
-        assert state.revoked_ring_count(2) == 0
 
 
 class TestThresholdRule:
