@@ -112,8 +112,8 @@ class RingTable:
             array = np.array(rows, dtype=np.int64)
         except ValueError as exc:
             raise KeyManagementError("explicit rings must all have one length") from exc
-        if array.ndim != 2 or array.shape[0] == 0:
-            raise KeyManagementError("explicit rings must be a non-empty list of rows")
+        if array.ndim != 2:
+            raise KeyManagementError("explicit rings must be a list of rows")
         array.sort(axis=1)
         if array.size and (array[:, 0].min() < 0 or array[:, -1].max() >= pool_size):
             raise KeyManagementError(f"explicit ring index outside pool [0, {pool_size})")

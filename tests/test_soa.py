@@ -342,7 +342,7 @@ class TestRingTable:
         assert table.edge_keys([0, 1], [2, 2]).tolist() == [2, 2]
         for rows, message in (
             ([(0, 1), (2,)], "one length"),
-            ([], "non-empty"),
+            ([], "list of rows"),
             ([(0, 6)], "outside pool"),
             ([(-1, 2)], "outside pool"),
             ([(1, 1)], "twice"),
