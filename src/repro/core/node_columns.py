@@ -1,10 +1,11 @@
 """Parallel per-node state columns behind the column kernel's node views.
 
 At 1M nodes the per-node scalar state — reading, tree level, the two
-one-time forward flags, the crash-suspected flag — costs far more as
-Python attributes (a boxed float, a boxed int-or-None and three bools
-per instance) than as five flat arrays keyed by node id.  This module
-holds exactly those five scalars as columns sized by the topology's
+one-time forward flags, the crash-suspected flag, the last verified
+broadcast index — costs far more as Python attributes (a boxed float,
+a boxed int-or-None, three bools and a verifier object per instance)
+than as six flat arrays keyed by node id.  This module
+holds exactly those six scalars as columns sized by the topology's
 contiguous id space (ids are ``range(num_nodes)``; row 0, the base
 station, is simply unused):
 
@@ -16,7 +17,12 @@ station, is simply unused):
   writes nothing else, and the hop-count baseline's raw (possibly
   forged, any-size) claims stay in the tree step's own columns;
 * ``forwarded_veto`` / ``forwarded_beacon`` / ``crash_suspected`` —
-  boolean columns.
+  boolean columns;
+* ``broadcast_index`` — ``int64``, the μTESLA chain index the sensor
+  last verified (0 = only the deployed anchor).  This is a sensor's
+  whole authenticated-broadcast state: the chain value at that index
+  is kept once by the network, whose floods advance the column
+  (:meth:`~repro.net.network.Network.authenticated_flood`).
 
 :class:`~repro.net.node.HonestNode` exposes each column cell through
 properties with plain Python types (``float``/``int``/``bool``/
@@ -40,7 +46,7 @@ _NO_LEVEL = int(np.iinfo(np.int32).min)
 
 
 class NodeColumns:
-    """Five per-node scalars as parallel arrays keyed by node id."""
+    """Six per-node scalars as parallel arrays keyed by node id."""
 
     __slots__ = (
         "reading",
@@ -48,6 +54,7 @@ class NodeColumns:
         "forwarded_veto",
         "forwarded_beacon",
         "crash_suspected",
+        "broadcast_index",
     )
 
     def __init__(self, num_ids: int) -> None:
@@ -56,6 +63,7 @@ class NodeColumns:
         self.forwarded_veto = np.zeros(num_ids, dtype=bool)
         self.forwarded_beacon = np.zeros(num_ids, dtype=bool)
         self.crash_suspected = np.zeros(num_ids, dtype=bool)
+        self.broadcast_index = np.zeros(num_ids, dtype=np.int64)
 
     def get_level(self, node_id: int) -> Optional[int]:
         level = int(self.level[node_id])

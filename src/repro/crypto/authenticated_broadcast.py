@@ -20,6 +20,16 @@ The adversary can observe both waves but by the time it learns ``K_i``,
 honest sensors no longer accept new index-``i`` claims, so altering a
 payload in flight is detected (the buffered MAC fails) and forging a
 fresh one is rejected (index already consumed).
+
+A sensor's whole verifier state is its last verified index: the chain
+value at that index is public once disclosed.  :func:`check_disclosure`
+is the one implementation of step 3.  :class:`BroadcastVerifier` runs it
+for a single sensor.  The simulator keeps the state of every sensor as
+one index column (:class:`~repro.core.node_columns.NodeColumns`) plus
+the chain values the network has verified.  Sensors share an index
+unless they missed a round, so one flood calls :func:`check_disclosure`
+once per distinct index among the sensors it reaches, not once per
+sensor.
 """
 
 from __future__ import annotations
@@ -28,20 +38,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import BroadcastAuthError
-from ..perf.cache import LRUCache
 from .hash import hash_chain, oneway_hash
 from .mac import compute_mac, verify_mac
 
-#: Warm-path memos for the per-sensor disclosure checks.  Every honest
-#: sensor verifies the *same* broadcast: the chain walk is a pure
-#: function of (disclosed key, gap, expected chain head) and the MAC
-#: check of (key, mac, index, payload), so one sensor's verification
-#: answers for all n.  Both memos key on the actual byte values — two
-#: networks with different chains can never collide — and the MAC memo
-#: stores positive verdicts only.  Disabled (:mod:`repro.perf.cache`),
-#: every sensor re-walks and re-MACs exactly as the construction says.
-_CHAIN_WALKS = LRUCache("broadcast-chain-walks", maxsize=4096)
-_BROADCAST_MACS = LRUCache("broadcast-mac-verdicts", maxsize=4096)
+#: Longest index jump a verifier walks back along the chain.
+MAX_CHAIN_GAP = 4096
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,41 @@ class BroadcastAuthority:
         return KeyDisclosure(index=index, chain_key=key)
 
 
+def check_disclosure(
+    head_key: bytes,
+    head_index: int,
+    disclosure: KeyDisclosure,
+    message: Optional[AuthenticatedMessage],
+    max_gap: int = MAX_CHAIN_GAP,
+) -> Tuple[bool, Optional[Tuple[Any, ...]]]:
+    """Step 3 for a verifier whose last verified chain value is
+    ``head_key`` at ``head_index``: ``(advance, payload)``.
+
+    ``advance`` says whether the disclosed key hashes back to the head in
+    exactly the index gap, so the verifier must move its head to the
+    disclosed index.  ``payload`` is the buffered ``message``'s payload
+    when its MAC also verifies under the disclosed key, else ``None``.
+    """
+    index = disclosure.index
+    gap = index - head_index
+    if gap <= 0 or gap > max_gap:
+        return False, None
+    value = disclosure.chain_key
+    for _ in range(gap):
+        value = oneway_hash(value)
+    if value != head_key:
+        return False, None
+    if message is None or message.index != index:
+        return True, None
+    if not verify_mac(disclosure.chain_key, message.mac, index, *message.payload):
+        return True, None
+    return True, message.payload
+
+
 class BroadcastVerifier:
     """Sensor side: buffers wave-1 messages, verifies on disclosure."""
 
-    def __init__(self, anchor: bytes, max_chain_gap: int = 4096) -> None:
+    def __init__(self, anchor: bytes, max_chain_gap: int = MAX_CHAIN_GAP) -> None:
         self._last_verified_key = anchor
         self._last_verified_index = 0
         self._max_gap = max_chain_gap
@@ -142,46 +174,26 @@ class BroadcastVerifier:
         one (one-time semantics).
         """
         index = disclosure.index
-        if index <= self._last_verified_index:
-            return None
-        gap = index - self._last_verified_index
-        if gap > self._max_gap:
-            return None
-        # Walk the candidate key forward to the last verified chain value
-        # (memoized; the memo misses on every read while caching is off).
-        walk_key = (disclosure.chain_key, gap, self._last_verified_key)
-        chain_ok = _CHAIN_WALKS.get(walk_key)
-        if chain_ok is None:
-            value = disclosure.chain_key
-            for _ in range(gap):
-                value = oneway_hash(value)
-            chain_ok = value == self._last_verified_key
-            _CHAIN_WALKS.put(walk_key, chain_ok)
-        if not chain_ok:
-            return None
-        message = self._pending.pop(index, None)
-        # Advance the chain head even if no payload was buffered: the key
-        # is now public and must never authenticate future traffic.
-        self._last_verified_key = disclosure.chain_key
-        self._last_verified_index = index
-        self._pending = {i: m for i, m in self._pending.items() if i > index}
-        if message is None:
-            return None
-        try:
-            mac_key = (disclosure.chain_key, message.mac, index, message.payload)
-            mac_ok = _BROADCAST_MACS.get(mac_key)
-        except TypeError:
-            # Unhashable payload part: memo cannot apply, verify direct.
-            mac_key = None
-            mac_ok = None
-        if mac_ok is None:
-            mac_ok = verify_mac(disclosure.chain_key, message.mac, index, *message.payload)
-            if mac_ok and mac_key is not None:
-                _BROADCAST_MACS.put(mac_key, True)
-        if not mac_ok:
-            return None
-        return message.payload
+        advance, payload = check_disclosure(
+            self._last_verified_key,
+            self._last_verified_index,
+            disclosure,
+            self._pending.get(index),
+            self._max_gap,
+        )
+        if advance:
+            # Advance the chain head even if no payload was buffered: the
+            # key is now public and must never authenticate future traffic.
+            self._last_verified_key = disclosure.chain_key
+            self._last_verified_index = index
+            self._pending = {i: m for i, m in self._pending.items() if i > index}
+        return payload
 
     @property
     def verified_index(self) -> int:
         return self._last_verified_index
+
+    @property
+    def chain_head(self) -> bytes:
+        """The last verified chain value (the anchor before any round)."""
+        return self._last_verified_key

@@ -388,11 +388,12 @@ class BroadcastAuthenticity(Invariant):
 
         violations: List[Violation] = []
         anchor = network.authority.anchor
-        for node_id, node in network.nodes.items():
-            verifier = node.verifier
-            index = verifier.verified_index
-            distance = verify_chain_link(
-                anchor, verifier._last_verified_key, max_distance=index
+        indices = network.node_columns.broadcast_index
+        for node_id in network.nodes:
+            index = int(indices[node_id])
+            head = network.verified_chain_value(index)
+            distance = (
+                -1 if head is None else verify_chain_link(anchor, head, max_distance=index)
             )
             if distance != index:
                 violations.append(self.violation(

@@ -4,8 +4,8 @@ An :class:`HonestNode` owns exactly what a deployed sensor would hold:
 
 * its key material (sensor key + ring keys), the loot an adversary gets
   by compromising it;
-* a :class:`~repro.crypto.authenticated_broadcast.BroadcastVerifier`
-  anchored to the base station's hash chain;
+* the index of the base station's hash chain it last verified (its
+  authenticated-broadcast state, a column cell);
 * protocol state (level, parents, current reading);
 * an :class:`AuditStore` with the tuples of Sections IV-B and IV-C, the
   distributed audit trail the pinpointing protocols later query through
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..crypto.authenticated_broadcast import BroadcastVerifier
 from ..keys.soa import LazySensorKeyMaterial
 from ..sim.clock import LocalClock
 from .message import ReadingMessage, VetoMessage, message_digest
@@ -181,18 +180,17 @@ class AuditStore:
 class HonestNode:
     """Runtime state of one honest sensor.
 
-    The five per-node scalars (reading, level, the two one-time flags,
-    the crash flag) live in the network's shared
-    :class:`~repro.core.node_columns.NodeColumns` arrays behind
-    properties, so a million nodes cost five array cells each instead
-    of five boxed attributes; readers get plain Python values back.
+    The six per-node scalars (reading, level, the two one-time flags,
+    the crash flag, the verified broadcast index) live in the network's
+    shared :class:`~repro.core.node_columns.NodeColumns` arrays behind
+    properties, so a million nodes cost six array cells each instead
+    of six boxed attributes; readers get plain Python values back.
     """
 
     __slots__ = (
         "node_id",
         "material",
         "clock",
-        "verifier",
         "query_values",
         "audit",
         "parents",
@@ -204,7 +202,6 @@ class HonestNode:
         node_id: int,
         material: LazySensorKeyMaterial,
         clock: LocalClock,
-        broadcast_anchor: bytes,
         columns,
         reading: float = 0.0,
     ) -> None:
@@ -214,7 +211,6 @@ class HonestNode:
         self.node_id = node_id
         self.material = material
         self.clock = clock
-        self.verifier = BroadcastVerifier(broadcast_anchor)
         self.reading = reading
         # Per-instance values for the current query (set by the driver;
         # a plain MIN query uses [reading], synopsis queries the m
@@ -309,3 +305,8 @@ class HonestNode:
     @crash_suspected.setter
     def crash_suspected(self, value: bool) -> None:
         self._columns.crash_suspected[self.node_id] = value
+
+    @property
+    def broadcast_index(self) -> int:
+        """The μTESLA chain index this sensor last verified."""
+        return int(self._columns.broadcast_index[self.node_id])

@@ -2,21 +2,27 @@
 
 Transport contract (what ``PhaseContext`` relies on):
 
-* ``deposit_send(interval, batch, receivers, key_indices, verdicts)``
-  appends the frames of one ``PhaseContext.send``: row ``i`` is a frame
-  of ``batch`` (the broadcast's shared :class:`~repro.net.network._SendBatch`)
-  for ``receivers[i]`` under edge key ``key_indices[i]``, with
-  transmit-time verdict ``verdicts[i]`` (true: accepted pending the MAC,
-  false: rejected).  A fault-injected duplicate is a repeated row right
-  after its original.  Deposit order **is** protocol semantics: honest
-  logic adopts the first verified beacon/veto in inbox order, so a
-  transport must present frames in exactly the order of these rows,
-  send after send.
+* ``deposit(interval, batches, counts, receivers, key_indices, verdicts)``
+  appends one block of frames: ``batches[j]`` (a broadcast's shared
+  :class:`~repro.net.network._SendBatch`) owns the next ``counts[j]``
+  rows, and row ``i`` is a frame for ``receivers[i]`` under edge key
+  ``key_indices[i]`` with transmit-time verdict ``verdicts[i]`` (true:
+  accepted pending the MAC, false: rejected).  One ``PhaseContext.send``
+  is a one-batch block; ``PhaseContext.broadcast`` deposits every
+  sender of an interval in one block.  A fault-injected duplicate is a
+  repeated row right after its original.  Deposit order **is** protocol
+  semantics: honest logic adopts the first verified beacon/veto (or the
+  first hash-valid predicate reply) in inbox order, so a transport must
+  present frames in exactly the order of these rows, block after block.
 * ``frames(interval, receiver)`` returns a fresh list of that inbox (the
   caller may filter/slice it freely).
 * ``arrivals(interval)`` returns a read-only mapping
   ``receiver -> frames`` for cheap emptiness tests; callers treat it as
   frozen.
+* ``rows(interval)`` returns the whole interval as ``(receivers,
+  batch_ids, batches)``: row ``i`` carries ``batches[batch_ids[i]]`` to
+  ``receivers[i]``, each receiver's rows in deposit order.  It builds no
+  ``Delivery``, which is what a sweep over every arrival wants.
 
 The readability gates (an inbox is visible only once its interval has
 begun) stay in ``PhaseContext`` — transports store and order frames,
@@ -64,10 +70,10 @@ cover every id below the transport's ``num_ids`` (every node id of the
 topology); a receiver outside it is an error, not something a region
 silently absorbs.
 
-**One write per send.**  :meth:`SoATransport.deposit_send` appends the
-rows of one :meth:`~repro.net.network.PhaseContext.send` with one
-``extend`` per column when they fall in one region (always, for a
-single-region store), row by row into their regions otherwise.
+**One write per block.**  :meth:`SoATransport.deposit` appends a block
+with one ``extend`` per column when its rows fall in one region
+(always, for a single-region store), row by row into their regions
+otherwise.
 
 The verdict column holds the transmit-time precheck outcome: true rows
 materialize with ``verified=None`` (the lazy path — resolves ``True``
@@ -80,7 +86,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +94,23 @@ from ..perf.shard import delivery_region_geometry
 
 #: Shared empty arrival map (never mutated; see ``arrivals``).
 _EMPTY_ARRIVALS: Mapping = {}
+
+
+def block_rows(
+    batches: Sequence[object],
+    counts: Sequence[int],
+    receivers: Sequence[int],
+    key_indices: Sequence[int],
+    verdicts: Sequence[bool],
+) -> Iterator[Tuple[object, int, int, bool]]:
+    """``(batch, receiver, key index, verdict)`` per row of a deposit
+    block, in row order: the row loop of the stores that keep frames
+    one by one."""
+    stop = 0
+    for batch, count in zip(batches, counts):
+        start, stop = stop, stop + count
+        for row in range(start, stop):
+            yield batch, receivers[row], key_indices[row], verdicts[row]
 
 
 class _RegionColumns:
@@ -110,12 +133,12 @@ class _RegionColumns:
         self,
         receivers: Sequence[int],
         key_indices: Sequence[int],
-        batch_id: int,
+        batch_ids: Sequence[int],
         verdicts: Sequence[bool],
     ) -> None:
         self.receivers.extend(receivers)
         self.keys.extend(key_indices)
-        self.batch_ids.extend([batch_id] * len(receivers))
+        self.batch_ids.extend(batch_ids)
         self.verdicts.extend(verdicts)
 
     def groups(self) -> Dict[int, np.ndarray]:
@@ -189,29 +212,37 @@ class SoATransport:
     # ------------------------------------------------------------------
     # Deposits
     # ------------------------------------------------------------------
-    def deposit_send(
+    def deposit(
         self,
         interval: int,
-        batch: object,
+        batches: Sequence[object],
+        counts: Sequence[int],
         receivers: Sequence[int],
         key_indices: Sequence[int],
         verdicts: Sequence[bool],
     ) -> None:
-        """Record one send's frames without constructing a ``Delivery``."""
+        """Record one block of frames without constructing a ``Delivery``."""
         store = self._stores.get(interval)
         if store is None:
             store = self._stores[interval] = _IntervalStore(
                 self._region_size, self._num_regions
             )
-        batch_id = len(self._batches)
-        self._batches.append(batch)
+        base = len(self._batches)
+        self._batches.extend(batches)
+        batch_ids = array("i")
+        for offset, count in enumerate(counts):
+            batch_ids += array("i", (base + offset,)) * count
         width = store.region_size
         region = receivers[0] // width
         if store.num_regions == 1 or all(r // width == region for r in receivers):
-            store.columns_for(receivers[0]).extend(receivers, key_indices, batch_id, verdicts)
+            store.columns_for(receivers[0]).extend(receivers, key_indices, batch_ids, verdicts)
         else:
-            for receiver, key_index, verdict in zip(receivers, key_indices, verdicts):
-                store.columns_for(receiver).extend((receiver,), (key_index,), batch_id, (verdict,))
+            for receiver, key_index, batch_id, verdict in zip(
+                receivers, key_indices, batch_ids, verdicts
+            ):
+                store.columns_for(receiver).extend(
+                    (receiver,), (key_index,), (batch_id,), (verdict,)
+                )
         store.total_rows += len(receivers)
 
     # ------------------------------------------------------------------
@@ -249,6 +280,15 @@ class SoATransport:
                 )
             )
         return out
+
+    def rows(self, interval: int) -> Tuple[array, array, List[object]]:
+        receivers, batch_ids = array("i"), array("i")
+        store = self._stores.get(interval)
+        if store is not None:
+            for columns in store.region_iter():
+                receivers += columns.receivers
+                batch_ids += columns.batch_ids
+        return receivers, batch_ids, self._batches
 
     def arrivals(self, interval: int) -> Mapping:
         store = self._stores.get(interval)

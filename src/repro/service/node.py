@@ -50,6 +50,7 @@ from ..errors import ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
 from ..net.network import Delivery
+from ..net.soa import block_rows
 from .resilience import (
     CHAOS_REFUSE_ENV,
     DEGRADE_HORIZON,
@@ -87,13 +88,15 @@ class ReplicaTransport:
         # delivered, and receivers keep exactly one copy.
         self._ingested: set = set()
 
-    def deposit_send(self, interval, batch, receivers, key_indices, verdicts) -> None:
+    def deposit(self, interval, batches, counts, receivers, key_indices, verdicts) -> None:
         """One envelope per row: every row is reported up, a hosted
         receiver's also goes into its bucket, a peer-hosted one's is
         shipped to that peer."""
         host = self.host
-        sender = batch.claimed_sender
-        for receiver, key_index, verdict in zip(receivers, key_indices, verdicts):
+        for batch, receiver, key_index, verdict in block_rows(
+            batches, counts, receivers, key_indices, verdicts
+        ):
+            sender = batch.claimed_sender
             delivery = Delivery(
                 batch, receiver, key_index, interval, verified=None if verdict else False
             )
@@ -139,6 +142,15 @@ class ReplicaTransport:
         if not per_receiver:
             return {}
         return {r: self._sorted(pairs) for r, pairs in per_receiver.items()}
+
+    def rows(self, interval: int):
+        receivers: List[int] = []
+        batches: List[object] = []
+        for receiver, pairs in self._buckets.get(interval, {}).items():
+            for delivery in self._sorted(pairs):
+                receivers.append(receiver)
+                batches.append(delivery._batch)
+        return receivers, range(len(batches)), batches
 
 
 class NodeHost:

@@ -242,7 +242,7 @@ class TestAuthenticatedFlood:
         payload = net.authenticated_flood("hello", 42)
         assert payload == ("hello", 42)
         for node in net.nodes.values():
-            assert node.verifier.verified_index >= 1
+            assert node.broadcast_index >= 1
 
     def test_flood_costs_one_round(self, net):
         before = net.metrics.flooding_rounds
