@@ -185,17 +185,35 @@ def _encode_general(part: Any) -> bytes:
     raise CryptoError(f"cannot canonically encode value of type {type(part).__name__}")
 
 
+#: Deepest tuple nesting :func:`decode_parts` follows; nothing the
+#: protocol encodes comes close, and a hostile record cannot recurse
+#: the decoder into a ``RecursionError``.
+MAX_NESTING = 64
+
+
 def decode_parts(data: bytes) -> Tuple[Any, ...]:
-    """Inverse of :func:`encode_parts` (tuples and lists both decode to tuples)."""
+    """Inverse of :func:`encode_parts` (tuples and lists both decode to tuples).
+
+    Malformed input — truncated, an unknown tag, a float field that is
+    not 8 bytes, a string that is not UTF-8, nesting past
+    :data:`MAX_NESTING` — raises :class:`CryptoError`, never a bare
+    ``struct`` or codec error.
+    """
+    return _decode_sequence(data, 0)
+
+
+def _decode_sequence(data: bytes, depth: int) -> Tuple[Any, ...]:
+    if depth > MAX_NESTING:
+        raise CryptoError(f"encoding nested deeper than {MAX_NESTING} tuples")
     parts: List[Any] = []
     offset = 0
     while offset < len(data):
-        part, offset = _decode_one(data, offset)
+        part, offset = _decode_one(data, offset, depth)
         parts.append(part)
     return tuple(parts)
 
 
-def _decode_one(data: bytes, offset: int) -> Tuple[Any, int]:
+def _decode_one(data: bytes, offset: int, depth: int) -> Tuple[Any, int]:
     if offset + 5 > len(data):
         raise CryptoError("truncated encoding")
     tag = data[offset : offset + 1]
@@ -212,11 +230,16 @@ def _decode_one(data: bytes, offset: int) -> Tuple[Any, int]:
     if tag == _TAG_INT:
         return int.from_bytes(payload, "big", signed=True), end
     if tag == _TAG_FLOAT:
+        if length != 8:
+            raise CryptoError(f"float field of {length} bytes (expected 8)")
         return _UNPACK_F64(payload)[0], end
     if tag == _TAG_STR:
-        return payload.decode("utf-8"), end
+        try:
+            return payload.decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise CryptoError(f"string field is not UTF-8: {exc.reason}") from None
     if tag == _TAG_BYTES:
         return payload, end
     if tag == _TAG_TUPLE:
-        return decode_parts(payload), end
+        return _decode_sequence(payload, depth + 1), end
     raise CryptoError(f"unknown encoding tag {tag!r}")
