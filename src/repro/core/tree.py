@@ -100,11 +100,13 @@ class TreeColumns(HonestStep):
 
     def tick(self, k: int) -> None:
         """Sensors scheduled last interval forward now."""
-        network, phase = self.network, self.phase
         pending, self.pending = self.pending, []
-        for node_id, hop_count in pending:
-            beacon = TreeBeacon(origin=node_id, hop_count=hop_count)
-            phase.send(node_id, network.secure_neighbors(node_id), beacon, interval=k)
+        if pending:
+            self.phase.broadcast(
+                [node_id for node_id, _ in pending],
+                [TreeBeacon(origin=node_id, hop_count=hop) for node_id, hop in pending],
+                k,
+            )
 
     def deliver(self, k: int) -> None:
         """Sensors process this interval's arrivals.
