@@ -6,7 +6,7 @@ This is the substrate the VMAT phases run on:
   tree-formation beacons, predicate-test frames) with byte-accurate
   ``wire_size`` accounting.
 * :mod:`~repro.net.node` — per-sensor runtime state: key material, the
-  authenticated-broadcast verifier, protocol level/parents, and the
+  verified authenticated-broadcast index, protocol level/parents, and the
   distributed *audit store* holding the tuples of Sections IV-B/IV-C.
 * :mod:`~repro.net.network` — the slotted network: interval-indexed
   transmission with edge-MAC verification, per-interval forwarding
