@@ -149,61 +149,80 @@ class SlotSchedule(HonestStep):
                 ].tolist()
 
     def tick(self, k: int) -> None:
-        """Level ``L - k + 1`` transmits its bundle."""
-        network, phase, ids, rows = self.network, self.phase, self.ids, self.best
-        for position in self._groups.get(self.phase.num_intervals - k + 1, ()):
-            _honest_transmit(network, phase, ids[position], rows[position], k)
+        """Level ``L - k + 1`` transmits its bundles as one block.
+
+        Each sender's bundle goes to the parents it still has a usable
+        link to.  The slot is atomic: a sender already out of capacity
+        raises before any frame, byte or capacity charge of the slot
+        lands.  Audit send records follow the block, sender by sender.
+        """
+        level = self.phase.num_intervals - k + 1
+        group = self._groups.get(level)
+        if not group:
+            return
+        network, phase, ids, best = self.network, self.phase, self.ids, self.best
+        nodes = network.nodes
+        senders, links, bundles = [], [], []
+        for position in group:
+            node_id = ids[position]
+            pairs = network.usable_links(node_id, nodes[node_id].parents)
+            if not pairs:
+                continue  # every link to a parent was revoked since tree formation
+            if not phase.remaining_capacity(node_id, k):
+                raise ProtocolError(
+                    f"honest sensor {node_id} exceeded capacity in aggregation; "
+                    "honest senders transmit exactly one bundle"
+                )
+            senders.append(node_id)
+            links.append(pairs)
+            bundles.append(SynopsisBundle(messages=tuple(best[position])))
+        phase.broadcast(senders, bundles, k, links)
+        for node_id, pairs, bundle in zip(senders, links, bundles):
+            sends = nodes[node_id].audit.agg_sends
+            for parent, out_index in pairs:
+                for message in bundle.messages:
+                    sends.append(
+                        AggSendRecord(
+                            level=level, message=message, out_edge_index=out_index, to=parent
+                        )
+                    )
 
     def deliver(self, k: int) -> None:
         """Level ``L - k`` collects its children's bundles (level 0 does
-        not exist, so interval ``L`` naturally has no listeners)."""
-        network, phase, ids, rows = self.network, self.phase, self.ids, self.best
-        nodes = network.nodes
-        for position in self._groups.get(self.phase.num_intervals - k, ()):
-            _honest_collect(
-                network, phase, nodes[ids[position]], rows[position], k,
-                self.num_instances,
-            )
+        not exist, so interval ``L`` naturally has no listeners).
 
-
-def _honest_transmit(network, phase, node_id, messages, interval) -> None:
-    node = network.nodes[node_id]
-    bundle = SynopsisBundle(messages=tuple(messages))
-    links = network.usable_links(node_id, node.parents)
-    if not links:
-        return  # all links to parents were revoked since tree formation
-    sent = phase.send(node_id, [parent for parent, _ in links], bundle, interval=interval)
-    if not sent:
-        raise ProtocolError(
-            f"honest sensor {node_id} exceeded capacity in aggregation; "
-            "honest senders transmit exactly one bundle"
-        )
-    for parent, out_index in links:
-        for message in messages:
-            node.audit.agg_sends.append(
-                AggSendRecord(
-                    level=node.level, message=message, out_edge_index=out_index, to=parent
-                )
-            )
-
-
-def _honest_collect(network, phase, node, best, interval, num_instances) -> None:
-    for delivery in phase.verified_inbox(node.node_id, interval):
-        if not isinstance(delivery.payload, SynopsisBundle):
-            continue
-        for message in delivery.payload.messages:
-            if not 0 <= message.instance < num_instances:
+        One sweep over the interval's rows: each verified bundle row
+        addressed to a listener is recorded and folded into that
+        listener's best messages.  Listeners keep no state in common, so
+        row order serves each in its own inbox order.
+        """
+        group = self._groups.get(self.phase.num_intervals - k)
+        if not group:
+            return
+        ids, best, num_instances = self.ids, self.best, self.num_instances
+        listening = {ids[position]: position for position in group}
+        nodes = self.network.nodes
+        receivers, batch_ids, batches, key_indices, verdicts = self.phase.rows(k)
+        for row, receiver in enumerate(receivers):
+            position = listening.get(receiver)
+            if position is None or not verdicts[row]:
                 continue
-            node.audit.agg_receipts.append(
-                AggReceiptRecord(
-                    interval=interval,
-                    message=message,
-                    in_edge_index=delivery.key_index,
-                    frm=delivery.sender,
+            batch = batches[batch_ids[row]]
+            if not isinstance(batch.payload, SynopsisBundle):
+                continue
+            receipts = nodes[receiver].audit.agg_receipts
+            row_best = best[position]
+            in_edge_index, frm = key_indices[row], batch.claimed_sender
+            for message in batch.payload.messages:
+                if not 0 <= message.instance < num_instances:
+                    continue
+                receipts.append(
+                    AggReceiptRecord(
+                        interval=k, message=message, in_edge_index=in_edge_index, frm=frm
+                    )
                 )
-            )
-            if message < best[message.instance]:
-                best[message.instance] = message
+                if message < row_best[message.instance]:
+                    row_best[message.instance] = message
 
 
 def _base_station_decide(

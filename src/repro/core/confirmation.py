@@ -24,9 +24,7 @@ veto).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.mac import verify_mac
 from ..keys.registry import BASE_STATION_ID
@@ -34,7 +32,7 @@ from ..net.message import VetoMessage
 from ..net.network import Delivery, Network
 from ..net.node import ConfReceiptRecord, ConfSendRecord
 from .contexts import ConfirmationContext
-from .phase_state import HonestStep, honest_step, node_id_bound
+from .phase_state import HonestStep, honest_step
 
 
 @dataclass
@@ -100,24 +98,24 @@ def run_confirmation(
 
 
 class VetoSchedule(HonestStep):
-    """The SOF phase's honest step: forwarded flags as one bool column
+    """The SOF phase's honest step: the sensors still waiting for a veto
     plus the pending vetoes as parallel lists.
 
     Building it makes every vetoer's veto (they transmit in interval 1
     and ignore all incoming vetoes).  The pending lists drain in
     ascending id order for free: the vetoer scan and each interval's
-    arrival scan both visit ascending ids, and the schedule is fully
+    adopter scan both visit ascending ids, and the schedule is fully
     drained every interval, so appends are always already sorted.
     Node objects get their ``forwarded_veto`` flag too, so post-phase
     readers (``ExecutionResult.num_vetoers``) see it.
     """
 
-    __slots__ = ("honest_set", "forwarded", "vetoers", "_ids", "_vetoes")
+    __slots__ = ("waiting", "vetoers", "_ids", "_vetoes")
 
     def __init__(self, network, phase, ids, nonce, minima) -> None:
         super().__init__(network, phase)
-        self.honest_set = set(ids)
-        self.forwarded = np.zeros(node_id_bound(network), dtype=bool)
+        # Hosted sensors that have not sent or forwarded a veto.
+        self.waiting = set(ids)
         self._ids: List[int] = []
         self._vetoes: List[object] = []
         depth_bound = phase.num_intervals
@@ -131,33 +129,63 @@ class VetoSchedule(HonestStep):
         self.vetoers: List[int] = list(self._ids)
 
     def _schedule(self, node_id: int, veto) -> None:
-        self.forwarded[node_id] = True
+        self.waiting.discard(node_id)
         self._ids.append(node_id)
         self._vetoes.append(veto)
 
     def tick(self, k: int) -> None:
-        """Transmit everything scheduled for this interval."""
-        pairs = list(zip(self._ids, self._vetoes))
-        self._ids.clear()
-        self._vetoes.clear()
-        for node_id, veto in pairs:
-            _transmit_veto(self.network, self.phase, node_id, veto, k)
+        """Transmit everything scheduled for this interval as one block;
+        each sender's audit send records follow it."""
+        ids, vetoes = self._ids, self._vetoes
+        if not ids:
+            return
+        self._ids, self._vetoes = [], []
+        network = self.network
+        self.phase.broadcast(ids, vetoes, k)
+        for node_id, veto in zip(ids, vetoes):
+            sends = network.nodes[node_id].audit.conf_sends
+            for neighbor, out_index in network.secure_links(node_id):
+                sends.append(
+                    ConfSendRecord(
+                        interval=k, message=veto, out_edge_index=out_index, to=neighbor
+                    )
+                )
 
     def deliver(self, k: int) -> None:
-        """Non-vetoers adopt the first verified veto they received; only
-        sensors with arrivals can adopt, so the loop visits the
-        (typically sparse) arrival map in ascending id order."""
-        if k >= self.phase.num_intervals:
+        """Waiting sensors adopt the first verified veto they received.
+
+        One sweep over the interval's rows finds each waiting sensor's
+        first verified veto; adopters then record their receipt and
+        schedule the veto in ascending id order.
+        """
+        waiting = self.waiting
+        if k >= self.phase.num_intervals or not waiting:
             return  # a forward scheduled for interval L+1 could never land
-        network, phase = self.network, self.phase
-        honest_set, forwarded = self.honest_set, self.forwarded
-        arrived = phase.arrival_map(k)
-        for node_id in sorted(arrived) if arrived else ():
-            if node_id not in honest_set or forwarded[node_id]:
-                continue
-            adopted = _adopt_first_veto(network, phase, network.nodes[node_id], k)
-            if adopted is not None:
-                self._schedule(node_id, adopted)
+        receivers, batch_ids, batches, key_indices, verdicts = self.phase.rows(k)
+        first: Dict[int, int] = {}
+        for row, receiver in enumerate(receivers):
+            if (
+                receiver in waiting
+                and receiver not in first
+                and verdicts[row]
+                and isinstance(batches[batch_ids[row]].payload, VetoMessage)
+            ):
+                first[receiver] = row
+        nodes = self.network.nodes
+        for node_id in sorted(first):
+            row = first[node_id]
+            batch = batches[batch_ids[row]]
+            node = nodes[node_id]
+            node.forwarded_veto = True
+            node.audit.conf_receipts.append(
+                ConfReceiptRecord(
+                    interval=k,
+                    message=batch.payload,
+                    in_edge_index=key_indices[row],
+                    frm=batch.claimed_sender,
+                )
+            )
+            self._schedule(node_id, batch.payload)
 
     def report(self) -> tuple:
         vetoers, self.vetoers = self.vetoers, []
@@ -202,50 +230,6 @@ def _make_veto(node, minima, nonce, depth_bound) -> Optional[VetoMessage]:
                 instance=instance,
             )
     return None
-
-
-def _transmit_veto(network, phase, node_id, veto, interval) -> None:
-    links = network.secure_links(node_id)
-    if not links:
-        return
-    phase.send(node_id, [neighbor for neighbor, _ in links], veto, interval=interval)
-    node = network.nodes[node_id]
-    for neighbor, out_index in links:
-        node.audit.conf_sends.append(
-            ConfSendRecord(
-                interval=interval, message=veto, out_edge_index=out_index, to=neighbor
-            )
-        )
-
-
-def _first_verified_veto(phase, node_id, interval):
-    for delivery in phase.verified_inbox(node_id, interval):
-        if isinstance(delivery.payload, VetoMessage):
-            return delivery.payload, delivery
-    return None
-
-
-def _adopt_first_veto(network, phase, node, interval) -> Optional[VetoMessage]:
-    """One-time forwarding rule for a non-vetoer: adopt the first
-    verified veto received in ``interval``, record the SOF receipt, and
-    return the veto to schedule (``None`` when nothing verified arrived).
-
-    Per-node form :meth:`VetoSchedule.deliver` applies to each sensor.
-    """
-    adopted = _first_verified_veto(phase, node.node_id, interval)
-    if adopted is None:
-        return None
-    veto, delivery = adopted
-    node.forwarded_veto = True
-    node.audit.conf_receipts.append(
-        ConfReceiptRecord(
-            interval=interval,
-            message=veto,
-            in_edge_index=delivery.key_index,
-            frm=delivery.sender,
-        )
-    )
-    return veto
 
 
 def _base_station_classify(

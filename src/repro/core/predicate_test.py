@@ -341,7 +341,7 @@ def first_valid_replies(phase, k: int, reply_hash: bytes, waiting) -> Dict[int, 
     counts if its body hashes correctly.  Each distinct reply is hashed
     once, however many rows carry it.
     """
-    receivers, batch_ids, batches = phase.rows(k)
+    receivers, batch_ids, batches, _, _ = phase.rows(k)
     found: Dict[int, PredicateReply] = {}
     batch_valid: Dict[int, bool] = {}
     mac_valid: Dict[bytes, bool] = {}

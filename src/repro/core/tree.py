@@ -74,7 +74,7 @@ class TreeColumns(HonestStep):
     cursors.  Nothing reaches the nodes until :meth:`install`.
     """
 
-    __slots__ = ("ids", "honest_set", "depth_bound", "multipath", "hopcount",
+    __slots__ = ("ids", "waiting", "depth_bound", "multipath", "hopcount",
                  "level", "claimed", "parents_arena", "parents_start",
                  "parents_len", "pending", "accepted")
 
@@ -82,7 +82,9 @@ class TreeColumns(HonestStep):
         super().__init__(network, phase)
         num_ids = node_id_bound(network)
         self.ids = ids
-        self.honest_set = set(ids)
+        # Hosted sensors without a level yet: the only ones a beacon
+        # can still change.
+        self.waiting = set(ids)
         self.depth_bound = phase.num_intervals
         self.multipath = network.config.network.multipath
         self.hopcount = variant == "hopcount"
@@ -109,22 +111,25 @@ class TreeColumns(HonestStep):
             )
 
     def deliver(self, k: int) -> None:
-        """Sensors process this interval's arrivals.
+        """Waiting sensors accept this interval's verified beacons.
 
-        Only sensors that received something can change state, so the
-        loop visits the (typically sparse) arrival map in ascending id
-        order — which is also the forward schedule's, and hence next
-        interval's send order.
+        One sweep over the interval's rows collects each waiting
+        sensor's beacon batches in its inbox order; the sensors then
+        accept in ascending id order — which is also the forward
+        schedule's, and hence next interval's send order.
         """
-        phase, honest_set = self.phase, self.honest_set
-        arrived = phase.arrival_map(k)
-        for node_id in sorted(arrived) if arrived else ():
-            if node_id not in honest_set:
-                continue
-            arrivals = phase.verified_inbox(node_id, k)
-            beacons = [d for d in arrivals if isinstance(d.payload, TreeBeacon)]
-            if beacons:
-                self.accept(node_id, beacons, k)
+        waiting = self.waiting
+        if not waiting:
+            return
+        receivers, batch_ids, batches, _, verdicts = self.phase.rows(k)
+        heard: Dict[int, list] = {}
+        for row, receiver in enumerate(receivers):
+            if receiver in waiting and verdicts[row]:
+                batch = batches[batch_ids[row]]
+                if isinstance(batch.payload, TreeBeacon):
+                    heard.setdefault(receiver, []).append(batch)
+        for node_id in sorted(heard):
+            self.accept(node_id, heard[node_id], k)
 
     def _set(self, node_id: int, level: int, parents: List[int]) -> None:
         if self.hopcount:
@@ -136,36 +141,34 @@ class TreeColumns(HonestStep):
         self.parents_arena.extend(parents)
 
     def accept(self, node_id: int, beacons, interval: int) -> None:
-        """One sensor's verified beacons of ``interval``, first visit wins.
+        """A waiting sensor's verified beacon batches of ``interval``, in
+        inbox order: the first interval that brings any sets its level.
 
-        A node is visited at most once per interval, so a set level
-        always means "ignore" — including the timestamp rule's
-        same-interval extra-parents case, which is unreachable.
+        A sensor is visited at most once per interval and leaves
+        ``waiting`` here, so the timestamp rule's same-interval
+        extra-parents case is unreachable.
         """
+        self.waiting.discard(node_id)
         if self.hopcount:
             # The naive rule: level = the first beacon's claimed hop
             # count, forwarded as ``claimed + 1`` whether or not it is a
             # valid level (the victim learns L was exceeded only when it
             # tries to pick a slot — Figure 2(c)).
-            if node_id in self.claimed:
-                return
             level = beacons[0].payload.hop_count
             forward = level + 1
             if self.multipath:
                 parents = sorted(
-                    {d.sender for d in beacons if d.payload.hop_count == level}
+                    {b.claimed_sender for b in beacons if b.payload.hop_count == level}
                 )
             else:
-                parents = [beacons[0].sender]
+                parents = [beacons[0].claimed_sender]
         else:
-            if self.level[node_id] != -1:
-                return
             level = interval
             forward = interval + 1 if interval + 1 <= self.depth_bound else None
             if self.multipath:
-                parents = sorted({d.sender for d in beacons})
+                parents = sorted({b.claimed_sender for b in beacons})
             else:
-                parents = [beacons[0].sender]
+                parents = [beacons[0].claimed_sender]
         self._set(node_id, level, parents)
         self.accepted.append(node_id)
         if forward is not None:

@@ -16,13 +16,13 @@ Transport contract (what ``PhaseContext`` relies on):
   present frames in exactly the order of these rows, block after block.
 * ``frames(interval, receiver)`` returns a fresh list of that inbox (the
   caller may filter/slice it freely).
-* ``arrivals(interval)`` returns a read-only mapping
-  ``receiver -> frames`` for cheap emptiness tests; callers treat it as
-  frozen.
 * ``rows(interval)`` returns the whole interval as ``(receivers,
-  batch_ids, batches)``: row ``i`` carries ``batches[batch_ids[i]]`` to
-  ``receivers[i]``, each receiver's rows in deposit order.  It builds no
-  ``Delivery``, which is what a sweep over every arrival wants.
+  batch_ids, batches, key_indices, verdicts)``: row ``i`` carries
+  ``batches[batch_ids[i]]`` to ``receivers[i]`` under edge key
+  ``key_indices[i]``, and ``verdicts[i]`` is what that frame's
+  ``Delivery.verified`` reads.  Each receiver's rows are its
+  ``frames`` in the same order.  It builds no ``Delivery``: every
+  honest step sweeps each interval it listens in through it once.
 
 The readability gates (an inbox is visible only once its interval has
 begun) stay in ``PhaseContext`` — transports store and order frames,
@@ -41,9 +41,10 @@ object headers per phase — and materializes ``Delivery`` objects *per
 read*:
 
 * **Deposit order is protocol semantics** (first verified beacon/veto in
-  inbox order), so reads group the receiver column with a *stable*
-  argsort — within one receiver the original deposit order is preserved
-  exactly.
+  inbox order), so ``frames`` groups the receiver column with a
+  *stable* argsort — within one receiver the original deposit order is
+  preserved exactly — and ``rows`` hands out the columns unsorted,
+  region by region, which keeps every receiver's rows in deposit order.
 * **Reads return fresh objects.**  Honest logic and audit records
   consume frame *values* (sender, payload, key, verdict), never object
   identity, so materializing a frame twice is indistinguishable from
@@ -83,17 +84,12 @@ unless an adversary materializes the MAC first) and false rows with
 
 from __future__ import annotations
 
-import operator
 from array import array
-from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..perf.shard import delivery_region_geometry
-
-#: Shared empty arrival map (never mutated; see ``arrivals``).
-_EMPTY_ARRIVALS: Mapping = {}
 
 
 def block_rows(
@@ -197,7 +193,7 @@ class _IntervalStore:
 
 class SoATransport:
     """Column frame store: the transport contract's reads
-    (``frames``/``arrivals``) over column deposits."""
+    (``frames``/``rows``) over column deposits."""
 
     __slots__ = ("_stores", "_batches", "_region_size", "_num_regions", "_delivery")
 
@@ -281,68 +277,14 @@ class SoATransport:
             )
         return out
 
-    def rows(self, interval: int) -> Tuple[array, array, List[object]]:
+    def rows(self, interval: int) -> Tuple[array, array, List[object], array, array]:
         receivers, batch_ids = array("i"), array("i")
+        key_indices, verdicts = array("i"), array("b")
         store = self._stores.get(interval)
         if store is not None:
             for columns in store.region_iter():
                 receivers += columns.receivers
                 batch_ids += columns.batch_ids
-        return receivers, batch_ids, self._batches
-
-    def arrivals(self, interval: int) -> Mapping:
-        store = self._stores.get(interval)
-        if store is None or not store.total_rows:
-            return _EMPTY_ARRIVALS
-        return _SoAArrivals(self, interval, store)
-
-
-class _SoAArrivals(Mapping):
-    """Read-only ``receiver -> frames`` view over one interval store.
-
-    Iteration is ascending by receiver id: regions are ascending
-    contiguous id ranges, so walking regions in order and sorting within
-    each yields the global sorted order.  Keys are normalized with
-    ``operator.index``, so any integer type (``numpy.int64`` included)
-    finds its receiver and anything else is simply absent.
-    ``__getitem__`` materializes frames on demand.
-    """
-
-    __slots__ = ("_transport", "_interval", "_store")
-
-    def __init__(self, transport: SoATransport, interval: int, store: _IntervalStore) -> None:
-        self._transport = transport
-        self._interval = interval
-        self._store = store
-
-    def _rows(self, receiver: object):
-        """``(receiver, columns, rows)`` for a receiver with frames, else
-        ``None``."""
-        try:
-            receiver = operator.index(receiver)
-        except TypeError:
-            return None
-        if not 0 <= receiver < self._store.region_size * self._store.num_regions:
-            return None
-        columns = self._store.peek_columns(receiver)
-        if columns is None:
-            return None
-        rows = columns.groups().get(receiver)
-        return None if rows is None else (receiver, columns, rows)
-
-    def __getitem__(self, receiver: int) -> List[object]:
-        found = self._rows(receiver)
-        if found is None:
-            raise KeyError(receiver)
-        receiver, columns, rows = found
-        return self._transport._materialize(columns, rows, receiver, self._interval)
-
-    def __contains__(self, receiver: object) -> bool:
-        return self._rows(receiver) is not None
-
-    def __iter__(self) -> Iterator[int]:
-        for columns in self._store.region_iter():
-            yield from sorted(columns.groups())
-
-    def __len__(self) -> int:
-        return sum(len(c.groups()) for c in self._store.region_iter())
+                key_indices += columns.keys
+                verdicts += columns.verdicts
+        return receivers, batch_ids, self._batches, key_indices, verdicts

@@ -137,20 +137,18 @@ class ReplicaTransport:
         pairs = self._buckets.get(interval, {}).get(receiver)
         return self._sorted(pairs) if pairs else []
 
-    def arrivals(self, interval: int):
-        per_receiver = self._buckets.get(interval)
-        if not per_receiver:
-            return {}
-        return {r: self._sorted(pairs) for r, pairs in per_receiver.items()}
-
     def rows(self, interval: int):
         receivers: List[int] = []
         batches: List[object] = []
+        key_indices: List[int] = []
+        verdicts: List[bool] = []
         for receiver, pairs in self._buckets.get(interval, {}).items():
             for delivery in self._sorted(pairs):
                 receivers.append(receiver)
                 batches.append(delivery._batch)
-        return receivers, range(len(batches)), batches
+                key_indices.append(delivery.key_index)
+                verdicts.append(delivery.verified)
+        return receivers, range(len(batches)), batches, key_indices, verdicts
 
 
 class NodeHost:

@@ -6,8 +6,8 @@ These tests pin the contracts the 10k-node path leans on:
 * ``IntervalSchedule.interval_of`` is exact at float interval
   boundaries (consistent with ``interval_start``/``interval_end`` even
   when ``start_time`` and the interval length are not float-aligned);
-* ``PhaseContext.arrival_map`` is a pure read-optimization over
-  ``inbox`` — same readability gate, same membership;
+* ``PhaseContext.rows`` reads an interval as ``inbox`` does — same
+  readability gate, same membership, same frames per receiver;
 * lazy edge-MAC verification is observationally identical to eager
   verification at transmit time, including when revocations land
   between a frame's transmission and its first read;
@@ -106,23 +106,30 @@ class TestIntervalBoundaries:
 
 
 # ----------------------------------------------------------------------
-# arrival_map and interval-edge inbox visibility (batched path)
+# an interval's arrivals through rows(), and interval-edge inbox
+# visibility (batched path)
 # ----------------------------------------------------------------------
+def arrived(phase, interval):
+    """The receivers with at least one row in ``interval``."""
+    return set(phase.rows(interval)[0])
+
+
 class TestArrivalMap:
+    """Who received what in an interval, read as ``PhaseContext.rows``."""
+
     def test_future_interval_unreadable(self, line_deployment):
         phase = line_deployment.network.new_phase("t", 3)
         phase.begin_interval(1)
         with pytest.raises(NetworkError):
-            phase.arrival_map(2)
+            phase.rows(2)
 
-    def test_empty_interval_yields_shared_empty_map(self, line_deployment):
+    def test_empty_interval_yields_no_rows(self, line_deployment):
         phase = line_deployment.network.new_phase("t", 3)
         phase.begin_interval(1)
         phase.begin_interval(2)
-        first = phase.arrival_map(1)
-        second = phase.arrival_map(2)
-        assert not first and not second
-        assert first is second  # the shared sentinel, never a fresh dict
+        for interval in (1, 2):
+            receivers, batch_ids, _, key_indices, verdicts = phase.rows(interval)
+            assert not receivers and not batch_ids and not key_indices and not verdicts
 
     def test_membership_matches_inbox(self, line_deployment):
         net = line_deployment.network
@@ -130,19 +137,21 @@ class TestArrivalMap:
         phase.begin_interval(1)
         phase.send(0, net.secure_neighbors(0), beacon(), interval=1)
         phase.send(5, net.secure_neighbors(5), beacon(origin=5), interval=1)
-        arrived = phase.arrival_map(1)
         with_frames = {
             node for node in net.topology.node_ids if phase.inbox(node, 1)
         }
-        assert set(arrived) == with_frames
+        assert arrived(phase, 1) == with_frames
         # Compare frame *values*: the column store materializes fresh
         # Delivery objects per read, so identity across two reads is not
         # part of the transport contract (and nothing consumes it).
-        frame_key = lambda d: (d.sender, d.receiver, d.payload, d.key_index, d.interval)
-        for node in arrived:
-            assert [frame_key(d) for d in arrived[node]] == [
-                frame_key(d) for d in phase.inbox(node, 1)
-            ]
+        frame_key = lambda d: (d.sender, d.receiver, d.payload, d.key_index, d.verified)
+        receivers, batch_ids, batches, key_indices, verdicts = phase.rows(1)
+        for node in with_frames:
+            assert [
+                (batches[b].claimed_sender, r, batches[b].payload, key, bool(verdict))
+                for r, b, key, verdict in zip(receivers, batch_ids, key_indices, verdicts)
+                if r == node
+            ] == [frame_key(d) for d in phase.inbox(node, 1)]
 
     def test_future_send_invisible_until_interval_begins(self, line_deployment):
         net = line_deployment.network
@@ -152,17 +161,17 @@ class TestArrivalMap:
         with pytest.raises(NetworkError):
             phase.inbox(1, 2)
         with pytest.raises(NetworkError):
-            phase.arrival_map(2)
+            phase.rows(2)
         phase.begin_interval(2)
         assert len(phase.verified_inbox(1, 2)) == 1
-        assert 1 in phase.arrival_map(2)
+        assert 1 in arrived(phase, 2)
 
     def test_current_interval_send_visible_immediately(self, line_deployment):
         net = line_deployment.network
         phase = net.new_phase("t", 2)
         phase.begin_interval(1)
         assert phase.send(0, [1], beacon(), interval=1)
-        assert 1 in phase.arrival_map(1)
+        assert 1 in arrived(phase, 1)
         assert len(phase.verified_inbox(1, 1)) == 1
 
 
