@@ -39,7 +39,6 @@ from ..crypto.mac import compute_mac_message, verify_mac_message
 from ..errors import NetworkError, ProtocolError
 from ..keys.registry import BASE_STATION_ID, KeyRegistry
 from ..metrics import Metrics
-from ..perf.cache import LRUCache, caching_enabled
 from ..seeding import derive_rng
 from ..sim.clock import ClockAssignment
 from ..topology.graph import Topology
@@ -49,71 +48,6 @@ from .node import HonestNode
 from .soa import SoATransport
 
 EDGE_KEY_INDEX_BYTES = 2
-
-#: Verified-MAC memo for the lazy delivery path, keyed by ``(edge key
-#: bytes, payload bytes)``.  Every frame the simulator puts on the air
-#: carries ``mac = compute_mac_message(key, message)`` over the exact
-#: message the receiver verifies, so whether the MAC matches is a pure
-#: function of (key, payload): the per-receiver fields (claimed sender,
-#: receiver id, interval) appear identically under the signing and the
-#: verifying HMAC.  One broadcast to ``d`` neighbours therefore needs
-#: one honest verification, not ``d`` — and a re-flood of the same
-#: payload on the same edge key needs none.  The memo only ever stores
-#: the outcome an honest ``verify_mac_message`` produced, keeping the
-#: bit-identical contract (docs/PERFORMANCE.md).
-_VERIFIED_MACS = LRUCache("edge-mac-verdicts", maxsize=8192)
-_VERIFIED_MACS_VIEW = _VERIFIED_MACS.view()
-
-#: Canonical payload encodings keyed by the payload value itself.  Every
-#: payload type is a frozen dataclass whose ``canonical_bytes`` is a
-#: pure function of its fields, so equal payloads encode identically —
-#: a flood re-forwarding one beacon through a thousand sensors
-#: canonicalizes it once, not a thousand times.  Unhashable payloads
-#: simply bypass the memo.
-_PAYLOAD_ENCODINGS = LRUCache("payload-encodings", maxsize=4096)
-_PAYLOAD_ENCODINGS_VIEW = _PAYLOAD_ENCODINGS.view()
-
-#: Canonical encodings of node ids (the per-frame sender/receiver
-#: fields).  A tiny domain hit once per frame.
-#:
-#: These per-frame memos are read through ``LRUCache.view()`` — a plain
-#: dict lookup — because the accounting inside ``get`` costs more than
-#: the encodings they save.  A view hit still bumps the hit counter
-#: (one attribute increment); misses route through ``get``/``put`` as
-#: usual.  Views are empty whenever caching is disabled (disabling
-#: clears in place), so the fast path can only hit while enabled.
-_ID_ENCODINGS = LRUCache("id-encodings", maxsize=16384)
-_ID_ENCODINGS_VIEW = _ID_ENCODINGS.view()
-
-
-def _encode_id(value: int) -> bytes:
-    enc = _ID_ENCODINGS_VIEW.get(value)
-    if enc is not None:
-        _ID_ENCODINGS.hits += 1
-        return enc
-    if not caching_enabled():
-        return encode_parts(value)
-    _ID_ENCODINGS.misses += 1
-    enc = encode_parts(value)
-    _ID_ENCODINGS.put(value, enc)
-    return enc
-
-
-def _payload_bytes(payload: Payload) -> bytes:
-    try:
-        cached = _PAYLOAD_ENCODINGS_VIEW.get(payload)
-    except TypeError:  # unhashable payload: memo cannot apply
-        return payload.canonical_bytes()
-    if cached is not None:
-        _PAYLOAD_ENCODINGS.hits += 1
-        return cached
-    if not caching_enabled():
-        return payload.canonical_bytes()
-    _PAYLOAD_ENCODINGS.misses += 1
-    cached = payload.canonical_bytes()
-    _PAYLOAD_ENCODINGS.put(payload, cached)
-    return cached
-
 
 #: Cached canonical encoding of the edge-MAC domain tag.  Encodings are
 #: concatenative (``encode_parts(*p)`` is the join of each field's
@@ -146,9 +80,9 @@ class _SendBatch:
     :meth:`PhaseContext.broadcast` block produces one batch, and its
     ``d`` frames reference it.  Everything identical across the
     receivers of a local broadcast — the payload, its canonical bytes,
-    its wire size, the claimed sender and its encoding, the
-    per-interval ``encode_parts(interval, payload_bytes)`` suffix — is
-    computed at most once here instead of once per frame.
+    its wire size, the per-interval ``encode_parts(interval,
+    payload_bytes)`` suffix — is computed at most once here instead of
+    once per frame.
 
     A batch keeps the network and the phase's name, not the phase: the
     phase's frame store holds its batches, so a back-reference would make
@@ -162,7 +96,6 @@ class _SendBatch:
         "payload",
         "_encoded",
         "payload_wire",
-        "claimed_enc",
         "_interval_encs",
     )
 
@@ -175,7 +108,6 @@ class _SendBatch:
         self.payload = payload
         self._encoded: Optional[bytes] = None
         self.payload_wire = payload.wire_size() + MAC_BYTES + EDGE_KEY_INDEX_BYTES
-        self.claimed_enc = _encode_id(claimed_sender)
         # Clock-shift faults can land frames of one broadcast in
         # different intervals, so the interval+payload suffix is a tiny
         # per-batch map rather than a single cached value.
@@ -186,13 +118,13 @@ class _SendBatch:
         """The payload's canonical bytes, encoded on first read.
 
         One local broadcast, one encoding: every receiver's edge MAC
-        covers the same bytes.  Only MAC materialization, the verified-MAC
-        memo and the service wire read them, so an honest simulated send
-        never encodes its payload.
+        covers the same bytes.  Only MAC materialization and the service
+        wire read them, so an honest simulated send never encodes its
+        payload.
         """
         encoded = self._encoded
         if encoded is None:
-            encoded = self._encoded = _payload_bytes(self.payload)
+            encoded = self._encoded = self.payload.canonical_bytes()
         return encoded
 
     def message_for(self, receiver: int, interval: int) -> bytes:
@@ -203,8 +135,7 @@ class _SendBatch:
             self._interval_encs[interval] = suffix
         return (
             _EDGE_TAG_ENCODED
-            + self.claimed_enc
-            + _encode_id(receiver)
+            + encode_parts(self.claimed_sender, receiver)
             + self.phase_name_encoded
             + suffix
         )
@@ -213,12 +144,10 @@ class _SendBatch:
 class Delivery:
     """One received link-layer frame.
 
-    Frames share their broadcast's :class:`_SendBatch`; ``edge_mac`` and
-    ``verified`` are computed on first access (honest nodes often never
-    read flooded duplicates, and one broadcast's MAC validity is
-    verified once via the module's verified-MAC memo).  The
-    receiver-side checks on mutable state ran at transmit time (see
-    :meth:`PhaseContext.send`).
+    Frames share their broadcast's :class:`_SendBatch`; ``edge_mac`` is
+    computed on first access (honest nodes often never read flooded
+    duplicates).  The receiver-side checks on mutable state ran at
+    transmit time (see :meth:`PhaseContext.send`).
     """
 
     __slots__ = ("_batch", "receiver", "key_index", "interval", "_mac", "_verified")
@@ -264,47 +193,22 @@ class Delivery:
     def verified(self) -> bool:
         """Whether the receiver's link layer accepts this frame.
 
-        Only the MAC-match computation is deferred: the receiver-side
-        acceptance checks that depend on *mutable* state (key
-        revocation, key possession) were evaluated at transmit time, so
+        The receiver-side acceptance checks that depend on *mutable*
+        state (key revocation, key possession) ran at transmit time, so
         a revocation between send and read cannot change the outcome.
+        A frame that passed them (``verified=None``) carries a MAC the
+        simulator computes under this same key over this same canonical
+        message (see ``edge_mac``), and an HMAC over its own bytes
+        always verifies, so its verdict is ``True`` without walking the
+        HMAC.  Frames the adversary could taint never get there: forging
+        is refused at send time (key possession is enforced and the
+        simulator signs on the sender's behalf).  A MAC received off the
+        wire is checked for real by
+        :func:`repro.service.wire.ingest_envelope`, which passes its
+        verdict in.
         """
         verdict = self._verified
-        if verdict is None:
-            mac = self._mac
-            if mac is None:
-                # No MAC has been materialized for this frame yet.  When
-                # one is (see ``edge_mac``), the simulator computes it
-                # under this same key over this same canonical message —
-                # and ``verify_mac_message`` of a MAC over its own bytes
-                # is deterministically True (HMAC is a pure function).
-                # Acceptance therefore rests entirely on the eager
-                # transmit-time prechecks; re-walking the HMAC here is
-                # work with a provably fixed outcome.  Frames the
-                # adversary could taint never take this branch: forging
-                # is refused at send time (key possession is enforced
-                # and the simulator signs on the sender's behalf), so
-                # every materialized MAC is authentic by construction.
-                verdict = True
-            else:
-                # A materialized MAC (an adversary or a service host
-                # read it): verify for real, once per (edge key,
-                # payload) via the memo.
-                batch = self._batch
-                key = batch.network.registry.pool_key(self.key_index)
-                memo_key = (key, batch.payload_bytes)
-                if memo_key in _VERIFIED_MACS_VIEW:
-                    _VERIFIED_MACS.hits += 1
-                    verdict = True
-                else:
-                    if caching_enabled():
-                        _VERIFIED_MACS.misses += 1
-                    message = batch.message_for(self.receiver, self.interval)
-                    verdict = verify_mac_message(key, mac, message)
-                    if verdict:
-                        _VERIFIED_MACS.put(memo_key, True)
-            self._verified = verdict
-        return verdict
+        return True if verdict is None else verdict
 
     def wire_size(self) -> int:
         return self._batch.payload_wire

@@ -11,10 +11,9 @@ never reports a number.
 Two layers are measured:
 
 * **micro** — the per-call hot paths (MAC signing/edge batches, PRF
-  draws, synopsis generation/verification, canonical encoding, ring
-  expansion), timed interleaved (reference round, optimized round,
-  repeat) so machine drift hits both sides equally; the best round per
-  side is reported.
+  draws, synopsis generation/verification, canonical encoding), timed
+  interleaved (reference round, optimized round, repeat) so machine
+  drift hits both sides equally; the best round per side is reported.
 * **e2e** — whole campaign cells (``fig7``/``fig8``/``chaos`` reduced
   grids) run twice on the same build: once with every cache disabled
   (:func:`repro.perf.cache.disabled` — the same kernel, no caches) and
@@ -43,7 +42,6 @@ import hmac as _hmac
 import io
 import math
 import pstats
-import random
 import struct
 import sys
 import time
@@ -206,12 +204,6 @@ def _ref_verify_synopsis(
     )
 
 
-def _ref_ring_indices(master_secret: bytes, sensor_id: int, pool: int, ring: int) -> List[int]:
-    seed = _ref_prf_bytes(master_secret, "ring-seed", sensor_id, length=16)
-    rng = random.Random(seed)
-    return sorted(rng.sample(range(pool), ring))
-
-
 # ----------------------------------------------------------------------
 # Micro benches
 # ----------------------------------------------------------------------
@@ -305,7 +297,6 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
     from ..crypto.mac import compute_mac, compute_mac_message, verify_mac, verify_mac_message
     from ..crypto.prf import prf_bytes, prf_uniform
     from ..keys.pool import KeyPool
-    from ..keys.ring import ring_seed as opt_ring_seed, ring_indices_from_seed
     from ..net.message import ReadingMessage, SynopsisBundle
 
     edge_key = hashlib.sha256(b"bench-edge-key").digest()[:16]
@@ -492,21 +483,6 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
             out.extend(exponential_draws(nonce, sid, m))
         return out
 
-    # --- Eschenauer–Gligor ring expansion ------------------------------
-    ring_sensors = sensors[: max(4, scale // 4)]
-
-    def ref_ring() -> List[List[int]]:
-        return [
-            _ref_ring_indices(master, sid, key_config.pool_size, key_config.ring_size)
-            for sid in ring_sensors
-        ]
-
-    def opt_ring() -> List[List[int]]:
-        return [
-            ring_indices_from_seed(opt_ring_seed(master, sid), key_config)
-            for sid in ring_sensors
-        ]
-
     # --- primitives: one raw call, nothing to amortize ----------------
     key = ref_sensor_key(1)
 
@@ -555,7 +531,6 @@ def _build_micro_benches(scale: int) -> List[MicroBench]:
         MicroBench("mac_verify_minimum", "crypto", len(minimum_claims), ref_verify_minimum, opt_verify_minimum),
         MicroBench("sensor_key_derivation", "crypto", n, ref_key_derivation, opt_key_derivation),
         MicroBench("exponential_draws", "crypto", n * m, ref_draws, opt_draws),
-        MicroBench("ring_selection", "crypto", len(ring_sensors), ref_ring, opt_ring),
         MicroBench("compute_mac", "primitive", n, ref_mac_single, opt_mac_single),
         MicroBench("prf_bytes", "primitive", n, ref_prf, opt_prf),
         MicroBench("prf_uniform", "primitive", n, ref_unif, opt_unif),

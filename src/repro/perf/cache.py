@@ -1,8 +1,10 @@
 """Bounded LRU caches behind the bit-identical optimization layer.
 
-Every hot-path cache in the repository — pre-keyed HMAC states, synopsis
-draw vectors, Eschenauer–Gligor ring selections, derived pool keys —
-goes through :class:`LRUCache`, for three reasons:
+The repository keeps three caches, each because a measured workload
+hits it: pre-keyed HMAC states (``hmac-keyed-states``), derived pool
+keys (``derived-keys``) and synopsis draw vectors
+(``synopsis-draw-vectors``).  Each goes through :class:`LRUCache`, for
+three reasons:
 
 * **bit-identical by construction** — a cache may only ever store the
   exact value the cached computation would have produced, so a hit and a
@@ -171,13 +173,6 @@ def autosize_caches(num_nodes: int, pool_size: int = 0) -> Dict[str, int]:
         # Raw derived keys: every pool key, once (bulk per-sensor key
         # derivation also skips insertion).
         "derived-keys": pool + 2048,
-        # Wire encodings of node ids (senders/receivers).
-        "id-encodings": nodes + 1024,
-        # Canonical payload encodings: the aggregation phase encodes one
-        # payload per participating sensor per execution, so the bound
-        # must scale with the topology (4096 thrashed at 100k nodes:
-        # 114k evictions in one sweep).
-        "payload-encodings": nodes + 2048,
     }
     applied: Dict[str, int] = {}
     for name, want in targets.items():

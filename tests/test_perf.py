@@ -82,6 +82,29 @@ class TestLRUCache:
         assert cache.name in registered_caches()
         assert cache_stats()[cache.name] == stats
 
+    def test_package_registers_only_the_paying_caches(self):
+        # A fresh interpreter: this process also holds the tests' caches.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import json, repro, repro.net.network, repro.keys.soa, repro.perf.bench;"
+            "from repro.perf.cache import registered_caches;"
+            "print(json.dumps(registered_caches()))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(out.stdout) == [
+            "hmac-keyed-states",
+            "derived-keys",
+            "synopsis-draw-vectors",
+        ]
+
     def test_disable_clears_and_bypasses(self):
         cache = _fresh_cache("disable", 4)
         cache.put("k", b"v")

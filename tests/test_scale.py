@@ -255,8 +255,10 @@ class TestLazyVerification:
             assert run() is False
 
     def test_materialized_mac_still_verifies(self):
-        # Reading edge_mac first forces the HMAC to exist; verified must
-        # then check it for real and agree with eager verification.
+        # Reading edge_mac first forces the HMAC to exist.  The simulator
+        # computed it over the frame's own bytes, so the verdict stays
+        # the transmit-time one and agrees with eager verification; a
+        # MAC received off the wire is checked by ingest_envelope.
         net, phase, delivery = self._one_frame()
         assert delivery._verified is None
         mac = delivery.edge_mac
