@@ -48,6 +48,48 @@ def cell_id_for(scenario: str, params: Mapping[str, Any]) -> str:
     return f"{scenario}/{parts}"
 
 
+#: JSON field -> (accepted types, default); ``_REQUIRED`` has none.
+_REQUIRED = object()
+_SCENARIO_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+    "scenario": ((str,), _REQUIRED),
+    "grid": ((dict,), {}),
+}
+_CAMPAIGN_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+    "name": ((str,), _REQUIRED),
+    "scenarios": ((list, tuple), _REQUIRED),
+    "seed": ((int,), 0),
+    "replicates": ((int,), 1),
+    "cell_timeout": ((int, float), 0.0),
+    "imports": ((list, tuple), ()),
+}
+
+
+def _typed_fields(
+    kind: str, data: Any, fields: Mapping[str, Tuple[Tuple[type, ...], Any]]
+) -> Dict[str, Any]:
+    """``data``'s known fields, type-checked and with defaults filled in.
+
+    Unknown keys are ignored; a non-object, a missing required field or
+    a value of the wrong JSON type (a bool is not a number) raises
+    :class:`ConfigError`.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"a {kind} is a JSON object, not {type(data).__name__}")
+    out: Dict[str, Any] = {}
+    for name, (types, default) in fields.items():
+        if name not in data:
+            if default is _REQUIRED:
+                raise ConfigError(f"{kind} needs a {name!r} field")
+            out[name] = default
+            continue
+        value = data[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"{kind} field {name!r} must be {expected}, got {value!r}")
+        out[name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class Cell:
     """One point of the expanded grid: scenario + concrete parameters.
@@ -85,6 +127,11 @@ class ScenarioSpec:
         for axis, values in dict(self.grid).items():
             if isinstance(values, _SCALARS):
                 values = (values,)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(
+                    f"axis {axis!r} of {self.scenario!r} must be a scalar or a list, "
+                    f"got {values!r}"
+                )
             values = tuple(values)
             if not values:
                 raise ConfigError(f"axis {axis!r} of {self.scenario!r} is empty")
@@ -105,8 +152,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(scenario=data["scenario"], grid=data.get("grid", {}))
+        """Inverse of :meth:`to_dict`; malformed input raises ConfigError."""
+        fields = _typed_fields("ScenarioSpec", data, _SCENARIO_FIELDS)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -154,15 +202,16 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=data["name"],
-            seed=int(data.get("seed", 0)),
-            replicates=int(data.get("replicates", 1)),
-            cell_timeout=float(data.get("cell_timeout", 0.0)),
-            imports=tuple(data.get("imports", ())),
-            scenarios=tuple(ScenarioSpec.from_dict(s) for s in data["scenarios"]),
-        )
+        """Inverse of :meth:`to_dict`; malformed input raises ConfigError."""
+        fields = _typed_fields("CampaignSpec", data, _CAMPAIGN_FIELDS)
+        if not all(isinstance(module, str) for module in fields["imports"]):
+            raise ConfigError(
+                f"CampaignSpec 'imports' must be module names, got {fields['imports']!r}"
+            )
+        fields["cell_timeout"] = float(fields["cell_timeout"])
+        fields["imports"] = tuple(fields["imports"])
+        fields["scenarios"] = tuple(ScenarioSpec.from_dict(s) for s in fields["scenarios"])
+        return cls(**fields)
 
     def to_json(self) -> str:
         """Pretty JSON for spec files."""
@@ -171,7 +220,11 @@ class CampaignSpec:
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
         """Parse a spec file produced by :meth:`to_json` (or by hand)."""
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"CampaignSpec is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def spec_hash(self) -> str:
         """Stable content hash of the spec (hex); names the run."""

@@ -419,11 +419,16 @@ def cmd_invariants_mutants(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from .errors import ReproError
     from .invariants import fuzz as run_fuzz
     from .invariants import replay_repro
 
     if args.replay:
-        violations, expected = replay_repro(args.replay)
+        try:
+            violations, expected = replay_repro(args.replay)
+        except ReproError as exc:
+            print(f"REPLAY FAILED  {exc}")
+            return 1
         got = sorted({v.invariant for v in violations})
         print(f"replay {args.replay}: expected {expected}, got {got}")
         for violation in violations:

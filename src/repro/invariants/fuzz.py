@@ -75,13 +75,18 @@ class FuzzConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FuzzConfig":
+        if not isinstance(data, dict):
+            raise ReproError(f"a FuzzConfig is a JSON object, not {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
             raise ReproError(f"unknown FuzzConfig fields: {sorted(extra)}")
         data = dict(data)
-        data["malicious"] = tuple(data.get("malicious", ()))
-        return cls(**data)
+        try:
+            data["malicious"] = tuple(data.get("malicious", ()))
+            return cls(**data)
+        except TypeError as exc:
+            raise ReproError(f"malformed FuzzConfig: {exc}") from None
 
     # ------------------------------------------------------------------
     def build_topology(self):
@@ -280,14 +285,22 @@ def replay_repro(path) -> Tuple[List[Violation], List[str]]:
 
     Deterministic: the replayed run must violate exactly the invariants
     the repro recorded (callers assert this; the CLI exits nonzero
-    otherwise).
+    otherwise).  An unreadable or malformed file raises
+    :class:`ReproError`.
     """
-    with open(path) as handle:
-        data = json.load(handle)
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read repro {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ReproError(f"repro {path} is not a JSON object")
     if data.get("version") != REPRO_FORMAT_VERSION:
         raise ReproError(
             f"unsupported repro version {data.get('version')!r} in {path}"
         )
+    if "config" not in data:
+        raise ReproError(f"repro {path} has no 'config'")
     config = FuzzConfig.from_dict(data["config"])
     violations = run_config(config, mutant=data.get("mutant"))
     return violations, list(data.get("violated", []))

@@ -58,6 +58,45 @@ class TestCampaignSpec:
         with pytest.raises(ConfigError):
             CampaignSpec(name="x", scenarios=(ScenarioSpec("comm", {}),), replicates=0)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1",
+            "not json",
+            "[]",
+            "5",
+            '{"name": 3}',
+            '{"name": "x"}',
+            '{"scenarios": [{"scenario": "comm"}]}',
+            '{"name": "x", "scenarios": 5}',
+            '{"name": "x", "scenarios": [5]}',
+            '{"name": "x", "scenarios": [{"grid": {}}]}',
+            '{"name": "x", "scenarios": [{"scenario": 4}]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm", "grid": 5}]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm", "grid": {"nodes": null}}]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm", "grid": {"nodes": {}}}]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "seed": "a"}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "seed": [1]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "seed": 1.5}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "replicates": true}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": "1"}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": "mod"}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": [1]}',
+        ],
+    )
+    def test_from_json_rejects_malformed_input_with_config_error(self, text):
+        """What ``campaign run --spec`` reads off disk fails typed."""
+        with pytest.raises(ConfigError):
+            CampaignSpec.from_json(text)
+
+    def test_from_json_accepts_ints_for_cell_timeout_and_omitted_defaults(self):
+        spec = CampaignSpec.from_json(
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": 30}'
+        )
+        assert spec.cell_timeout == 30.0 and isinstance(spec.cell_timeout, float)
+        assert (spec.seed, spec.replicates, spec.imports) == (0, 1, ())
+        assert spec.scenarios == (ScenarioSpec("comm", {}),)
+
     def test_cells_expand_grid_times_replicates(self):
         cells = two_scenario_spec().cells()
         # comm: 2x1 grid, fig8: 1x1x1 grid, both x2 replicates.

@@ -135,6 +135,31 @@ class TestFuzzFindsMutant:
         assert data["mutant"] == SENSITIVITY_MUTANT
         assert data["version"] == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "not json",
+            "[]",
+            '"repro"',
+            '{"version": 1}',
+            '{"version": 1, "config": 5}',
+            '{"version": 1, "config": {}}',
+            '{"version": 1, "config": {"seed": 0, "malicious": 3}}',
+            '{"version": 1, "config": {"seed": 0, "colour": "red"}}',
+        ],
+    )
+    def test_replay_rejects_malformed_files_typed(self, tmp_path, capsys, text) -> None:
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ReproError):
+            replay_repro(path)
+        # The CLI prints the error and exits nonzero, no traceback.
+        assert main(["fuzz", "--replay", str(path)]) == 1
+        assert "REPLAY FAILED" in capsys.readouterr().out
+
     def test_replay_rejects_future_versions(self, tmp_path) -> None:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
