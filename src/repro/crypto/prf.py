@@ -142,6 +142,13 @@ _TEMPER_C = np.uint32(0xEFC60000)
 #: block's transient arrays add to the build's peak RSS.
 _BLOCK_ROWS = 256
 
+#: Fewest draws (seeds x count) a call batches.  Below it the per-seed
+#: reference takes no longer than one block's ~1,250 fixed numpy steps
+#: (255 seeds at 2,000/60: 16 ms seed by seed against 18 ms batched) and
+#: skips the block's transient arrays (0.5 MiB against 4 MiB of peak
+#: RSS there).
+_MIN_BATCH_DRAWS = 16_384
+
 
 def _init_genrand(seed: int) -> np.ndarray:
     mt = [seed]
@@ -332,9 +339,10 @@ def sample_distinct_rows(
 
     Returns a ``(len(seeds), count)`` array whose row ``i`` equals
     ``sample_distinct_indices(seeds[i], population, count)``.  Where
-    ``random.sample`` takes its set path, rows are drawn by the batched
+    ``random.sample`` takes its set path and the call makes at least
+    :data:`_MIN_BATCH_DRAWS` draws, rows are drawn by the batched
     MT19937 replay in blocks of :data:`_BLOCK_ROWS` seeds; every other
-    shape runs the per-seed reference.  A batched call checks its first
+    call runs the per-seed reference.  A batched call checks its first
     row against the reference, so an interpreter whose ``random``
     diverges from the replay raises :class:`CryptoError` instead of
     building wrong rings.
@@ -347,7 +355,7 @@ def sample_distinct_rows(
         return out
     # Seeds up to 2,432 bytes give init_by_array keys of at most 624 words.
     batched = (
-        count > 0
+        len(seeds) * count >= _MIN_BATCH_DRAWS
         and _takes_set_path(population, count)
         and all(len(seed) <= 4 * _MT_N - 64 for seed in seeds)
     )
