@@ -72,7 +72,7 @@ class ReplicaTransport:
     reproducing the simulator's chronological inbox order.
     """
 
-    __slots__ = ("host", "phase", "_buckets", "_seq", "_ingested")
+    __slots__ = ("host", "phase", "_buckets", "_seq", "_ingested", "_last_batch")
 
     def __init__(self, host: "NodeHost", phase) -> None:
         self.host = host
@@ -87,6 +87,7 @@ class ReplicaTransport:
         # the same batches its dead incarnation may have partially
         # delivered, and receivers keep exactly one copy.
         self._ingested: set = set()
+        self._last_batch = None
 
     def deposit(self, interval, batches, counts, receivers, key_indices, verdicts) -> None:
         """One envelope per row: every row is reported up, a hosted
@@ -116,7 +117,8 @@ class ReplicaTransport:
         if env in self._ingested:
             return
         interval, receiver, band, order, subseq, _sender, key_index, mac, _payload = env
-        batch, verified = ingest_envelope(self.phase, env)
+        batch, verified = ingest_envelope(self.phase, env, self._last_batch)
+        self._last_batch = batch
         if receiver not in self.host.hosted_set:
             raise ServiceError(
                 f"host {self.host.host_index} received a frame for "

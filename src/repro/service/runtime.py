@@ -78,7 +78,7 @@ class CoordinatorTransport(SoATransport):
     shipment to that sensor's host on the next ``deliver``.
     """
 
-    __slots__ = ("runtime", "_phase")
+    __slots__ = ("runtime", "_phase", "_last_batch")
 
     def __init__(self, runtime: "ServiceRuntime", phase) -> None:
         super().__init__(phase.network.topology.num_nodes)
@@ -86,6 +86,7 @@ class CoordinatorTransport(SoATransport):
         # Weak: the phase owns this store, and a strong back-reference
         # would leave every finished phase for the cyclic collector.
         self._phase = weakref.ref(phase)
+        self._last_batch = None
 
     def deposit(self, interval, batches, counts, receivers, key_indices, verdicts) -> None:
         super().deposit(interval, batches, counts, receivers, key_indices, verdicts)
@@ -111,7 +112,8 @@ class CoordinatorTransport(SoATransport):
         """Fold one host-reported frame into the mirror as one row (no
         re-shipping)."""
         interval, receiver, _band, _order, _subseq, _sender, key_index, _mac, _payload = env
-        batch, verified = ingest_envelope(self._phase(), env)
+        batch, verified = ingest_envelope(self._phase(), env, self._last_batch)
+        self._last_batch = batch
         super().deposit(interval, (batch,), (1,), (receiver,), (key_index,), (verified,))
 
 

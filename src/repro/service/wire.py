@@ -78,24 +78,39 @@ def envelope_sort_key(env: Envelope) -> Tuple[int, int, int]:
     return (env[2], env[3], env[4])
 
 
-def ingest_envelope(phase: PhaseContext, env: Envelope) -> Tuple[_SendBatch, bool]:
+def ingest_envelope(
+    phase: PhaseContext, env: Envelope, previous: Optional[_SendBatch] = None
+) -> Tuple[_SendBatch, bool]:
     """Decode an envelope on the receiving side: ``(batch, verified)``.
 
     The payload is re-decoded from its canonical bytes, the canonical
     encoding check guards against any decode/encode asymmetry, and the
     verdict is recomputed locally from the shipped HMAC — the receiving
     process trusts only the cryptography, not the sender's verdict.
+
+    A block ships one envelope per receiver, so consecutive envelopes
+    often repeat the claimed sender and payload bytes.  ``previous``, the
+    batch the last envelope produced, is reused for such a repeat: its
+    bytes already passed the canonical check, so the block is decoded
+    once.  The MAC is still checked per envelope.
     """
     from ..net.framing import decode_payload
 
     interval, receiver, _band, _order, _subseq, sender, key_index, mac, payload_bytes = env
-    payload = decode_payload(payload_bytes)
-    batch = _SendBatch(phase, sender, payload)
-    if batch.payload_bytes != payload_bytes:
-        raise ServiceError(
-            f"frame payload re-encoding mismatch for sender {sender} -> "
-            f"{receiver} in interval {interval}"
-        )
+    if (
+        previous is not None
+        and previous.claimed_sender == sender
+        and previous.payload_bytes == payload_bytes
+    ):
+        batch = previous
+    else:
+        payload = decode_payload(payload_bytes)
+        batch = _SendBatch(phase, sender, payload)
+        if batch.payload_bytes != payload_bytes:
+            raise ServiceError(
+                f"frame payload re-encoding mismatch for sender {sender} -> "
+                f"{receiver} in interval {interval}"
+            )
     message = batch.message_for(receiver, interval)
     verified = phase.network._accepts_message(receiver, key_index, mac, message)
     return batch, verified
