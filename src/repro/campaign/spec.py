@@ -67,14 +67,17 @@ _CAMPAIGN_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
 def _typed_fields(
     kind: str, data: Any, fields: Mapping[str, Tuple[Tuple[type, ...], Any]]
 ) -> Dict[str, Any]:
-    """``data``'s known fields, type-checked and with defaults filled in.
+    """``data``'s fields, type-checked and with defaults filled in.
 
-    Unknown keys are ignored; a non-object, a missing required field or
-    a value of the wrong JSON type (a bool is not a number) raises
-    :class:`ConfigError`.
+    A non-object, an unknown key (a misspelled field would otherwise
+    run with its default), a missing required field or a value of the
+    wrong JSON type (a bool is not a number) raises :class:`ConfigError`.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"a {kind} is a JSON object, not {type(data).__name__}")
+    unknown = sorted(str(name) for name in data if name not in fields)
+    if unknown:
+        raise ConfigError(f"{kind} has unknown fields {unknown}; known: {sorted(fields)}")
     out: Dict[str, Any] = {}
     for name, (types, default) in fields.items():
         if name not in data:

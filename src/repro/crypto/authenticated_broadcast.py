@@ -35,10 +35,10 @@ sensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import BroadcastAuthError
-from .hash import hash_chain, oneway_hash
+from .hash import oneway_hash
 from .mac import compute_mac, verify_mac
 
 #: Longest index jump a verifier walks back along the chain.
@@ -71,14 +71,35 @@ class KeyDisclosure:
         return 2 + len(self.chain_key)
 
 
+#: Chain indices between the values :class:`BroadcastAuthority` keeps.
+_CHECKPOINT_SPACING = 64
+
+
 class BroadcastAuthority:
-    """Base-station side: owns the hash chain, signs and discloses."""
+    """Base-station side: owns the hash chain, signs and discloses.
+
+    It keeps every :data:`_CHECKPOINT_SPACING`-th chain value and the
+    segment now being signed, re-deriving the next segment from the
+    checkpoint above it: about 130 values for the default 4,096-long
+    chain instead of all 4,097.
+    """
 
     def __init__(self, seed: bytes, chain_length: int = 4096, mac_length: int = 8) -> None:
         if chain_length < 1:
             raise BroadcastAuthError("chain_length must be >= 1")
-        # chain[0] is the anchor; chain[i] is the key for broadcast index i.
-        self._chain = hash_chain(seed, chain_length)
+        # Chain value i is H^(n - i)(seed): value 0 is the anchor, value i
+        # the key for broadcast index i.  _checkpoints[k] is the value at
+        # min(k * spacing, n).
+        self._length = chain_length
+        self._checkpoints: List[bytes] = []
+        value = seed
+        for index in range(chain_length, -1, -1):
+            if index % _CHECKPOINT_SPACING == 0 or index == chain_length:
+                self._checkpoints.append(value)
+            value = oneway_hash(value)
+        self._checkpoints.reverse()
+        self._segment_start = -1
+        self._segment: List[bytes] = []
         self._mac_length = mac_length
         self._next_index = 1
         self._undisclosed: Dict[int, bytes] = {}
@@ -86,19 +107,33 @@ class BroadcastAuthority:
     @property
     def anchor(self) -> bytes:
         """The public commitment pre-loaded on every sensor."""
-        return self._chain[0]
+        return self._checkpoints[0]
 
     @property
     def remaining(self) -> int:
-        return len(self._chain) - self._next_index
+        return self._length + 1 - self._next_index
+
+    def _key(self, index: int) -> bytes:
+        """Chain value ``index``, from the segment that holds it."""
+        start = index - index % _CHECKPOINT_SPACING
+        if start != self._segment_start:
+            top = min(start + _CHECKPOINT_SPACING, self._length)
+            value = self._checkpoints[-(-top // _CHECKPOINT_SPACING)]
+            segment = [value]
+            for _ in range(top - start):
+                value = oneway_hash(value)
+                segment.append(value)
+            segment.reverse()
+            self._segment_start, self._segment = start, segment
+        return self._segment[index - start]
 
     def sign(self, *payload: Any) -> AuthenticatedMessage:
         """Produce the wave-1 message for the next chain index."""
-        if self._next_index >= len(self._chain):
+        if self._next_index > self._length:
             raise BroadcastAuthError("hash chain exhausted; deploy a longer chain")
         index = self._next_index
         self._next_index += 1
-        key = self._chain[index]
+        key = self._key(index)
         mac = compute_mac(key, index, *payload, length=self._mac_length)
         self._undisclosed[index] = key
         return AuthenticatedMessage(index=index, payload=tuple(payload), mac=mac)

@@ -20,17 +20,18 @@ same computation — ``tests/test_golden_vectors.py`` pins the outputs.
 Ring selection: :func:`sample_distinct_indices` is the per-seed
 reference, ``sorted(random.Random(seed).sample(range(u), r))``.  Large
 ring-table builds draw thousands of rings at once through
-:func:`sample_distinct_rows`, which replays CPython's algorithm —
-``random.seed`` of a bytes seed, MT19937 ``init_by_array``, the twist,
-tempering, ``getrandbits`` rejection and ``sample``'s set-path dedup —
-as whole-array numpy operations over a block of seeds.  Its rows are the
-reference rows bit for bit; every batched call checks its first row
-against the reference and raises :class:`CryptoError` on a mismatch.
+:func:`sample_distinct_rows`.  Each seed's generator is
+``random.Random(seed)`` itself, so seeding is the stdlib's by
+construction; its MT19937 words come 624 at a time from one
+``getrandbits`` call, and ``getrandbits`` rejection and ``sample``'s
+set-path dedup are replayed as whole-array numpy operations over a block
+of seeds.  Its rows are the reference rows bit for bit; every batched
+call checks its first row against the reference and raises
+:class:`CryptoError` on a mismatch.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import struct
@@ -126,130 +127,20 @@ def _check_sample_shape(population: int, count: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Batched ring selection: CPython's MT19937 sampler over a block of seeds
+# Batched ring selection: CPython's sampler over a block of seeds
 # ----------------------------------------------------------------------
-#: MT19937 parameters (CPython ``Modules/_randommodule.c``).
+#: MT19937 words per ``getrandbits`` call: one full state's output.
 _MT_N = 624
-_MT_M = 397
-_MT_MATRIX_A = np.uint32(0x9908B0DF)
-_MT_UPPER = np.uint32(0x80000000)
-_MT_LOWER = np.uint32(0x7FFFFFFF)
-_TEMPER_B = np.uint32(0x9D2C5680)
-_TEMPER_C = np.uint32(0xEFC60000)
 
-#: Seeds per block.  Every step of the sequential seeding recurrence is
-#: one numpy call per block, so wider blocks amortize better, but each
-#: block's transient arrays add to the build's peak RSS.
+#: Seeds per block.  Blocks only bound the transient word and sort
+#: arrays: ``_BLOCK_ROWS x 624`` words per pass.
 _BLOCK_ROWS = 256
 
 #: Fewest draws (seeds x count) a call batches.  Below it the per-seed
-#: reference takes no longer than one block's ~1,250 fixed numpy steps
-#: (255 seeds at 2,000/60: 16 ms seed by seed against 18 ms batched) and
-#: skips the block's transient arrays (0.5 MiB against 4 MiB of peak
-#: RSS there).
+#: reference is kept for peak RSS: 255 seeds at 2,000/60 take 16 ms seed
+#: by seed and 12 ms batched, but the batch's arrays add 3.4 MiB of peak
+#: RSS where the reference adds none.
 _MIN_BATCH_DRAWS = 16_384
-
-
-def _init_genrand(seed: int) -> np.ndarray:
-    mt = [seed]
-    for i in range(1, _MT_N):
-        prev = mt[-1]
-        mt.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
-    return np.array(mt, dtype=np.uint32)
-
-
-#: ``init_genrand(19650218)``, the state ``init_by_array`` starts from.
-_MT_GENRAND_BASE = _init_genrand(19650218)
-
-#: ``init_by_array``'s two passes: the state rows each step rewrites
-#: (the pass starts at i = 1, resp. 2, and wraps from 623 to 1), the
-#: multipliers, and the ``- i`` offsets of the second pass.
-_SEED_PASS_ONE = tuple(range(1, _MT_N)) + (1,)
-_SEED_PASS_TWO = tuple(range(2, _MT_N)) + (1,)
-_SEED_MULT_ONE = np.uint32(1664525)
-_SEED_MULT_TWO = np.uint32(1566083941)
-_STATE_INDEX = np.arange(_MT_N, dtype=np.uint32)
-
-
-def _seed_key(seed: bytes) -> np.ndarray:
-    """The ``init_by_array`` key ``random.seed(seed)`` builds: the seed
-    and its SHA-512 as one big-endian int, split into 32-bit words least
-    significant first, zero high words dropped (``random_seed``)."""
-    value = int.from_bytes(seed + hashlib.sha512(seed).digest(), "big")
-    words = max(1, -(-value.bit_length() // 32))
-    return np.frombuffer(value.to_bytes(4 * words, "little"), dtype="<u4")
-
-
-def _seeded_states(keys: Sequence[np.ndarray]) -> np.ndarray:
-    """MT19937 ``init_by_array`` for each key, as a ``(624, len(keys))``
-    state: column ``b`` is the state after seeding with ``keys[b]``.
-
-    The recurrence is sequential in the state index, so it runs as 1,247
-    steps over whole state rows.  Keys must be at most 624 words long
-    (the first pass then runs exactly 624 steps for every key).
-    """
-    width = len(keys)
-    lengths = [key.size for key in keys]
-    # Step s of the first pass adds init_key[j] + j with j = s mod len.
-    additive = np.empty((_MT_N, width), dtype=np.uint32)
-    for length in set(lengths):
-        columns = [c for c, size in enumerate(lengths) if size == length]
-        cycle = np.array([keys[c] for c in columns], dtype=np.uint32).T
-        cycle += _STATE_INDEX[:length, None]
-        additive[:, columns] = cycle[np.arange(_MT_N) % length]
-    mt = np.repeat(_MT_GENRAND_BASE[:, None], width, axis=1)
-    rows = list(mt)
-    tmp = np.empty(width, dtype=np.uint32)
-    # Each pass walks i = 1, 2, ..., 623 and wraps to 1, where
-    # ``mt[i - 1]`` is mt[0] = mt[623]: always the row written last.
-    prev = rows[0]
-    for i, add in zip(_SEED_PASS_ONE, additive):
-        cur = rows[i]
-        np.right_shift(prev, 30, out=tmp)
-        tmp ^= prev
-        tmp *= _SEED_MULT_ONE
-        tmp ^= cur
-        np.add(tmp, add, out=cur)
-        prev = cur
-    for i in _SEED_PASS_TWO:
-        cur = rows[i]
-        np.right_shift(prev, 30, out=tmp)
-        tmp ^= prev
-        tmp *= _SEED_MULT_TWO
-        tmp ^= cur
-        np.subtract(tmp, _STATE_INDEX[i], out=cur)
-        prev = cur
-    mt[0] = _MT_UPPER
-    return mt
-
-
-def _twist_chunk(mt: np.ndarray, lo: int, hi: int, src: int) -> None:
-    y = (mt[lo:hi] & _MT_UPPER) | (mt[lo + 1 : hi + 1] & _MT_LOWER)
-    mt[lo:hi] = mt[src : src + hi - lo] ^ (y >> 1) ^ ((y & 1) * _MT_MATRIX_A)
-
-
-def _next_words(mt: np.ndarray) -> np.ndarray:
-    """Twist ``(624, B)`` states in place and return the next 624
-    tempered words of each, ``(B, 624)`` in draw order."""
-    span = _MT_N - _MT_M  # 227
-    # kk in [0, 227) reads the old mt[kk + 397]; later chunks read rows
-    # kk - 227 that an earlier chunk has already rewritten.
-    _twist_chunk(mt, 0, span, _MT_M)
-    _twist_chunk(mt, span, 2 * span, 0)
-    _twist_chunk(mt, 2 * span, _MT_N - 1, span)
-    y = (mt[_MT_N - 1] & _MT_UPPER) | (mt[0] & _MT_LOWER)
-    mt[_MT_N - 1] = mt[_MT_M - 1] ^ (y >> 1) ^ ((y & 1) * _MT_MATRIX_A)
-    y = mt >> 11
-    y ^= mt
-    tmp = y << 7
-    tmp &= _TEMPER_B
-    y ^= tmp
-    np.left_shift(y, 15, out=tmp)
-    tmp &= _TEMPER_C
-    y ^= tmp
-    np.right_shift(y, 18, out=tmp)
-    y ^= tmp
-    return y.T
 
 
 def _top_bits(words: np.ndarray, bits: int) -> np.ndarray:
@@ -305,11 +196,12 @@ def _sample_block(seeds: Sequence[bytes], population: int, count: int) -> np.nda
     ``randbelow(population)`` takes ``getrandbits(k)`` of one word per
     draw and redraws words ``>= population``; the set path also redraws
     values already selected.  So a row is the first ``count`` distinct
-    accepted values of its word stream.
+    accepted values of its word stream, which ``getrandbits(32 * 624)``
+    returns 624 words at a time, least significant word first.
     """
     bits = population.bit_length()
-    mt = _seeded_states([_seed_key(seed) for seed in seeds])
-    drawn = _top_bits(_next_words(mt), bits)
+    rngs = [random.Random(seed) for seed in seeds]
+    drawn = _top_bits(_words(rngs), bits)
     while True:
         rows, short = _first_distinct(drawn, population, count)
         if not short.any():
@@ -317,10 +209,16 @@ def _sample_block(seeds: Sequence[bytes], population: int, count: int) -> np.nda
         # Rows that ran short draw their next 624 words; complete rows
         # pad with rejected values.
         more = np.full((len(seeds), _MT_N), population, dtype=drawn.dtype)
-        states = mt[:, short]
-        more[short] = _top_bits(_next_words(states), bits)
-        mt[:, short] = states
+        more[short] = _top_bits(_words([rngs[i] for i in np.flatnonzero(short)]), bits)
         drawn = np.concatenate([drawn, more], axis=1)
+
+
+def _words(rngs: Sequence[random.Random]) -> np.ndarray:
+    """The next 624 MT19937 outputs of each generator, ``(len(rngs), 624)``
+    in draw order."""
+    size = 4 * _MT_N
+    stream = b"".join(rng.getrandbits(32 * _MT_N).to_bytes(size, "little") for rng in rngs)
+    return np.frombuffer(stream, dtype="<u4").reshape(len(rngs), _MT_N)
 
 
 def _takes_set_path(population: int, count: int) -> bool:
@@ -340,12 +238,12 @@ def sample_distinct_rows(
     Returns a ``(len(seeds), count)`` array whose row ``i`` equals
     ``sample_distinct_indices(seeds[i], population, count)``.  Where
     ``random.sample`` takes its set path and the call makes at least
-    :data:`_MIN_BATCH_DRAWS` draws, rows are drawn by the batched
-    MT19937 replay in blocks of :data:`_BLOCK_ROWS` seeds; every other
-    call runs the per-seed reference.  A batched call checks its first
-    row against the reference, so an interpreter whose ``random``
-    diverges from the replay raises :class:`CryptoError` instead of
-    building wrong rings.
+    :data:`_MIN_BATCH_DRAWS` draws, rows are drawn in blocks of
+    :data:`_BLOCK_ROWS` seeds by replaying ``sample`` over each seed's
+    word stream; every other call runs the per-seed reference.  A
+    batched call checks its first row against the reference, so an
+    interpreter whose ``random`` diverges from the replay raises
+    :class:`CryptoError` instead of building wrong rings.
     """
     _check_sample_shape(population, count)
     if population > 2**31:
@@ -353,12 +251,7 @@ def sample_distinct_rows(
     out = np.empty((len(seeds), count), dtype=np.int32)
     if not seeds:
         return out
-    # Seeds up to 2,432 bytes give init_by_array keys of at most 624 words.
-    batched = (
-        len(seeds) * count >= _MIN_BATCH_DRAWS
-        and _takes_set_path(population, count)
-        and all(len(seed) <= 4 * _MT_N - 64 for seed in seeds)
-    )
+    batched = len(seeds) * count >= _MIN_BATCH_DRAWS and _takes_set_path(population, count)
     if not batched:
         for row, seed in enumerate(seeds):
             out[row] = sample_distinct_indices(seed, population, count)

@@ -21,7 +21,8 @@ module replaces all of them with one shared table:
 :class:`repro.keys.revocation.RevocationState` keeps its counters and
 holder index over the same table.  Rows hold exactly the indices
 :func:`repro.crypto.prf.sample_distinct_indices` draws (the batch
-sampler replays it bit for bit), and intersections return exactly the
+sampler seeds the same ``random.Random`` per ring and replays ``sample``
+over its words bit for bit), and intersections return exactly the
 tuples a frozenset intersection would.  Every registry builds on this
 table, whatever the key scheme or table size.
 """

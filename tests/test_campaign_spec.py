@@ -82,6 +82,8 @@ class TestCampaignSpec:
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": "1"}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": "mod"}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": [1]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm", "grdi": {"nodes": [5]}}]}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "replicate": 3}',
         ],
     )
     def test_from_json_rejects_malformed_input_with_config_error(self, text):

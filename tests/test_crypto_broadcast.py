@@ -7,7 +7,7 @@ import pytest
 
 from repro.crypto import BroadcastAuthority, BroadcastVerifier, KeyDisclosure
 from repro.crypto.authenticated_broadcast import AuthenticatedMessage
-from repro.crypto.hash import oneway_hash
+from repro.crypto.hash import hash_chain, oneway_hash
 from repro.crypto.mac import compute_mac
 from repro.errors import BroadcastAuthError
 
@@ -122,6 +122,24 @@ class TestAuthorityDiscipline:
         authority.sign("b")  # chain_length == number of signable slots
         with pytest.raises(BroadcastAuthError):
             authority.sign("c")
+
+    @pytest.mark.parametrize("length", [300, 256, 1])
+    def test_checkpointed_chain_matches_the_whole_chain(self, length):
+        # The authority keeps checkpoints and one segment; every value it
+        # hands out must be the stored chain's.
+        seed = b"checkpoint-seed"
+        chain = hash_chain(seed, length)
+        authority = BroadcastAuthority(seed, chain_length=length)
+        assert authority.anchor == chain[0]
+        for index in range(1, length + 1):
+            assert authority.remaining == length + 1 - index
+            message = authority.sign("slot", index)
+            assert message.index == index
+            assert message.mac == compute_mac(chain[index], index, "slot", index, length=8)
+            assert authority.disclose(index).chain_key == chain[index]
+        assert authority.remaining == 0
+        with pytest.raises(BroadcastAuthError, match="exhausted"):
+            authority.sign("past the end")
 
     def test_remaining_counts_down(self, authority):
         before = authority.remaining

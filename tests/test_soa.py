@@ -19,6 +19,8 @@ state) plus the sharding and cache-sizing machinery around them:
 
 import hashlib
 import os
+import random
+import signal
 
 import numpy as np
 import pytest
@@ -336,7 +338,8 @@ class TestSharding:
         assert fork_map(_square, args, shards=1) == [x * x for x in args]
         assert fork_map(_square, args, shards=4) == [x * x for x in args]
 
-    def test_delivery_region_geometry_auto(self):
+    def test_delivery_region_geometry_auto(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DELIVERY_REGIONS", raising=False)
         # Below the 20k-id threshold the store stays unpartitioned.
         assert delivery_region_geometry(0) == (1, 1)
         assert delivery_region_geometry(100) == (100, 1)
@@ -510,13 +513,6 @@ class TestRingSelectionBatch:
     ZEROS_4 = bytes(4) + bytes(range(1, 13))
     ZEROS_8 = bytes(8) + bytes(range(1, 9))
 
-    def test_leading_zero_seeds_shorten_the_key(self):
-        assert [prf._seed_key(s).size for s in (self.NORMAL, self.ZEROS_4, self.ZEROS_8)] == [
-            20,
-            19,
-            18,
-        ]
-
     @pytest.mark.parametrize(
         "population,count",
         [(16_384, 250), (1_100, 250), (1_046, 250), (2_000, 60), (22, 3), (2**31, 700)],
@@ -549,6 +545,40 @@ class TestRingSelectionBatch:
         rows = prf.sample_distinct_rows(seeds, 16_384, 250)
         for seed, row in zip(seeds, rows):
             assert row.tolist() == prf.sample_distinct_indices(seed, 16_384, 250)
+
+    def test_short_rows_continue_their_word_stream(self):
+        # At 1,046/250 about one row in a hundred needs more than the
+        # first 624 words; those rows must continue their generator's
+        # stream, not restart it.
+        class Counting(random.Random):
+            words = 0
+
+            def getrandbits(self, k):
+                self.words += 1
+                return super().getrandbits(k)
+
+        seeds = [ring_seed(b"continuation", s) for s in range(1, 512)]
+        long_rows = 0
+        for seed in seeds:
+            rng = Counting(seed)
+            rng.sample(range(1_046), 250)
+            long_rows += rng.words > prf._MT_N
+        assert long_rows >= 2
+
+        # A stream that restarts never completes a short row: bound the
+        # call so that failure shows as an error, not a hang.
+        def _overrun(signum, frame):
+            raise TimeoutError("short rows never completed")
+
+        previous = signal.signal(signal.SIGALRM, _overrun)
+        signal.alarm(20)
+        try:
+            rows = prf.sample_distinct_rows(seeds, 1_046, 250)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for seed, row in zip(seeds, rows):
+            assert row.tolist() == prf.sample_distinct_indices(seed, 1_046, 250)
 
     def test_first_row_guard_raises_on_divergence(self, monkeypatch):
         # Stands in for an interpreter whose random module no longer
