@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..errors import ConfigError
+from ..errors import REQUIRED, ConfigError, typed_fields
 from ..seeding import canonical_json, derive_seed
 
 _SCALARS = (int, float, str, bool)
@@ -48,49 +48,19 @@ def cell_id_for(scenario: str, params: Mapping[str, Any]) -> str:
     return f"{scenario}/{parts}"
 
 
-#: JSON field -> (accepted types, default); ``_REQUIRED`` has none.
-_REQUIRED = object()
+#: JSON field -> (accepted types, default); ``REQUIRED`` has none.
 _SCENARIO_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
-    "scenario": ((str,), _REQUIRED),
+    "scenario": ((str,), REQUIRED),
     "grid": ((dict,), {}),
 }
 _CAMPAIGN_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
-    "name": ((str,), _REQUIRED),
-    "scenarios": ((list, tuple), _REQUIRED),
+    "name": ((str,), REQUIRED),
+    "scenarios": ((list, tuple), REQUIRED),
     "seed": ((int,), 0),
     "replicates": ((int,), 1),
     "cell_timeout": ((int, float), 0.0),
     "imports": ((list, tuple), ()),
 }
-
-
-def _typed_fields(
-    kind: str, data: Any, fields: Mapping[str, Tuple[Tuple[type, ...], Any]]
-) -> Dict[str, Any]:
-    """``data``'s fields, type-checked and with defaults filled in.
-
-    A non-object, an unknown key (a misspelled field would otherwise
-    run with its default), a missing required field or a value of the
-    wrong JSON type (a bool is not a number) raises :class:`ConfigError`.
-    """
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"a {kind} is a JSON object, not {type(data).__name__}")
-    unknown = sorted(str(name) for name in data if name not in fields)
-    if unknown:
-        raise ConfigError(f"{kind} has unknown fields {unknown}; known: {sorted(fields)}")
-    out: Dict[str, Any] = {}
-    for name, (types, default) in fields.items():
-        if name not in data:
-            if default is _REQUIRED:
-                raise ConfigError(f"{kind} needs a {name!r} field")
-            out[name] = default
-            continue
-        value = data[name]
-        if isinstance(value, bool) or not isinstance(value, types):
-            expected = " or ".join(t.__name__ for t in types)
-            raise ConfigError(f"{kind} field {name!r} must be {expected}, got {value!r}")
-        out[name] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,7 +126,7 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict`; malformed input raises ConfigError."""
-        fields = _typed_fields("ScenarioSpec", data, _SCENARIO_FIELDS)
+        fields = typed_fields("ScenarioSpec", data, _SCENARIO_FIELDS)
         return cls(**fields)
 
 
@@ -206,7 +176,7 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         """Inverse of :meth:`to_dict`; malformed input raises ConfigError."""
-        fields = _typed_fields("CampaignSpec", data, _CAMPAIGN_FIELDS)
+        fields = typed_fields("CampaignSpec", data, _CAMPAIGN_FIELDS)
         if not all(isinstance(module, str) for module in fields["imports"]):
             raise ConfigError(
                 f"CampaignSpec 'imports' must be module names, got {fields['imports']!r}"

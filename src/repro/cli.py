@@ -19,8 +19,6 @@
                                 [--check-equivalence]
     python -m repro service generate [--out deploy] [--nodes 25] ...
     python -m repro service node --host-index I   (internal; spec via env)
-    python -m repro bench [--output BENCH_perf.json] [--profile]
-                          [--compare BASELINE.json --threshold 0.5]
     python -m repro bench scale [--sizes 100 1000 10000]
                                 [--output BENCH_scale.json]
                                 [--compare BENCH_scale.json]
@@ -711,7 +709,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     try:
         with open(args.plan) as handle:
             plan = FaultPlan.from_json(handle.read())
-    except (ReproError, ValueError, KeyError, OSError) as exc:
+    except (ReproError, OSError) as exc:
         print(f"INVALID  {args.plan}: {exc}")
         return 1
     if args.faults_command == "validate":
@@ -761,71 +759,9 @@ def cmd_bench_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    if getattr(args, "bench_command", None) == "scale":
-        return cmd_bench_scale(args)
-
-    from .errors import ReproError
-    from .perf.bench import compare_bench_payloads, run_bench
-
-    try:
-        report = run_bench(
-            repeat=args.repeat,
-            scale=args.scale,
-            profile=args.profile,
-            profile_top=args.top,
-            progress=(None if args.quiet else lambda line: print(f"  {line}")),
-        )
-    except ReproError as exc:
-        print(f"BENCH FAILED  {exc}")
-        return 1
-    print(report.render())
-    payload = report.payload()
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nbench payload written to {args.output}")
-    if args.compare:
-        try:
-            with open(args.compare) as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"ERROR  cannot read baseline {args.compare}: {exc}")
-            return 1
-        comparison = compare_bench_payloads(baseline, payload, threshold=args.threshold)
-        print()
-        print(comparison.render())
-        if not comparison.passed:
-            return 1
-    return 0
-
-
 def _add_bench_parser(sub) -> None:
-    p = sub.add_parser(
-        "bench",
-        help="hot-path microbenchmarks + e2e cells (bit-identity asserted)",
-    )
-    p.add_argument("--repeat", type=int, default=5,
-                   help="interleaved timing rounds per bench (default 5)")
-    p.add_argument("--scale", type=int, default=32,
-                   help="micro workload size: distinct sensors cycled (default 32)")
-    p.add_argument("--output", type=str, default=None, metavar="BENCH_perf.json",
-                   help="write the JSON payload here")
-    p.add_argument("--compare", type=str, default=None, metavar="BASELINE.json",
-                   help="gate speedup ratios against a recorded payload")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="max tolerated relative speedup drop (default 0.5)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile the optimized e2e cells (off = zero overhead)")
-    p.add_argument("--top", type=int, default=15,
-                   help="hotspot rows shown with --profile (default 15)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-bench progress lines")
-    p.set_defaults(func=cmd_bench)
-    bsub = p.add_subparsers(dest="bench_command")
+    p = sub.add_parser("bench", help="whole-execution benchmarks")
+    bsub = p.add_subparsers(dest="bench_command", required=True)
     scale = bsub.add_parser(
         "scale",
         help="whole-execution scale sweep (100/1k/10k-node topologies)",
@@ -840,7 +776,7 @@ def _add_bench_parser(sub) -> None:
                        help="max tolerated relative speedup drop (default 0.5)")
     scale.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress lines")
-    scale.set_defaults(func=cmd_bench, bench_command="scale")
+    scale.set_defaults(func=cmd_bench_scale)
 
 
 def _add_faults_parser(sub) -> None:

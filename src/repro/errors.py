@@ -3,9 +3,14 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch package failures with a single ``except`` clause while
 still being able to discriminate the subsystem that failed.
+:func:`typed_fields` is the one check the JSON parsers (campaign specs,
+fault plans) apply to an input object before they raise
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
+
+from typing import Any, Dict, Mapping, Tuple
 
 
 class ReproError(Exception):
@@ -91,3 +96,36 @@ class HostChannelError(ServiceError):
 class HostUnresponsiveError(HostChannelError):
     """A node host went silent past the detection window (hung or
     stopped process): no reply, no heartbeat, but the socket is open."""
+
+
+#: Default of a :func:`typed_fields` field that must be present.
+REQUIRED = object()
+
+
+def typed_fields(
+    kind: str, data: Any, fields: Mapping[str, Tuple[Tuple[type, ...], Any]]
+) -> Dict[str, Any]:
+    """``data``'s fields, type-checked and with defaults filled in.
+
+    A non-object, an unknown key (a misspelled field would otherwise
+    run with its default), a missing required field or a value of the
+    wrong JSON type (a bool is not a number) raises :class:`ConfigError`.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"a {kind} is a JSON object, not {type(data).__name__}")
+    unknown = sorted(str(name) for name in data if name not in fields)
+    if unknown:
+        raise ConfigError(f"{kind} has unknown fields {unknown}; known: {sorted(fields)}")
+    out: Dict[str, Any] = {}
+    for name, (types, default) in fields.items():
+        if name not in data:
+            if default is REQUIRED:
+                raise ConfigError(f"{kind} needs a {name!r} field")
+            out[name] = default
+            continue
+        value = data[name]
+        if isinstance(value, bool) or not isinstance(value, types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"{kind} field {name!r} must be {expected}, got {value!r}")
+        out[name] = value
+    return out

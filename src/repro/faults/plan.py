@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
-from ..errors import ConfigError
+from ..errors import REQUIRED, ConfigError, typed_fields
 from ..keys.registry import BASE_STATION_ID
 from ..seeding import canonical_json
 
@@ -58,9 +58,11 @@ class FaultEvent:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FaultEvent":
         """Rebuild the right event subclass from its tagged dict."""
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"a fault event is a JSON object, not {type(data).__name__}")
         data = dict(data)
         kind = data.pop("kind", None)
-        cls = EVENT_TYPES.get(kind)
+        cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
         if cls is None:
             known = ", ".join(sorted(EVENT_TYPES))
             raise ConfigError(f"unknown fault kind {kind!r}; known kinds: {known}")
@@ -288,6 +290,14 @@ EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
 }
 
 
+#: JSON field -> (accepted types, default) for :meth:`FaultPlan.from_dict`.
+_PLAN_FIELDS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
+    "name": ((str,), REQUIRED),
+    "description": ((str,), ""),
+    "events": ((list, tuple), ()),
+}
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A named, ordered schedule of benign fault events.
@@ -323,11 +333,13 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a malformed plan raises
+        :class:`ConfigError`."""
+        plan = typed_fields("FaultPlan", data, _PLAN_FIELDS)
         return cls(
-            name=data["name"],
-            description=data.get("description", ""),
-            events=tuple(FaultEvent.from_dict(e) for e in data.get("events", ())),
+            name=plan["name"],
+            description=plan["description"],
+            events=tuple(FaultEvent.from_dict(e) for e in plan["events"]),
         )
 
     def to_json(self) -> str:
@@ -341,8 +353,6 @@ class FaultPlan:
             data = json.loads(text)
         except ValueError as exc:
             raise ConfigError(f"fault plan is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"a fault plan is a JSON object, not {type(data).__name__}")
         return cls.from_dict(data)
 
     def plan_hash(self) -> str:

@@ -16,11 +16,10 @@ three reasons:
 * **centrally switchable** — :func:`set_caching` / :func:`disabled`
   turn every registered cache into a pass-through and change nothing
   else: the kernel, frame store and storage backends are the same
-  either way.  That is how the microbenchmark harness
-  (:mod:`repro.perf.bench`) measures the uncached cost on the same
-  build, and how any doubt about a cache's transparency can be settled
-  empirically (``repro bench`` asserts enabled == disabled outputs
-  before timing them).
+  either way.  That is how any doubt about a cache's transparency can
+  be settled empirically (``tests/test_perf.py`` runs fixed sessions
+  and the chaos cell both ways and asserts equal outputs; the scale
+  sweep's reference legs do the same at up to 1,000 nodes).
 
 The registry is process-global; caches are keyed by name and report hit
 /miss/eviction counts through :func:`cache_stats`.
@@ -195,7 +194,7 @@ def set_caching(enabled: bool) -> None:
     """Globally enable/disable every registered cache.
 
     Disabling also clears all cached state, so re-enabling starts cold —
-    the bench harness relies on this for fair cold-vs-warm timings.
+    the scale sweep relies on this for fair cold-vs-warm timings.
     """
     global _ENABLED
     _ENABLED = bool(enabled)
@@ -239,8 +238,8 @@ def merge_cache_stats(
     later snapshot's value wins via ``max``.  ``size`` is *instantaneous*
     and gets wiped by any intervening :func:`clear_caches` — taking the
     max across snapshots preserves the high-water mark a cleared cache
-    actually reached (the ``BENCH_perf.json`` "960 hits, size 0" bug was
-    a post-clear read discarding exactly this).
+    actually reached (a post-clear read once recorded "960 hits, size
+    0" for a cache that had been full).
     """
     merged = {name: dict(stats) for name, stats in base.items()}
     for name, stats in update.items():

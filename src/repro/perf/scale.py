@@ -1,25 +1,21 @@
 """Scale benchmark: single VMAT executions on large topologies.
 
-Where :mod:`repro.perf.bench` measures hot *functions*, this harness
-measures whole *executions* as the topology grows — the workload the
-batched-delivery / lazy-edge-MAC / incremental-secure-topology layer
-exists for.  Each cell builds one deployment (grid or line), runs a
+This harness measures whole *executions* as the topology grows: the
+workload the batched-delivery / lazy-edge-MAC /
+incremental-secure-topology layer exists for.  Each cell builds one deployment (grid or line), runs a
 fixed number of honest ``MinQuery`` executions, and records
 
 * execution wall time and build wall time,
 * ``nodes/s`` (nodes x executions / execution wall),
 * ``frames/s`` (radio frames from ``Metrics.total_messages`` / wall),
-* ``events/s`` from a separate engine event-storm leg (heap one trivial
-  event per node per interval and drain it — the discrete-event floor
-  under every execution),
 * peak RSS (``ru_maxrss``; a process-wide high-water mark, so cells run
   smallest-first and each cell reports the mark *after* it ran).
 
 Cells up to 1,000 nodes also run a cache-free leg (every cache
 disabled via :func:`repro.perf.cache.disabled`; the kernel is the same)
 on a fresh deployment with the same seed and assert
-``Metrics.to_dict()`` equality — the cache-transparency contract the
-microbench enforces, applied end-to-end at scale; ``ref_s``/``speedup``
+``Metrics.to_dict()`` equality — the cache-transparency contract of
+``tests/test_perf.py``, applied end-to-end at scale; ``ref_s``/``speedup``
 therefore measure what the caches alone buy.  The 10,000- and
 100,000-node cells run optimized-only: their cache-free legs would
 dominate the whole suite's budget, and the contract they would check is
@@ -173,8 +169,6 @@ class ScaleResult:
     nodes_per_sec: float
     frames: int
     frames_per_sec: float
-    events: int
-    events_per_sec: float
     peak_rss_kb: int
     bytes_per_node: float = 0.0
     ref_s: Optional[float] = None
@@ -265,30 +259,6 @@ def _run_executions(kind: str, nodes: int, executions: int, seed: int):
     exec_s = min(per_exec) * executions
     metrics = network.metrics
     return build_s, exec_s, metrics.to_dict(), metrics.total_messages()
-
-
-def _event_storm(nodes: int, depth_bound: int) -> Tuple[int, float]:
-    """Engine leg: one trivial event per node per interval, drained.
-
-    This is the discrete-event floor under a full execution — it
-    isolates heap + dispatch cost (``Event.__slots__``, the empty
-    time-hook skip) from protocol work.  Event count is capped so the
-    10k-node line case cannot turn the leg into the whole bench.
-    """
-    from ..sim.engine import SimulationEngine
-
-    total = min(nodes * (depth_bound + 1), 200_000)
-    engine = SimulationEngine()
-    sink: List[int] = []
-    callback = lambda: sink.append(0)  # noqa: E731 - one shared trivial callback
-    started = time.perf_counter()
-    for index in range(total):
-        engine.schedule(float(index % (depth_bound + 1)) + 1.0, callback)
-    engine.run()
-    elapsed = time.perf_counter() - started
-    if engine.events_processed != total:
-        raise ReproError("event storm lost events — engine accounting broken")
-    return total, elapsed
 
 
 def reference_equality(
@@ -434,7 +404,6 @@ def run_scale_cell(kind: str, nodes: int, with_reference: bool) -> ScaleResult:
                 f"scale cell {kind}-{nodes}: cache-disabled and warm runs "
                 "produced different Metrics.to_dict() — bit-identity broken"
             )
-    events, storm_s = _event_storm(nodes, _depth_bound(kind, nodes))
     # Per-node footprint from the process high-water mark.  Cells run
     # smallest-first, so the largest cell's reading is its own peak; for
     # the small cells the number is an upper bound only (a later reading
@@ -466,8 +435,6 @@ def run_scale_cell(kind: str, nodes: int, with_reference: bool) -> ScaleResult:
         nodes_per_sec=round(nodes * executions / opt_s, 2) if opt_s > 0 else 0.0,
         frames=frames,
         frames_per_sec=round(frames / opt_s, 2) if opt_s > 0 else 0.0,
-        events=events,
-        events_per_sec=round(events / storm_s, 2) if storm_s > 0 else 0.0,
         peak_rss_kb=peak_rss_kb,
         bytes_per_node=bytes_per_node,
         ref_s=round(ref_s, 6) if ref_s is not None else None,
@@ -509,8 +476,6 @@ class ScaleReport:
                     "nodes_per_sec": r.nodes_per_sec,
                     "frames": r.frames,
                     "frames_per_sec": r.frames_per_sec,
-                    "events": r.events,
-                    "events_per_sec": r.events_per_sec,
                     "peak_rss_kb": r.peak_rss_kb,
                     "bytes_per_node": r.bytes_per_node,
                 }
@@ -531,7 +496,6 @@ class ScaleReport:
                 f"{r.speedup}x" if r.speedup is not None else "-",
                 r.nodes_per_sec,
                 r.frames_per_sec,
-                r.events_per_sec,
                 r.peak_rss_kb // 1024,
                 int(r.bytes_per_node),
             ]
@@ -539,7 +503,7 @@ class ScaleReport:
         ]
         return format_table(
             "scale cells (reference = caches disabled, same build)",
-            ["cell", "depth", "ref_s", "opt_s", "speedup", "nodes/s", "frames/s", "events/s", "rss_mb", "B/node"],
+            ["cell", "depth", "ref_s", "opt_s", "speedup", "nodes/s", "frames/s", "rss_mb", "B/node"],
             rows,
         )
 

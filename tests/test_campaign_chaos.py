@@ -112,6 +112,13 @@ class TestFaultsCli:
         assert main(["faults", "validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("plan", [{"events": []}, {"name": "x", "events": [{"kind": ["crash"]}]}])
+    def test_validate_rejects_malformed_plans_typed(self, tmp_path, capsys, plan):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(plan))
+        assert main(["faults", "validate", str(bad)]) == 1
+        assert "INVALID" in capsys.readouterr().out
+
     def test_campaign_run_accepts_fault_plan(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         assert main([

@@ -21,6 +21,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--attack", "teleport"])
 
+    def test_bench_needs_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code != 0
+        assert "usage:" in capsys.readouterr().err
+        assert build_parser().parse_args(["bench", "scale"]).bench_command == "scale"
+
 
 class TestSubcommands:
     def test_fig7(self, capsys):

@@ -140,6 +140,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FaultPlan(name="p", events=({"kind": "crash"},))  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            {"name": 7},
+            {"name": "p", "events": 3},
+            {"name": "p", "events": [1]},
+            {"name": "p", "events": ["crash"]},
+            {"name": "p", "events": [{"kind": ["crash"]}]},
+            {"name": "p", "description": None},
+            {"name": "p", "even": []},
+            [],
+        ],
+        ids=[
+            "no-name", "int-name", "int-events", "int-event", "str-event",
+            "list-kind", "null-description", "unknown-key", "not-an-object",
+        ],
+    )
+    def test_malformed_plan_dicts_raise_config_error(self, data):
+        with pytest.raises(ConfigError):
+            FaultPlan.from_dict(data)
+        with pytest.raises(ConfigError):
+            FaultPlan.from_json(json.dumps(data))
+
 
 class TestSemantics:
     def test_window_is_half_open(self):

@@ -1,19 +1,17 @@
-"""repro.perf: LRU cache semantics, the bench harness, payload gating."""
+"""repro.perf: LRU cache semantics, cache hit gates, cache transparency."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import main
-from repro.errors import ConfigError, ReproError
-from repro.perf.bench import (
-    MicroBench,
-    _run_micro,
-    compare_bench_payloads,
-    run_bench,
-)
+from repro import VMATProtocol, build_deployment, grid_topology, small_test_config
+from repro.adversary import Adversary, SpuriousVetoStrategy
+from repro.config import RevocationConfig
+from repro.core.queries import CountQuery, MinQuery
+from repro.errors import ConfigError
 from repro.perf.cache import (
     LRUCache,
     cache_stats,
@@ -91,7 +89,7 @@ class TestLRUCache:
         import repro
 
         code = (
-            "import json, repro, repro.net.network, repro.keys.soa, repro.perf.bench;"
+            "import json, repro, repro.net.network, repro.keys.soa;"
             "from repro.perf.cache import registered_caches;"
             "print(json.dumps(registered_caches()))"
         )
@@ -141,143 +139,97 @@ class TestLRUCache:
         assert view.get("k") == b"v2"
 
 
-class TestMicroHarness:
-    def test_refuses_to_time_nonidentical_outputs(self):
-        bench = MicroBench(
-            name="broken",
-            kind="crypto",
-            ops_per_round=1,
-            reference=lambda: b"a",
-            optimized=lambda: b"b",
-        )
-        with pytest.raises(ReproError, match="bit-identical"):
-            _run_micro(bench, repeat=1)
-
-    def test_times_identical_outputs(self):
-        bench = MicroBench(
-            name="ok",
-            kind="structural",
-            ops_per_round=10,
-            reference=lambda: [i * 2 for i in range(100)],
-            optimized=lambda: [i * 2 for i in range(100)],
-        )
-        result = _run_micro(bench, repeat=2)
-        assert result.name == "ok"
-        assert result.ref_us > 0 and result.opt_us > 0
-        assert result.speedup > 0
-
-    def test_run_bench_rejects_bad_params(self):
-        with pytest.raises(ReproError):
-            run_bench(repeat=0)
-        with pytest.raises(ReproError):
-            run_bench(scale=0)
+_PAYING_CACHES = ("hmac-keyed-states", "derived-keys", "synopsis-draw-vectors")
 
 
-class TestFullBench:
-    @pytest.fixture(scope="class")
-    def report(self):
-        # One tiny-but-real run shared by the assertions below.
-        set_caching(True)
-        clear_caches()
-        return run_bench(repeat=1, scale=2, profile=True, profile_top=5)
-
-    def test_all_benches_bit_identical_and_positive(self, report):
-        assert report.micro, "micro suite is empty"
-        kinds = {r.kind for r in report.micro}
-        assert kinds == {"crypto", "primitive", "structural"}
-        for r in report.micro:
-            assert r.ref_us > 0 and r.opt_us > 0, r.name
-
-    def test_e2e_cells_bit_identical(self, report):
-        assert {r.cell for r in report.e2e} == {"fig7", "fig8", "chaos"}
-        assert all(r.metrics_equal for r in report.e2e)
-        assert report.e2e_cells_per_sec_opt > 0
-        assert report.e2e_cells_per_sec_ref > 0
-
-    def test_profile_table_present_when_requested(self, report):
-        assert report.profile_table is not None
-        assert "hotspots" in report.profile_table
-
-    def test_payload_and_render_shapes(self, report):
-        payload = report.payload()
-        assert set(payload) >= {"micro", "e2e", "e2e_cells_per_sec", "cache_stats"}
-        json.dumps(payload)  # must be JSON-serializable as-is
-        text = report.render()
-        assert "e2e throughput" in text
-        for r in report.micro:
-            assert r.name in text
-
-    def test_profile_disabled_means_no_profiler(self):
-        set_caching(True)
-        clear_caches()
-        report = run_bench(repeat=1, scale=1, profile=False)
-        assert report.profile_table is None
+def _config(theta=None):
+    config = small_test_config(depth_bound=8, pool_size=200, ring_size=40, num_synopses=20)
+    if theta is not None:
+        config = replace(config, revocation=RevocationConfig(theta=theta))
+    return config
 
 
-class TestComparePayloads:
-    BASE = {
-        "micro": {"compute_mac": {"kind": "primitive", "speedup": 2.5}},
-        "e2e": {"chaos": {"speedup": 1.4, "metrics_equal": True}},
+def _count_session():
+    """Honest COUNT on a 5x5 grid: signs and checks m=20 synopses."""
+    dep = build_deployment(config=_config(), topology=grid_topology(5, 5), seed=7)
+    readings = {i: 50.0 + i for i in dep.topology.sensor_ids}
+    session = VMATProtocol(dep.network).run_session(CountQuery(num_synopses=20), readings)
+    return dep, session
+
+
+def _attacked_session():
+    """θ=3, sensor 12 running spurious-veto: pinpointing and revocation."""
+    dep = build_deployment(
+        config=_config(theta=3), topology=grid_topology(5, 5), seed=7, malicious_ids={12}
+    )
+    adversary = Adversary(dep.network, SpuriousVetoStrategy(), seed=7)
+    readings = {i: 50.0 + i for i in dep.topology.sensor_ids}
+    session = VMATProtocol(dep.network, adversary=adversary).run_session(MinQuery(), readings)
+    return dep, session
+
+
+def _observed(dep, session):
+    """Everything a session lets an observer see."""
+    return {
+        "estimate": session.final_estimate,
+        "outcomes": [e.outcome.name for e in session.executions],
+        "revoked_keys": sorted(dep.registry.revocation.revoked_keys),
+        "revoked_sensors": sorted(dep.registry.revocation.revoked_sensors),
+        "metrics": dep.network.metrics.to_dict(),
     }
 
-    def test_equal_payload_passes(self):
-        report = compare_bench_payloads(self.BASE, self.BASE, threshold=0.5)
-        assert report.passed
-        assert report.compared == 2
 
-    def test_speedup_gain_passes_one_sided(self):
-        new = {
-            "micro": {"compute_mac": {"kind": "primitive", "speedup": 9.9}},
-            "e2e": {"chaos": {"speedup": 5.0, "metrics_equal": True}},
-        }
-        assert compare_bench_payloads(self.BASE, new, threshold=0.5).passed
-
-    def test_large_drop_fails(self):
-        new = {
-            "micro": {"compute_mac": {"kind": "primitive", "speedup": 1.0}},
-            "e2e": {"chaos": {"speedup": 1.4, "metrics_equal": True}},
-        }
-        report = compare_bench_payloads(self.BASE, new, threshold=0.5)
-        assert not report.passed
-        assert report.regressions[0].group == "micro:compute_mac"
-
-    def test_missing_bench_fails(self):
-        new = {"micro": {}, "e2e": dict(self.BASE["e2e"])}
-        report = compare_bench_payloads(self.BASE, new, threshold=0.5)
-        assert not report.passed
-        assert "micro:compute_mac" in report.missing_groups
-
-    def test_broken_bit_identity_fails_regardless_of_speed(self):
-        new = {
-            "micro": dict(self.BASE["micro"]),
-            "e2e": {"chaos": {"speedup": 99.0, "metrics_equal": False}},
-        }
-        report = compare_bench_payloads(self.BASE, new, threshold=0.5)
-        assert not report.passed
-        assert any(r.metric == "metrics_equal" for r in report.regressions)
+def _lookups(run):
+    """``run()``'s observation and each cache's (hits, misses) during it."""
+    clear_caches()
+    before = cache_stats()
+    observed = _observed(*run())
+    after = cache_stats()
+    counts = {
+        name: (
+            after[name]["hits"] - before[name]["hits"],
+            after[name]["misses"] - before[name]["misses"],
+        )
+        for name in _PAYING_CACHES
+    }
+    return observed, counts
 
 
-class TestCli:
-    def test_bench_writes_payload_and_self_compares(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_perf.json"
-        # --output is written before --compare reads it, so one
-        # invocation exercises both paths; comparing a payload against
-        # itself must always pass the gate (timing noise at this tiny
-        # scale would make a two-invocation comparison flaky).
-        assert main([
-            "bench", "--repeat", "1", "--scale", "1", "--quiet",
-            "--output", str(out), "--compare", str(out), "--threshold", "0.5",
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert "micro" in payload and "e2e" in payload
-        captured = capsys.readouterr().out
-        assert "e2e throughput" in captured
-        assert "PASS" in captured
+class TestCacheHitGate:
+    """Each cache earns its place by hitting on fixed sessions.  Hit
+    and miss counts do not vary run to run, so they are compared, not
+    timed."""
 
-    def test_bench_compare_missing_baseline_errors(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert main([
-            "bench", "--repeat", "1", "--scale", "1", "--quiet",
-            "--compare", str(missing),
-        ]) == 1
-        assert "cannot read baseline" in capsys.readouterr().out
+    def test_every_cache_hits_and_counts_repeat(self):
+        set_caching(True)  # holds under REPRO_DISABLE_PERF_CACHES=1 too
+        hits = dict.fromkeys(_PAYING_CACHES, 0)
+        for run in (_count_session, _attacked_session):
+            _, first = _lookups(run)
+            _, second = _lookups(run)
+            assert first == second, run.__name__
+            for name, (hit, _) in first.items():
+                hits[name] += hit
+        assert all(hits[name] >= 1 for name in _PAYING_CACHES), hits
+
+
+class TestCacheTransparency:
+    """Warm caches and :func:`disabled` give the same observable run."""
+
+    @pytest.mark.parametrize("run", [_count_session, _attacked_session])
+    def test_session_warm_equals_disabled(self, run):
+        warm, _ = _lookups(run)
+        with disabled():
+            cold = _observed(*run())
+        assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
+
+    def test_chaos_cell_warm_equals_disabled(self):
+        import repro.campaign.scenarios  # noqa: F401  (registers the scenarios)
+        from repro.campaign.registry import get_scenario
+
+        run = get_scenario("chaos").run
+        params = {"nodes": 16, "profile": "mixed", "executions": 2}
+        warm = run(dict(params), 1337)
+        with disabled():
+            cold = run(dict(params), 1337)
+        assert repr(warm) == repr(cold)
+        assert warm["faults_injected"] > 0
