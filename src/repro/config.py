@@ -59,13 +59,11 @@ class KeyConfig:
     ``pool_size`` is the paper's ``u`` and ``ring_size`` its ``r``.  The
     paper's evaluation uses ``r = 250`` keys from a pool of ``u =
     100,000``, which gives two neighbouring sensors a shared key with
-    probability about 0.5.  ``mac_length`` is the truncated MAC size in
-    bytes (the paper budgets 8 bytes per MAC in Section IX).
+    probability about 0.5.
     """
 
     pool_size: int = 100_000
     ring_size: int = 250
-    mac_length: int = 8
     key_length: int = 16
 
     def __post_init__(self) -> None:
@@ -74,7 +72,6 @@ class KeyConfig:
             0 < self.ring_size <= self.pool_size,
             "ring_size must be in (0, pool_size]",
         )
-        _require(4 <= self.mac_length <= 32, "mac_length must be in [4, 32]")
         _require(8 <= self.key_length <= 32, "key_length must be in [8, 32]")
 
     def edge_key_probability(self) -> float:

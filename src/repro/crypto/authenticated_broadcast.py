@@ -84,7 +84,7 @@ class BroadcastAuthority:
     chain instead of all 4,097.
     """
 
-    def __init__(self, seed: bytes, chain_length: int = 4096, mac_length: int = 8) -> None:
+    def __init__(self, seed: bytes, chain_length: int = 4096) -> None:
         if chain_length < 1:
             raise BroadcastAuthError("chain_length must be >= 1")
         # Chain value i is H^(n - i)(seed): value 0 is the anchor, value i
@@ -100,7 +100,6 @@ class BroadcastAuthority:
         self._checkpoints.reverse()
         self._segment_start = -1
         self._segment: List[bytes] = []
-        self._mac_length = mac_length
         self._next_index = 1
         self._undisclosed: Dict[int, bytes] = {}
 
@@ -134,7 +133,7 @@ class BroadcastAuthority:
         index = self._next_index
         self._next_index += 1
         key = self._key(index)
-        mac = compute_mac(key, index, *payload, length=self._mac_length)
+        mac = compute_mac(key, index, *payload)
         self._undisclosed[index] = key
         return AuthenticatedMessage(index=index, payload=tuple(payload), mac=mac)
 

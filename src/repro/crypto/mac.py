@@ -138,13 +138,17 @@ def verify_mac(key: bytes, mac: bytes, *parts: Any) -> bool:
 
 
 def verify_mac_message(key: bytes, mac: bytes, message: bytes) -> bool:
-    """:func:`verify_mac` over pre-encoded message bytes."""
+    """:func:`verify_mac` over pre-encoded message bytes.
+
+    Every MAC on the wire is :data:`DEFAULT_MAC_LENGTH` bytes, so a MAC
+    of any other length is refused: verifying at the length the sender
+    chose would let a forger pick a shorter prefix.
+    """
     if not key:
         raise MacVerificationError("empty MAC key")
-    if not mac:
+    if len(mac) != DEFAULT_MAC_LENGTH:
         return False
-    expected = compute_mac_message(key, message, length=len(mac))
-    return hmac.compare_digest(expected, mac)
+    return hmac.compare_digest(compute_mac_message(key, message), mac)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

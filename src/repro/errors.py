@@ -74,7 +74,7 @@ class PinpointError(ProtocolError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event engine was driven incorrectly."""
+    """An interval schedule, clock offset or guard band was used incorrectly."""
 
 
 class ServiceError(ReproError):

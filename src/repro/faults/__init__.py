@@ -9,9 +9,9 @@ boundary measurable:
 * :class:`FaultPlan` — a declarative, JSON-round-tripping schedule of
   typed benign :class:`FaultEvent` s with a stable content hash;
 * :class:`FaultInjector` — the runtime that applies a plan through
-  explicit hook points in :mod:`repro.net.network`,
-  :mod:`repro.sim.engine` / :mod:`repro.sim.clock` and the
-  authenticated-broadcast path (no monkeypatching);
+  explicit hook points in :mod:`repro.net.network`'s slotted phases and
+  the authenticated-broadcast path, and writes clock drift into the
+  :mod:`repro.sim.clock` drift column (no monkeypatching);
 * :func:`chaos_plan` — deterministic preset plans backing the ``chaos``
   campaign scenario family.
 

@@ -1,7 +1,7 @@
 """Runtime interpretation of a :class:`~repro.faults.plan.FaultPlan`.
 
-The injector is *pulled*, never pushed: the network, the engine and the
-authenticated-broadcast path each expose an explicit hook point that
+The injector is *pulled*, never pushed: the network's slotted phases
+and the authenticated-broadcast path each expose an explicit hook point that
 asks the attached injector a question ("is this node down?", "does this
 frame take extra loss?") at the moment the answer matters.  Nothing is
 monkeypatched; a network without an injector takes the exact code paths
@@ -46,8 +46,8 @@ class FaultInjector:
 
     After :meth:`attach`, the network consults the injector at its hook
     points; the injector tracks global time through
-    :meth:`on_interval_begin` (slotted phases) and, optionally, an
-    engine time hook (:meth:`bind_engine`).
+    :meth:`on_interval_begin`, once per slotted interval, and
+    :meth:`advance_to` (the service runtime's interval clock).
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
@@ -71,15 +71,6 @@ class FaultInjector:
         self.network = network
         network.fault_injector = self
         return self
-
-    def bind_engine(self, engine, schedule) -> None:
-        """Track global time from a discrete-event engine.
-
-        Installs a time hook so that event-driven harnesses (which do not
-        run slotted :class:`~repro.net.network.PhaseContext` intervals)
-        still advance the injector's notion of *now*.
-        """
-        engine.add_time_hook(lambda t: self.advance_to(schedule.interval_of(t)))
 
     def advance_to(self, global_interval: int) -> None:
         """Advance the injector's clock (monotone; no accounting)."""
@@ -150,12 +141,13 @@ class FaultInjector:
         for event in self.plan.events:
             if isinstance(event, ClockDrift) and event.active(self.now):
                 drift_by_node[event.node] = drift_by_node.get(event.node, 0.0) + event.drift
+        clocks = network.clocks
         for node_id in self._drifting - set(drift_by_node):
-            if node_id in network.clocks:
-                network.clocks[node_id].drift = 0.0
+            if node_id in clocks:
+                clocks.drift[node_id] = 0.0
         for node_id, drift in drift_by_node.items():
-            if node_id in network.clocks:
-                network.clocks[node_id].drift = drift
+            if node_id in clocks:
+                clocks.drift[node_id] = drift
         self._drifting = set(drift_by_node)
 
     def _record_activations(self, network: "Network", phase_name: str) -> None:
@@ -223,8 +215,8 @@ class FaultInjector:
         network = self.network
         if network is None or sender not in network.clocks:
             return 0
-        clock = network.clocks[sender]
-        total = abs(getattr(clock, "effective_offset", clock.offset))
+        clocks = network.clocks
+        total = abs(float(clocks.offsets[sender] + clocks.drift[sender]))
         margin = network.config.clock.interval_length / 2
         if total <= margin:
             return 0

@@ -57,7 +57,12 @@ class FaultEvent:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "FaultEvent":
-        """Rebuild the right event subclass from its tagged dict."""
+        """Rebuild the right event subclass from its tagged dict.
+
+        Each field is checked against its dataclass annotation (and each
+        id of a tuple field is checked), so a malformed event raises
+        :class:`ConfigError` here rather than failing mid-run.
+        """
         if not isinstance(data, Mapping):
             raise ConfigError(f"a fault event is a JSON object, not {type(data).__name__}")
         data = dict(data)
@@ -67,9 +72,15 @@ class FaultEvent:
             known = ", ".join(sorted(EVENT_TYPES))
             raise ConfigError(f"unknown fault kind {kind!r}; known kinds: {known}")
         try:
-            return cls(**data)
-        except TypeError as exc:
+            values = typed_fields("event", data, _event_fields(cls))
+            for name, value in values.items():
+                if isinstance(value, (list, tuple)) and not all(
+                    isinstance(v, int) and not isinstance(v, bool) for v in value
+                ):
+                    raise ConfigError(f"event field {name!r} must list int ids, got {value!r}")
+        except ConfigError as exc:
             raise ConfigError(f"bad fields for fault kind {kind!r}: {exc}") from None
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -288,6 +299,22 @@ EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
         ClockDrift,
     )
 }
+
+
+#: JSON types accepted for each annotation an event field carries (the
+#: annotations are strings under ``from __future__ import annotations``);
+#: a tuple field arrives as a JSON list of ids.
+_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "int": (int,),
+    "float": (int, float),
+    "Optional[int]": (int, type(None)),
+    "Tuple[int, ...]": (list, tuple),
+}
+
+
+def _event_fields(cls: Type[FaultEvent]) -> Dict[str, Tuple[Tuple[type, ...], Any]]:
+    """``typed_fields`` table of one event type, from its dataclass fields."""
+    return {f.name: (_JSON_TYPES[f.type], f.default) for f in fields(cls)}
 
 
 #: JSON field -> (accepted types, default) for :meth:`FaultPlan.from_dict`.

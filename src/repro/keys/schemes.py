@@ -92,12 +92,11 @@ class PairwiseScheme:
             )
         )
 
-    def key_config(self, mac_length: int = 8, key_length: int = 16) -> KeyConfig:
+    def key_config(self, key_length: int = 16) -> KeyConfig:
         """A :class:`KeyConfig` sized for this scheme."""
         return KeyConfig(
             pool_size=self.pool_size,
             ring_size=self.num_nodes - 1,
-            mac_length=mac_length,
             key_length=key_length,
         )
 

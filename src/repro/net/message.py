@@ -18,11 +18,12 @@ from typing import Any, Tuple, Union
 
 from ..crypto.encoding import encode_parts
 from ..crypto.hash import oneway_hash
+from ..crypto.mac import DEFAULT_MAC_LENGTH
 
 ID_BYTES = 2
 LEVEL_BYTES = 1
 VALUE_BYTES = 8
-MAC_BYTES = 8
+MAC_BYTES = DEFAULT_MAC_LENGTH
 
 
 @dataclass(frozen=True)

@@ -672,7 +672,6 @@ class Network:
             self.nodes[node_id] = HonestNode(
                 node_id=node_id,
                 material=registry.sensor_deployment_material(node_id),
-                clock=self.clocks[node_id],
                 columns=self.node_columns,
             )
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..keys.soa import LazySensorKeyMaterial
-from ..sim.clock import LocalClock
 from .message import ReadingMessage, VetoMessage, message_digest
 
 
@@ -190,7 +189,6 @@ class HonestNode:
     __slots__ = (
         "node_id",
         "material",
-        "clock",
         "query_values",
         "audit",
         "parents",
@@ -201,7 +199,6 @@ class HonestNode:
         self,
         node_id: int,
         material: LazySensorKeyMaterial,
-        clock: LocalClock,
         columns,
         reading: float = 0.0,
     ) -> None:
@@ -210,7 +207,6 @@ class HonestNode:
         self._columns = columns
         self.node_id = node_id
         self.material = material
-        self.clock = clock
         self.reading = reading
         # Per-instance values for the current query (set by the driver;
         # a plain MIN query uses [reading], synopsis queries the m

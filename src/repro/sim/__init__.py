@@ -1,22 +1,26 @@
-"""Simulation kernel: discrete-event engine and loosely synchronized clocks.
+"""Simulation kernel: slotted intervals and loosely synchronized clocks.
 
 VMAT's proofs reason in *intervals* and *flooding rounds* over a network of
-sensors whose clocks agree only up to a bounded error ``Delta``.  This
-subpackage provides exactly those abstractions:
+sensors whose clocks agree only up to a bounded error ``Delta``.  The
+kernel is slotted, with no event queue: every protocol phase runs as a
+sweep over its intervals (:class:`repro.net.network.PhaseContext`).  This
+subpackage provides the abstractions those sweeps and the timing checks
+share:
 
-* :class:`~repro.sim.engine.SimulationEngine` — a minimal, deterministic
-  discrete-event scheduler (a binary-heap event queue with stable
-  tie-breaking).
-* :class:`~repro.sim.clock.LocalClock` — a per-sensor clock with a fixed
-  offset bounded by ``Delta``, plus the guard-band arithmetic of Section
-  IV-A that lets a sensor transmit "inside interval k" such that every
-  honest receiver also observes interval k.
-* :class:`~repro.sim.engine.IntervalSchedule` — maps interval indices to
+* :class:`~repro.sim.clock.IntervalSchedule` — maps interval indices to
   global times for a protocol phase.
+* :class:`~repro.sim.clock.ClockAssignment` — every node's clock offset,
+  bounded by ``Delta / 2``, and any injected drift, as columns indexed by
+  node id.  The guard-band arithmetic of Section IV-A
+  (:func:`~repro.sim.clock.safe_send_time`,
+  :func:`~repro.sim.clock.observed_interval`) is plain functions of one
+  offset: a sensor transmits "inside interval k" such that every honest
+  receiver also observes interval k.
+* :mod:`repro.sim.timeline` — wall-clock execution timelines and the
+  guard-band check over a whole deployment.
 """
 
-from .clock import ClockAssignment, LocalClock
-from .engine import Event, IntervalSchedule, SimulationEngine
+from .clock import ClockAssignment, IntervalSchedule
 from .timeline import (
     ExecutionTimeline,
     PhasePlan,
@@ -34,8 +38,5 @@ __all__ = [
     "pinpointing_duration",
     "plan_execution",
     "simulate_slot_timing",
-    "Event",
     "IntervalSchedule",
-    "LocalClock",
-    "SimulationEngine",
 ]

@@ -1,4 +1,4 @@
-"""Loosely synchronized clocks with bounded error (Section III).
+"""Loosely synchronized clocks with bounded error (Section III), slotted.
 
 The paper assumes "loosely synchronized clocks with bounded clock errors":
 the offset between any two honest sensors' clocks never exceeds ``Delta``.
@@ -9,96 +9,168 @@ honest receiver's clock also reads interval k at the moment of reception.
 
 We model each sensor's clock as ``local = global + offset`` with
 ``|offset| <= Delta / 2`` so that any two honest sensors disagree by at
-most ``Delta``, exactly the paper's bound.
+most ``Delta``, exactly the paper's bound.  A clock is nothing but its
+offset: :class:`ClockAssignment` keeps every node's offset (and any
+injected drift) as a column, and the guard-band arithmetic below is
+plain functions of one offset.
+
+>>> schedule = IntervalSchedule(0.0, 1.0, 5)
+>>> config = ClockConfig(interval_length=1.0, max_error=0.2)
+>>> send = safe_send_time(schedule, 2, 0.1, config)
+>>> [observed_interval(schedule, send, offset) for offset in (-0.1, 0.0, 0.1)]
+[2, 2, 2]
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable
+
+import numpy as np
 
 from ..config import ClockConfig
 from ..errors import SimulationError
-from .engine import IntervalSchedule
 
 
-class LocalClock:
-    """A per-sensor clock with a fixed bounded offset from global time.
+class IntervalSchedule:
+    """Maps the paper's 1-based interval indices to global time.
 
-    ``offset`` is the deployment-time synchronization error and must
-    respect the paper's bound (``|offset| <= Delta / 2``).  ``drift`` is
-    an *injected excursion* on top of it (see :mod:`repro.faults`):
-    unlike the offset it may escape the bound — that is exactly the
-    failure mode the fault layer exists to exercise — so it is excluded
-    from the constructor's validation and defaults to zero.
+    A protocol phase starting at ``start_time`` with interval length
+    ``interval_length`` has interval ``k`` spanning::
+
+        [start_time + (k-1) * interval_length, start_time + k * interval_length)
+
+    The paper's proofs index intervals from 1; index 0 is reserved for
+    "before the phase" (e.g. the base station's own actions).
     """
 
-    def __init__(self, offset: float, config: ClockConfig) -> None:
-        if abs(offset) > config.max_error / 2 + 1e-12:
-            raise SimulationError(
-                f"clock offset {offset} exceeds Delta/2 = {config.max_error / 2}"
-            )
-        self.offset = offset
-        self.config = config
-        self.drift = 0.0
+    def __init__(self, start_time: float, interval_length: float, num_intervals: int) -> None:
+        if interval_length <= 0:
+            raise SimulationError("interval_length must be positive")
+        if num_intervals < 1:
+            raise SimulationError("a phase needs at least one interval")
+        self.start_time = start_time
+        self.interval_length = interval_length
+        self.num_intervals = num_intervals
 
     @property
-    def effective_offset(self) -> float:
-        """Offset actually in force: synchronization error plus drift."""
-        return self.offset + self.drift
+    def end_time(self) -> float:
+        return self.start_time + self.num_intervals * self.interval_length
 
-    def local_time(self, global_time: float) -> float:
-        """What this sensor's clock reads at the given global instant."""
-        return global_time + self.effective_offset
+    def interval_start(self, k: int) -> float:
+        """Global start time of interval ``k`` (1-based)."""
+        self._check_index(k)
+        return self.start_time + (k - 1) * self.interval_length
 
-    def global_time(self, local_time: float) -> float:
-        """The global instant at which this sensor's clock reads ``local_time``."""
-        return local_time - self.effective_offset
+    def interval_end(self, k: int) -> float:
+        self._check_index(k)
+        return self.start_time + k * self.interval_length
 
-    def safe_send_time(self, schedule: IntervalSchedule, interval: int) -> float:
-        """Global time at which to transmit so receivers see ``interval``.
+    def interval_of(self, time: float) -> int:
+        """Interval index containing global ``time``; 0 if before phase.
 
-        Implements the guard-band rule of Section IV-A: aim for the
-        midpoint of the interval by the *local* clock.  Because the
-        interval is longer than ``2 * Delta`` (enforced by
-        :class:`~repro.config.ClockConfig`), the midpoint by any honest
-        clock is at least ``Delta`` clear of both interval boundaries, so
-        every honest receiver observes the same interval index.
+        Times at or beyond the end of the phase map to
+        ``num_intervals + 1``, matching the paper's rule that messages
+        arriving after the L-th interval are ignored.
         """
-        # The sensor computes the interval midpoint in *local* time and
-        # converts to the global instant it will actually transmit at.
-        local_midpoint = schedule.midpoint(interval)
-        global_send = self.global_time(local_midpoint)
-        guard = self.config.guard_band
-        start, end = schedule.interval_start(interval), schedule.interval_end(interval)
-        # Sanity check the guard-band property rather than silently
-        # trusting it — but only when no drift excursion is injected.
-        # With drift the violation is the *modelled fault*, not a config
-        # bug: the sensor transmits where its broken clock tells it to,
-        # and the frame lands whichever interval that turns out to be.
-        if self.drift == 0.0 and not (start + guard / 2 <= global_send <= end - guard / 2):
-            raise SimulationError(
-                "guard-band violation: send time escapes the interval; "
-                "check ClockConfig.interval_length > 2 * max_error"
-            )
-        return global_send
+        if time < self.start_time:
+            return 0
+        if time >= self.end_time:
+            return self.num_intervals + 1
+        k = int((time - self.start_time) // self.interval_length) + 1
+        # ``time - start_time`` can lose a ulp when start_time and the
+        # interval length are not float-aligned (start 5.0, length 0.1:
+        # 5.1 - 5.0 = 0.0999...), landing an exact boundary time in the
+        # wrong interval.  Nudge the candidate until it agrees with
+        # interval_start/interval_end, which place boundaries by
+        # multiplication — one step is always enough at these magnitudes.
+        if k < self.num_intervals and time >= self.start_time + k * self.interval_length:
+            k += 1
+        elif k > 1 and time < self.start_time + (k - 1) * self.interval_length:
+            k -= 1
+        return k
 
-    def observed_interval(self, schedule: IntervalSchedule, global_time: float) -> int:
-        """The interval index this sensor believes it is in at ``global_time``."""
-        return schedule.interval_of(self.local_time(global_time))
+    def midpoint(self, k: int) -> float:
+        """Global midpoint of interval ``k`` — the canonical safe send time."""
+        self._check_index(k)
+        return self.interval_start(k) + self.interval_length / 2
+
+    def _check_index(self, k: int) -> None:
+        if not 1 <= k <= self.num_intervals:
+            raise SimulationError(
+                f"interval index {k} out of range [1, {self.num_intervals}]"
+            )
+
+
+def check_offset(offset: float, config: ClockConfig) -> None:
+    """Refuse a synchronization offset outside the paper's ``Delta / 2``."""
+    if abs(offset) > config.max_error / 2 + 1e-12:
+        raise SimulationError(
+            f"clock offset {offset} exceeds Delta/2 = {config.max_error / 2}"
+        )
+
+
+def local_time(global_time: float, offset: float) -> float:
+    """What a clock with ``offset`` reads at the given global instant."""
+    return global_time + offset
+
+
+def global_time(local_time: float, offset: float) -> float:
+    """The global instant at which a clock with ``offset`` reads ``local_time``."""
+    return local_time - offset
+
+
+def safe_send_time(
+    schedule: IntervalSchedule, interval: int, offset: float, config: ClockConfig
+) -> float:
+    """Global time at which a sensor with ``offset`` transmits so that
+    receivers see ``interval``.
+
+    Implements the guard-band rule of Section IV-A: aim for the
+    midpoint of the interval by the *local* clock.  Because the
+    interval is longer than ``2 * Delta`` (enforced by
+    :class:`~repro.config.ClockConfig`), the midpoint by any honest
+    clock is at least ``Delta`` clear of both interval boundaries, so
+    every honest receiver observes the same interval index.
+    """
+    check_offset(offset, config)
+    global_send = global_time(schedule.midpoint(interval), offset)
+    guard = config.guard_band
+    start, end = schedule.interval_start(interval), schedule.interval_end(interval)
+    # Sanity check the guard-band property rather than silently
+    # trusting it.
+    if not start + guard / 2 <= global_send <= end - guard / 2:
+        raise SimulationError(
+            "guard-band violation: send time escapes the interval; "
+            "check ClockConfig.interval_length > 2 * max_error"
+        )
+    return global_send
+
+
+def observed_interval(schedule: IntervalSchedule, global_time: float, offset: float) -> int:
+    """The interval index a clock with ``offset`` reads at ``global_time``."""
+    return schedule.interval_of(local_time(global_time, offset))
 
 
 class ClockAssignment:
-    """Deterministically assigns bounded-offset clocks to a set of sensors.
+    """Every node's clock as two float64 columns indexed by node id.
 
-    The base station (node id 0 by convention) always gets a zero offset:
-    it is the time reference that announces phase starting times via
-    authenticated broadcast.
+    ``offsets`` is the deployment-time synchronization error, drawn
+    deterministically within ``Delta / 2``.  The base station (node id 0
+    by convention) gets a zero offset and draws nothing: it is the time
+    reference that announces phase starting times via authenticated
+    broadcast.  ``drift`` is an *injected excursion* on top of the
+    offset, written by :mod:`repro.faults`; unlike the offset it may
+    escape the bound, which is the failure mode the fault layer exists
+    to exercise.
+
+    ``node_ids`` are ``0 .. n-1`` (:attr:`repro.topology.Topology.node_ids`).
     """
+
+    __slots__ = ("config", "offsets", "drift")
 
     def __init__(
         self,
-        node_ids: Iterable[int],
+        node_ids: range,
         config: ClockConfig,
         seed: int,
         base_station_id: int = 0,
@@ -106,36 +178,23 @@ class ClockAssignment:
         rng = random.Random(("clocks", seed).__repr__())
         half = config.max_error / 2
         self.config = config
-        self.clocks: Dict[int, LocalClock] = {}
-        for node_id in node_ids:
-            offset = 0.0 if node_id == base_station_id else rng.uniform(-half, half)
-            self.clocks[node_id] = LocalClock(offset, config)
-
-    def __getitem__(self, node_id: int) -> LocalClock:
-        return self.clocks[node_id]
+        self.offsets = np.zeros(len(node_ids), dtype=np.float64)
+        self.drift = np.zeros(len(node_ids), dtype=np.float64)
+        sensors = [node_id for node_id in node_ids if node_id != base_station_id]
+        uniform = rng.uniform
+        self.offsets[sensors] = [uniform(-half, half) for _ in sensors]
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self.clocks
+        return 0 <= node_id < len(self.offsets)
 
     def __len__(self) -> int:
-        return len(self.clocks)
+        return len(self.offsets)
 
     def max_pairwise_error(self) -> float:
-        """Largest clock disagreement across all pairs.
-
-        Uses *effective* offsets, so the bound ``<= Delta`` holds exactly
-        when no drift excursion (:mod:`repro.faults`) is in force.
-        """
-        offsets = [clock.effective_offset for clock in self.clocks.values()]
-        return max(offsets) - min(offsets) if offsets else 0.0
-
-    def drift_active(self) -> bool:
-        """Whether any clock currently carries an injected drift excursion."""
-        return any(clock.drift != 0.0 for clock in self.clocks.values())
-
-    def within_bound(self, tolerance: float = 1e-12) -> bool:
-        """The paper's Section-III synchronization assumption, as a check:
-        every pair of clocks disagrees by at most ``Delta``.  Injected
-        drift (:mod:`repro.faults`) is allowed to break this — callers
-        gate on :meth:`drift_active` first."""
-        return self.max_pairwise_error() <= self.config.max_error + tolerance
+        """Largest clock disagreement across all pairs, drift included,
+        so the bound ``<= Delta`` holds exactly when no drift excursion
+        is in force."""
+        if not len(self.offsets):
+            return 0.0
+        effective = self.offsets + self.drift
+        return float(effective.max() - effective.min())

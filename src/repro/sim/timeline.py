@@ -5,15 +5,14 @@ This module maps an execution onto global time using the interval
 structure and the bounded-error clocks:
 
 * :class:`PhasePlan` — one slotted phase laid onto an
-  :class:`~repro.sim.engine.IntervalSchedule`, with per-node safe send
-  times (guard-banded) for any interval.
+  :class:`~repro.sim.clock.IntervalSchedule`.
 * :func:`plan_execution` — the full Figure-1 happy path as a sequence of
   phase plans (announcements, tree formation, aggregation,
   confirmation), giving total latency in seconds.
-* :func:`simulate_slot_timing` — drives the actual discrete-event engine
-  with every sensor's guard-banded transmissions and *checks* that every
-  honest receiver observes the intended interval: the executable form of
-  the Section IV-A claim that bounded clock error is harmless.
+* :func:`simulate_slot_timing` — lays every sensor's guard-banded
+  transmissions onto the clock columns and *checks* that every honest
+  receiver observes the intended interval: the executable form of the
+  Section IV-A claim that bounded clock error is harmless.
 
 These planners take the same ``ClockConfig`` as the network, so latency
 numbers and the slotted simulation agree by construction.
@@ -22,12 +21,11 @@ numbers and the slotted simulation agree by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import ClockConfig
 from ..errors import SimulationError
-from .clock import ClockAssignment, LocalClock
-from .engine import IntervalSchedule, SimulationEngine
+from .clock import ClockAssignment, IntervalSchedule, observed_interval, safe_send_time
 
 
 @dataclass(frozen=True)
@@ -48,10 +46,6 @@ class PhasePlan:
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
-
-    def send_time(self, clock: LocalClock, interval: int) -> float:
-        """Guard-banded global send instant for a node in ``interval``."""
-        return clock.safe_send_time(self.schedule, interval)
 
 
 @dataclass
@@ -137,16 +131,16 @@ def simulate_slot_timing(
     seed: int = 0,
     sends: Optional[Iterable[Tuple[int, int]]] = None,
 ) -> Dict[Tuple[int, int], int]:
-    """Drive the event engine with guard-banded transmissions and report
-    the interval every *other* node observes for each send.
+    """Send guard-banded transmissions and report, for each send, how
+    many *other* nodes observe a different interval.
 
     ``sends`` is ``(node_id, interval)`` pairs; by default every node
-    transmits once in every interval.  Returns ``{(node, interval):
-    worst observed interval mismatch count}`` — all zeros when the
-    guard-band arithmetic is sound, which the caller should assert.
+    transmits once in every interval.  Each send is judged on its own,
+    against every receiver's offset.  Returns ``{(node, interval):
+    mismatch count}`` — all zeros when the guard-band arithmetic is
+    sound, which the caller should assert.
     """
-    engine = SimulationEngine()
-    clocks = ClockAssignment(range(num_nodes), clock_config, seed)
+    offsets = ClockAssignment(range(num_nodes), clock_config, seed).offsets.tolist()
     schedule = IntervalSchedule(0.0, clock_config.interval_length, depth_bound)
     if sends is None:
         sends = [
@@ -154,25 +148,13 @@ def simulate_slot_timing(
             for node in range(num_nodes)
             for interval in range(1, depth_bound + 1)
         ]
-
     mismatches: Dict[Tuple[int, int], int] = {}
-
-    def make_event(sender: int, interval: int):
-        def fire() -> None:
-            now = engine.now
-            bad = 0
-            for receiver in range(num_nodes):
-                if receiver == sender:
-                    continue
-                observed = clocks[receiver].observed_interval(schedule, now)
-                if observed != interval:
-                    bad += 1
-            mismatches[(sender, interval)] = bad
-
-        return fire
-
     for sender, interval in sends:
-        send_time = clocks[sender].safe_send_time(schedule, interval)
-        engine.schedule(send_time, make_event(sender, interval))
-    engine.run()
+        send_time = safe_send_time(schedule, interval, offsets[sender], clock_config)
+        mismatches[(sender, interval)] = sum(
+            1
+            for receiver, offset in enumerate(offsets)
+            if receiver != sender
+            and observed_interval(schedule, send_time, offset) != interval
+        )
     return mismatches

@@ -44,7 +44,6 @@ class TestKeyConfig:
         keys = KeyConfig()
         assert keys.pool_size == 100_000
         assert keys.ring_size == 250
-        assert keys.mac_length == 8
 
     def test_paper_edge_key_probability_about_half(self):
         # Section IX: "any two sensors can find at least one common edge
@@ -64,10 +63,6 @@ class TestKeyConfig:
     def test_rejects_ring_larger_than_pool(self):
         with pytest.raises(ConfigError):
             KeyConfig(pool_size=10, ring_size=11)
-
-    def test_rejects_bad_mac_length(self):
-        with pytest.raises(ConfigError):
-            KeyConfig(mac_length=2)
 
 
 class TestRevocationConfig:

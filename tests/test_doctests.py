@@ -9,10 +9,10 @@ import pytest
 
 import repro
 import repro.campaign.registry
-import repro.sim.engine
+import repro.sim.clock
 import repro.tracing
 
-MODULES_WITH_EXAMPLES = [repro, repro.campaign.registry, repro.sim.engine, repro.tracing]
+MODULES_WITH_EXAMPLES = [repro, repro.campaign.registry, repro.sim.clock, repro.tracing]
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,8 @@ inconclusive — but never revoke an honest sensor.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import ExecutionOutcome, MinQuery, VMATProtocol, build_deployment, small_test_config
@@ -26,7 +28,6 @@ from repro.faults import (
     Partition,
 )
 from repro.net.message import TreeBeacon
-from repro.sim import IntervalSchedule, SimulationEngine
 from repro.topology import grid_topology
 from repro.tracing import Tracer
 
@@ -153,6 +154,63 @@ class TestBenignSafety:
         assert net_dup.metrics.faults_injected["duplicate"] > 0
 
 
+class TestClockColumns:
+    """The injector writes and reads the network's clock columns."""
+
+    def test_overlapping_drift_events_sum_and_clear(self):
+        plan = FaultPlan(
+            "drift-overlap",
+            events=(
+                ClockDrift(node=6, drift=0.25, start=2, end=6),
+                ClockDrift(node=6, drift=0.5, start=4, end=8),
+            ),
+        )
+        network = deploy().network
+        injector = FaultInjector(plan, seed=0).attach(network)
+        seen = []
+        for interval in range(1, 10):
+            injector.on_interval_begin("test", interval)
+            seen.append(float(network.clocks.drift[6]))
+        assert seen == [0.0, 0.25, 0.25, 0.75, 0.75, 0.5, 0.5, 0.0, 0.0]
+        assert not network.clocks.drift.any()
+
+    def test_drift_outside_the_topology_is_ignored(self):
+        plan = FaultPlan(
+            "drift-nowhere",
+            events=(
+                ClockDrift(node=GRID * GRID, drift=0.5, start=1, end=3),
+                ClockDrift(node=-1, drift=0.5, start=1, end=3),
+            ),
+        )
+        network = deploy().network
+        injector = FaultInjector(plan, seed=0).attach(network)
+        for interval in range(1, 4):
+            injector.on_interval_begin("test", interval)
+            assert not network.clocks.drift.any()
+            assert injector.clock_interval_shift(GRID * GRID) == 0
+
+    def test_interval_shift_starts_past_half_an_interval(self):
+        network = deploy().network
+        injector = FaultInjector(FaultPlan("noop"), seed=0).attach(network)
+        clocks = network.clocks
+        length = network.config.clock.interval_length
+        clocks.offsets[6] = 0.0
+        for drift, shift in [
+            (0.0, 0),
+            (length / 2, 0),
+            (math.nextafter(length / 2, math.inf), 1),
+            (-math.nextafter(length / 2, math.inf), 1),
+            (1.4 * length, 1),
+            (1.6 * length, 2),
+        ]:
+            clocks.drift[6] = drift
+            assert injector.clock_interval_shift(6) == shift, drift
+        # The sum is what counts: offset and drift each under half.
+        clocks.offsets[6] = 0.3 * length
+        clocks.drift[6] = 0.3 * length
+        assert injector.clock_interval_shift(6) == 1
+
+
 class TestLossAccounting:
     def test_messages_lost_equals_per_receiver_drops(self):
         """Three receivers, three draws; exactly the sub-rate draws drop."""
@@ -234,16 +292,6 @@ class TestObservability:
             == net_fast.metrics.flooding_rounds + 2.0
         )
         assert net_slow.metrics.faults_injected["broadcast-delay"] == 1
-
-    def test_engine_time_hook_advances_the_injector(self):
-        deployment = deploy()
-        injector = FaultInjector(FaultPlan("noop"), seed=0).attach(deployment.network)
-        engine = SimulationEngine()
-        schedule = IntervalSchedule(start_time=0.0, interval_length=1.0, num_intervals=10)
-        injector.bind_engine(engine, schedule)
-        engine.schedule(3.5, lambda: None)
-        engine.run()
-        assert injector.now == 4  # time 3.5 sits in interval 4
 
     def test_injector_clock_is_monotone(self):
         injector = FaultInjector(FaultPlan("noop"), seed=0)

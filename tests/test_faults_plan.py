@@ -164,6 +164,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FaultPlan.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"kind": "crash", "node": True, "start": 1, "end": 2},
+            {"kind": "crash", "node": 3, "start": 1.5, "end": 2},
+            {"kind": "partition", "nodes": "ab", "start": 1, "end": 2},
+            {"kind": "partition", "nodes": [2, True], "start": 1, "end": 2},
+            {"kind": "clock-drift", "node": 2, "drift": "x", "start": 1, "end": 3},
+            {"kind": "clock-drift", "node": "3", "drift": 0.1, "start": 1, "end": 3},
+            {"kind": "burst-loss", "receiver": 1.5, "loss_rate": 0.5},
+            {"kind": "broadcast-loss", "round": 2.0},
+            {"kind": "broadcast-loss", "round": 1, "nodes": [1.5]},
+        ],
+        ids=[
+            "bool-node", "float-start", "str-nodes", "bool-in-nodes", "str-drift",
+            "str-node", "float-receiver", "float-round", "float-in-nodes",
+        ],
+    )
+    def test_malformed_event_fields_raise_config_error(self, event):
+        with pytest.raises(ConfigError, match="bad fields"):
+            FaultEvent.from_dict(event)
+        with pytest.raises(ConfigError):
+            FaultPlan.from_json(json.dumps({"name": "p", "events": [event]}))
+
 
 class TestSemantics:
     def test_window_is_half_open(self):

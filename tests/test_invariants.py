@@ -28,6 +28,7 @@ from repro.invariants import (
     STORE_INVARIANTS,
     AggregateErrorBound,
     ChaosBenignSafety,
+    ClockSyncDelta,
     ExecutionView,
     Fig7ThetaMonotonicity,
     Fig8SynopsisErrorBound,
@@ -264,6 +265,38 @@ class TestAggregateErrorBound:
         view = make_view(query="count", instances=64, estimate=500.0,
                          honest_true=100.0, overall_true=100.0)
         assert any("relative error" in v.detail for v in self.inv.check(view))
+
+
+class TestClockSyncDelta:
+    """The §III bound read from the clock columns of a real network."""
+
+    @pytest.fixture
+    def network(self):
+        return build_deployment(
+            config=small_test_config(depth_bound=8), topology=line_topology(8), seed=3
+        ).network
+
+    def test_deployed_clocks_are_fine(self, network) -> None:
+        view = ExecutionView(query="min", outcome="result", network=network)
+        assert ClockSyncDelta().check(view) == []
+
+    def test_offset_past_half_delta_flagged(self, network) -> None:
+        half = network.config.clock.max_error / 2
+        network.clocks.offsets[2] = -half
+        network.clocks.offsets[5] = half * 1.01  # just past the bound
+        view = ExecutionView(query="min", outcome="result", network=network)
+        violations = ClockSyncDelta().check(view)
+        assert len(violations) == 1
+        assert violations[0].context["max_error"] == pytest.approx(2.01 * half)
+        assert violations[0].context["delta"] == network.config.clock.max_error
+
+    def test_silent_while_drift_is_active(self, network) -> None:
+        half = network.config.clock.max_error / 2
+        network.clocks.offsets[2] = -half
+        network.clocks.offsets[5] = half * 1.01
+        network.clocks.drift[6] = 0.3  # an injected excursion is the fault
+        view = ExecutionView(query="min", outcome="result", network=network)
+        assert ClockSyncDelta().check(view) == []
 
 
 class TestOnlineOnlyInvariantsSkipOffline:

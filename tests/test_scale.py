@@ -13,7 +13,6 @@ These tests pin the contracts the 10k-node path leans on:
   between a frame's transmission and its first read;
 * the incremental secure-topology view answers exactly like the
   registry's direct link computation across revocation epochs;
-* engine event ordering is deterministic and ``Event`` stays slotted;
 * the cache-stat algebra (merge/diff/sum) keeps honest counters across
   clears and worker processes;
 * the scale bench's cell plan, payload gate and bit-identity check.
@@ -26,7 +25,7 @@ import math
 import pytest
 
 from repro import build_deployment, small_test_config
-from repro.errors import NetworkError, ReproError, SimulationError
+from repro.errors import NetworkError, ReproError
 from repro.net.message import TreeBeacon
 from repro.perf.cache import (
     clear_caches,
@@ -44,7 +43,7 @@ from repro.perf.scale import (
     reference_equality,
     scale_cells,
 )
-from repro.sim.engine import Event, IntervalSchedule, SimulationEngine
+from repro.sim import IntervalSchedule
 from repro.topology import line_topology
 
 
@@ -318,57 +317,6 @@ class TestSecureViewEquivalence:
         assert net.honest_secure_component() == reference
         # A revoked mid-line sensor cuts everything behind it off.
         assert all(node <= 4 for node in reference)
-
-
-# ----------------------------------------------------------------------
-# Engine determinism (satellite: step() fast path + Event slots)
-# ----------------------------------------------------------------------
-class TestEngineDeterminism:
-    def test_same_time_events_fire_in_insertion_order(self):
-        engine = SimulationEngine()
-        fired = []
-        for index in range(50):
-            engine.schedule(1.0, lambda i=index: fired.append(i))
-        engine.run()
-        assert fired == list(range(50))
-
-    def test_interleaved_times_fire_in_time_then_insertion_order(self):
-        engine = SimulationEngine()
-        fired = []
-        plan = [(2.0, "a"), (1.0, "b"), (2.0, "c"), (1.0, "d"), (3.0, "e")]
-        for time, tag in plan:
-            engine.schedule(time, lambda t=tag: fired.append(t))
-        engine.run()
-        assert fired == ["b", "d", "a", "c", "e"]
-
-    def test_event_is_slotted(self):
-        event = Event(time=1.0, sequence=0, callback=lambda: None)
-        assert not hasattr(event, "__dict__")
-        with pytest.raises(AttributeError):
-            event.extra = 1
-
-    def test_time_hooks_fire_before_callbacks(self):
-        engine = SimulationEngine()
-        order = []
-        engine.add_time_hook(lambda t: order.append(("hook", t)))
-        engine.schedule(2.0, lambda: order.append(("event", engine.now)))
-        engine.run()
-        assert order == [("hook", 2.0), ("event", 2.0)]
-
-    def test_hookless_engine_counts_events(self):
-        engine = SimulationEngine()
-        for index in range(10):
-            engine.schedule(float(index), lambda: None)
-        engine.run()
-        assert engine.events_processed == 10
-        assert engine.pending == 0
-
-    def test_schedule_into_past_rejected(self):
-        engine = SimulationEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule(0.5, lambda: None)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Discrete-event engine and interval schedule tests."""
+"""Interval schedule tests: interval indices against global time."""
 
 from __future__ import annotations
 
@@ -6,108 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import IntervalSchedule, SimulationEngine
-
-
-class TestSimulationEngine:
-    def test_runs_events_in_time_order(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(3.0, lambda: fired.append("c"))
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(2.0, lambda: fired.append("b"))
-        engine.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_same_time_events_fire_in_insertion_order(self):
-        engine = SimulationEngine()
-        fired = []
-        for label in "abcde":
-            engine.schedule(1.0, lambda l=label: fired.append(l))
-        engine.run()
-        assert fired == list("abcde")
-
-    def test_now_advances_with_events(self):
-        engine = SimulationEngine()
-        engine.schedule(5.0, lambda: None)
-        engine.run()
-        assert engine.now == 5.0
-
-    def test_run_until_stops_before_later_events(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(10.0, lambda: fired.append(10))
-        engine.run(until=5.0)
-        assert fired == [1]
-        assert engine.now == 5.0
-        assert engine.pending == 1
-
-    def test_rejects_scheduling_into_the_past(self):
-        engine = SimulationEngine()
-        engine.schedule(2.0, lambda: None)
-        engine.run()
-        with pytest.raises(SimulationError):
-            engine.schedule(1.0, lambda: None)
-
-    def test_schedule_after_uses_relative_delay(self):
-        engine = SimulationEngine()
-        times = []
-        engine.schedule(2.0, lambda: engine.schedule_after(3.0, lambda: times.append(engine.now)))
-        engine.run()
-        assert times == [5.0]
-
-    def test_rejects_negative_delay(self):
-        engine = SimulationEngine()
-        with pytest.raises(SimulationError):
-            engine.schedule_after(-1.0, lambda: None)
-
-    def test_events_can_schedule_more_events(self):
-        engine = SimulationEngine()
-        fired = []
-
-        def chain(n):
-            fired.append(n)
-            if n < 5:
-                engine.schedule_after(1.0, lambda: chain(n + 1))
-
-        engine.schedule(0.0, lambda: chain(0))
-        engine.run()
-        assert fired == [0, 1, 2, 3, 4, 5]
-
-    def test_max_events_guards_runaway_loops(self):
-        engine = SimulationEngine()
-
-        def forever():
-            engine.schedule_after(1.0, forever)
-
-        engine.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            engine.run(max_events=100)
-
-    def test_step_returns_none_when_empty(self):
-        assert SimulationEngine().step() is None
-
-    def test_not_reentrant(self):
-        engine = SimulationEngine()
-        errors = []
-
-        def bad():
-            try:
-                engine.run()
-            except SimulationError as exc:
-                errors.append(exc)
-
-        engine.schedule(0.0, bad)
-        engine.run()
-        assert len(errors) == 1
-
-    def test_events_processed_counter(self):
-        engine = SimulationEngine()
-        for t in range(4):
-            engine.schedule(float(t), lambda: None)
-        engine.run()
-        assert engine.events_processed == 4
+from repro.sim import IntervalSchedule
 
 
 class TestIntervalSchedule:
