@@ -19,10 +19,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..errors import REQUIRED, ConfigError, typed_fields
+from ..errors import REQUIRED, ConfigError, parse_json, typed_fields
 from ..seeding import canonical_json, derive_seed
 
 _SCALARS = (int, float, str, bool)
@@ -154,8 +155,8 @@ class CampaignSpec:
             raise ConfigError("CampaignSpec needs at least one scenario")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.cell_timeout < 0:
-            raise ConfigError("cell_timeout must be >= 0")
+        if not 0 <= self.cell_timeout < math.inf:  # NaN fails both
+            raise ConfigError("cell_timeout must be a finite number of seconds >= 0")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "imports", tuple(self.imports))
 
@@ -181,7 +182,10 @@ class CampaignSpec:
             raise ConfigError(
                 f"CampaignSpec 'imports' must be module names, got {fields['imports']!r}"
             )
-        fields["cell_timeout"] = float(fields["cell_timeout"])
+        try:
+            fields["cell_timeout"] = float(fields["cell_timeout"])
+        except OverflowError:
+            raise ConfigError("CampaignSpec 'cell_timeout' is out of range") from None
         fields["imports"] = tuple(fields["imports"])
         fields["scenarios"] = tuple(ScenarioSpec.from_dict(s) for s in fields["scenarios"])
         return cls(**fields)
@@ -193,11 +197,7 @@ class CampaignSpec:
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
         """Parse a spec file produced by :meth:`to_json` (or by hand)."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"CampaignSpec is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text, "CampaignSpec"))
 
     def spec_hash(self) -> str:
         """Stable content hash of the spec (hex); names the run."""

@@ -3,13 +3,14 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch package failures with a single ``except`` clause while
 still being able to discriminate the subsystem that failed.
-:func:`typed_fields` is the one check the JSON parsers (campaign specs,
-fault plans) apply to an input object before they raise
-:class:`ConfigError`.
+:func:`parse_json` and :func:`typed_fields` are the checks the JSON
+parsers (campaign specs, fault plans, service specs, fuzz repros) apply
+to an input document before they raise :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Mapping, Tuple
 
 
@@ -96,6 +97,16 @@ class HostChannelError(ServiceError):
 class HostUnresponsiveError(HostChannelError):
     """A node host went silent past the detection window (hung or
     stopped process): no reply, no heartbeat, but the socket is open."""
+
+
+def parse_json(text: str, kind: str) -> Any:
+    """``json.loads(text)``; any malformed document (bad syntax, nesting
+    too deep for the decoder, an integer too long to convert) raises
+    :class:`ConfigError`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{kind} is not valid JSON: {exc}") from None
 
 
 #: Default of a :func:`typed_fields` field that must be present.

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
-from ..errors import REQUIRED, ConfigError, typed_fields
+from ..errors import REQUIRED, ConfigError, parse_json, typed_fields
 from ..keys.registry import BASE_STATION_ID
 from ..seeding import canonical_json
 
@@ -46,6 +46,18 @@ class FaultEvent:
     """
 
     KIND = ""
+
+    def __post_init__(self) -> None:
+        # An int in a float field is the same number: store it as a
+        # float so equal plans serialize, and hash, identically (the
+        # plan hash seeds the injector's RNG stream).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) is int:
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigError(f"{self.KIND}: {f.name} is out of float range") from None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form, tagged with ``kind``."""
@@ -91,6 +103,7 @@ class _Windowed(FaultEvent):
     end: int = 2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.start >= 1, f"{self.KIND}: start must be >= 1 (got {self.start})")
         _require(self.end > self.start, f"{self.KIND}: end must exceed start")
 
@@ -230,6 +243,7 @@ class BroadcastLoss(FaultEvent):
     nodes: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.round >= 1, "broadcast-loss: round is 1-based")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         _require(
@@ -256,6 +270,7 @@ class BroadcastDelay(FaultEvent):
     extra_rounds: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.round >= 1, "broadcast-delay: round is 1-based")
         _require(self.extra_rounds > 0, "broadcast-delay: extra_rounds must be positive")
 
@@ -376,11 +391,7 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         """Parse a plan file produced by :meth:`to_json` (or by hand)."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"fault plan is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text, "fault plan"))
 
     def plan_hash(self) -> str:
         """Stable content hash (hex) naming this plan's exact schedule."""

@@ -19,12 +19,11 @@ actually find protocol bugs, not just pass on the correct build.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..adversary.zoo import ZOO
-from ..errors import ReproError
+from ..errors import REQUIRED, ConfigError, ReproError, parse_json, typed_fields
 from ..seeding import canonical_json, derive_rng, derive_seed
 from .catalog import Violation
 from .monitor import InvariantMonitor
@@ -43,6 +42,25 @@ STRATEGIES = tuple(sorted(ZOO))
 PREDTESTS = ("truthful", "deny", "lie_yes", "coin")
 FAULT_PROFILES = ("none", "crash", "partition", "burst", "clock", "mixed")
 QUERIES = ("min", "max")
+
+#: ``(smallest, largest)`` size per topology family: the sampler draws
+#: up to the largest, and shrinking stops at the smallest.
+SIZES = {"line": (4, 10), "grid": (3, 5)}
+MAX_EXECUTIONS = 3
+
+#: JSON field -> (accepted types, default) for :meth:`FuzzConfig.from_dict`.
+_CONFIG_FIELDS = {
+    "seed": ((int,), REQUIRED),
+    "topology": ((str,), "line"),
+    "size": ((int,), 8),
+    "malicious": ((list, tuple), ()),
+    "strategy": ((str,), "passive"),
+    "predtest": ((str,), "truthful"),
+    "fault_profile": ((str,), "none"),
+    "executions": ((int,), 2),
+    "query": ((str,), "min"),
+    "theta": ((int, type(None)), None),
+}
 
 #: Weighted fault draw: half the trials run fault-free.  The catalog's
 #: strongest oracles (revocation-progress, the absence-based deferral
@@ -68,6 +86,28 @@ class FuzzConfig:
     query: str = "min"
     theta: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        def require(condition: bool, message: str) -> None:
+            if not condition:
+                raise ConfigError(f"FuzzConfig: {message}")
+
+        # build_deployment keys the master secret with the seed as 8 bytes.
+        require(-(2**63) <= self.seed < 2**63, "seed must fit in a signed 64-bit int")
+        require(self.topology in SIZES, f"topology must be one of {sorted(SIZES)}")
+        low, high = SIZES[self.topology]
+        require(low <= self.size <= high, f"a {self.topology} has size {low}..{high}")
+        num_nodes = self.size if self.topology == "line" else self.size * self.size
+        require(
+            all(type(i) is int and 1 <= i < num_nodes for i in self.malicious)
+            and len(set(self.malicious)) == len(self.malicious),
+            f"malicious must be distinct sensor ids 1..{num_nodes - 1}",
+        )
+        require(self.strategy in ZOO, f"unknown strategy {self.strategy!r}")
+        require(self.predtest in PREDTESTS, f"predtest must be one of {PREDTESTS}")
+        require(self.fault_profile in FAULT_PROFILES, f"fault_profile must be one of {FAULT_PROFILES}")
+        require(1 <= self.executions <= MAX_EXECUTIONS, f"executions must be 1..{MAX_EXECUTIONS}")
+        require(self.query in QUERIES, f"query must be one of {QUERIES}")
+
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
         data["malicious"] = list(self.malicious)
@@ -75,18 +115,15 @@ class FuzzConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FuzzConfig":
-        if not isinstance(data, dict):
-            raise ReproError(f"a FuzzConfig is a JSON object, not {type(data).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise ReproError(f"unknown FuzzConfig fields: {sorted(extra)}")
-        data = dict(data)
-        try:
-            data["malicious"] = tuple(data.get("malicious", ()))
-            return cls(**data)
-        except TypeError as exc:
-            raise ReproError(f"malformed FuzzConfig: {exc}") from None
+        """Inverse of :meth:`to_dict`; a malformed config raises
+        :class:`ConfigError`."""
+        if isinstance(data, dict):
+            extra = set(data) - set(_CONFIG_FIELDS)
+            if extra:
+                raise ConfigError(f"unknown FuzzConfig fields: {sorted(extra)}")
+        fields = typed_fields("FuzzConfig", data, _CONFIG_FIELDS)
+        fields["malicious"] = tuple(fields["malicious"])
+        return cls(**fields)
 
     # ------------------------------------------------------------------
     def build_topology(self):
@@ -108,7 +145,7 @@ def sample_config(master_seed: int, trial: int) -> FuzzConfig:
     """The deterministic trial-th config of a master seed."""
     rng = derive_rng("fuzz", master_seed, trial)
     topology = rng.choice(("line", "grid"))
-    size = rng.randint(6, 10) if topology == "line" else rng.randint(3, 5)
+    size = rng.randint(6, SIZES["line"][1]) if topology == "line" else rng.randint(*SIZES["grid"])
     num_nodes = size if topology == "line" else size * size
     sensor_ids = list(range(1, num_nodes))
     strategy = rng.choice(STRATEGIES)
@@ -220,7 +257,7 @@ def _shrink_candidates(config: FuzzConfig) -> List[FuzzConfig]:
                 config,
                 malicious=tuple(i for i in config.malicious if i != dropped),
             ))
-    min_size = 4 if config.topology == "line" else 3
+    min_size = SIZES[config.topology][0]
     if config.size > min_size:
         smaller = config.size - 1
         num_nodes = smaller if config.topology == "line" else smaller * smaller
@@ -290,9 +327,10 @@ def replay_repro(path) -> Tuple[List[Violation], List[str]]:
     """
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            text = handle.read()
     except (OSError, ValueError) as exc:
         raise ReproError(f"cannot read repro {path}: {exc}") from None
+    data = parse_json(text, f"repro {path}")
     if not isinstance(data, dict):
         raise ReproError(f"repro {path} is not a JSON object")
     if data.get("version") != REPRO_FORMAT_VERSION:
@@ -302,8 +340,14 @@ def replay_repro(path) -> Tuple[List[Violation], List[str]]:
     if "config" not in data:
         raise ReproError(f"repro {path} has no 'config'")
     config = FuzzConfig.from_dict(data["config"])
-    violations = run_config(config, mutant=data.get("mutant"))
-    return violations, list(data.get("violated", []))
+    mutant = data.get("mutant")
+    violated = data.get("violated", [])
+    if mutant is not None and not isinstance(mutant, str):
+        raise ReproError(f"repro {path}: 'mutant' must be a name or null")
+    if not isinstance(violated, list) or not all(isinstance(v, str) for v in violated):
+        raise ReproError(f"repro {path}: 'violated' must list invariant names")
+    violations = run_config(config, mutant=mutant)
+    return violations, violated
 
 
 # ----------------------------------------------------------------------

@@ -142,9 +142,12 @@ class _SendBatch:
 
 
 class Delivery:
-    """One received link-layer frame.
+    """One received link-layer frame, as :meth:`PhaseContext.inbox`
+    returns it.
 
-    Frames share their broadcast's :class:`_SendBatch`; ``edge_mac`` is
+    A ``Delivery`` is built per read from one row of the frame store
+    (:meth:`PhaseContext.rows`); the store itself keeps none.  Frames
+    share their broadcast's :class:`_SendBatch`; ``edge_mac`` is
     computed on first access (honest nodes often never read flooded
     duplicates).  The receiver-side checks on mutable state ran at
     transmit time (see :meth:`PhaseContext.send`).
@@ -234,9 +237,12 @@ class PhaseContext:
     ...     receivers, batch_ids, batches, keys, verdicts = phase.rows(k)
 
     :meth:`send` is the one-sender form (the adversary's and the
-    baselines'), :meth:`inbox` one receiver's frames.  Sends must
-    target the current or a future interval; interval ``k`` is readable
-    once ``k`` has begun.
+    baselines').  :meth:`rows` is the one read of the frame store;
+    :meth:`inbox` selects one receiver's frames out of it as
+    ``Delivery`` objects, for the readers that act per receiver (the
+    adversary, the base station, the baselines).  Sends must target the
+    current or a future interval; interval ``k`` is readable once ``k``
+    has begun.
     """
 
     def __init__(
@@ -263,7 +269,7 @@ class PhaseContext:
         if factory is not None:
             self.transport = factory(self)
         else:
-            self.transport = SoATransport(network.topology.num_nodes)
+            self.transport = SoATransport()
         self._payloads_per_interval: Dict[Tuple[int, int], int] = {}
         self.suppressed_sends = 0
 
@@ -603,18 +609,6 @@ class PhaseContext:
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def inbox(self, receiver: int, interval: int) -> List[Delivery]:
-        """Frames delivered to ``receiver`` during ``interval``.
-
-        Readable once the interval has begun.  Returns all frames; honest
-        protocol logic must filter on ``Delivery.verified``.
-        """
-        if interval > self.current_interval:
-            raise NetworkError(
-                f"interval {interval} has not begun (current {self.current_interval})"
-            )
-        return self.transport.frames(interval, receiver)
-
     def rows(self, interval: int) -> Tuple[
         Sequence[int], Sequence[int], Sequence["_SendBatch"], Sequence[int], Sequence[bool]
     ]:
@@ -624,8 +618,10 @@ class PhaseContext:
         ``key_indices[i]``, and ``verdicts[i]`` is the frame's
         ``Delivery.verified``.  Each receiver's rows keep deposit order.
 
-        The one sweep an honest step makes over an interval: it builds
-        no ``Delivery`` objects.  Same readability gate as :meth:`inbox`.
+        The one read of the frame store: an honest step sweeps each
+        interval through it once, building no ``Delivery`` objects, and
+        :meth:`inbox` filters it.  Interval ``k`` is readable once ``k``
+        has begun.
         """
         if interval > self.current_interval:
             raise NetworkError(
@@ -633,7 +629,32 @@ class PhaseContext:
             )
         return self.transport.rows(interval)
 
+    def inbox(self, receiver: int, interval: int) -> List[Delivery]:
+        """Frames delivered to ``receiver`` during ``interval``, in
+        deposit order: its rows of :meth:`rows`, as fresh ``Delivery``
+        objects.
+
+        Returns all frames; honest protocol logic must filter on
+        ``Delivery.verified``.  Only the adversary, the base station and
+        the baselines read one receiver at a time.
+        """
+        receivers, batch_ids, batches, key_indices, verdicts = self.rows(interval)
+        if not len(receivers):
+            return []
+        mine = np.flatnonzero(np.asarray(receivers) == receiver).tolist()
+        return [
+            Delivery(
+                batches[batch_ids[row]],
+                receiver,
+                key_indices[row],
+                interval,
+                verified=None if verdicts[row] else False,
+            )
+            for row in mine
+        ]
+
     def verified_inbox(self, receiver: int, interval: int) -> List[Delivery]:
+        """The frames of :meth:`inbox` whose ``verified`` holds."""
         return [d for d in self.inbox(receiver, interval) if d.verified]
 
 

@@ -15,18 +15,6 @@ argument tuples or inherit large read-only arrays copy-on-write through
 a module global set just before the pool spawns.  On platforms without
 ``fork`` (or with ``REPRO_BUILD_SHARDS=1``/``0``) everything runs inline
 in the parent, producing the same bytes.
-
-The same region geometry also shards the *interval delivery fanout* —
-but in-process, never across workers: frame deposit order is protocol
-semantics, and metrics/caches are process-local, so splitting the
-interval loop across processes would buy speed at the price of the
-equivalence argument.  :func:`delivery_region_geometry` hands
-:class:`repro.net.soa.SoATransport` a contiguous-receiver-range
-partition of the id space; each region keeps its own append-only
-columns and its own stable-argsort grouping, so a deposit dirties (and
-a read re-sorts) one region's columns instead of the whole interval's.
-Every receiver lives in exactly one region, so per-receiver deposit
-order — the contract above — is untouched.
 """
 
 from __future__ import annotations
@@ -40,43 +28,6 @@ AUTO_SHARD_MIN_ITEMS = 20_000
 #: Hard cap on worker processes; build regions are memory-bandwidth
 #: bound well before this.
 MAX_SHARDS = 8
-
-#: Below this many ids the column transport keeps one region per
-#: interval (partitioning overhead beats the regroup savings).
-DELIVERY_REGION_MIN_IDS = 20_000
-
-#: Cap on in-process delivery regions.  Unlike :data:`MAX_SHARDS` this
-#: is not bound by CPU count — regions are a data partition, not
-#: workers — but past ~16 the per-region dict/array overhead outweighs
-#: the smaller re-sorts.
-MAX_DELIVERY_REGIONS = 16
-
-
-def delivery_region_geometry(num_ids: int) -> Tuple[int, int]:
-    """``(region width, region count)`` for the column frame store.
-
-    Contiguous regions of equal width partition ``range(num_ids)`` (the
-    last region absorbs the remainder and any out-of-range id).  Small
-    id spaces — and callers that do not know their bound (``num_ids <=
-    0``) — get a single region, which degenerates to the unpartitioned
-    store.  ``REPRO_DELIVERY_REGIONS`` overrides the automatic count
-    (``1`` or ``0`` forces a single region).
-    """
-    raw = os.environ.get("REPRO_DELIVERY_REGIONS", "").strip()
-    override = None
-    if raw:
-        try:
-            override = max(1, int(raw))
-        except ValueError:
-            override = None
-    if override is not None:
-        count = min(override, max(num_ids, 1))
-    elif num_ids < DELIVERY_REGION_MIN_IDS:
-        count = 1
-    else:
-        count = min(MAX_DELIVERY_REGIONS, num_ids // AUTO_SHARD_MIN_ITEMS)
-    width = -(-max(num_ids, 1) // count)  # ceil; last region takes the slack
-    return width, count
 
 
 def _env_shards() -> "int | None":

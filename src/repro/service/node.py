@@ -68,8 +68,17 @@ class ReplicaTransport:
     Locally-hosted receivers get the frame directly; remote-hosted
     receivers get it shipped over TCP; *every* frame is also reported up
     so the coordinator's mirror store (read by the base station and the
-    adversary) stays complete.  Buckets sort on the shared envelope key,
+    adversary) stays complete.  Buckets hold ``(sort key, batch, key
+    index, verdict)`` rows and sort on the shared envelope key,
     reproducing the simulator's chronological inbox order.
+
+    A host reads its frames only through ``rows``: the honest steps
+    sweep it, and nothing on a host calls ``PhaseContext.inbox`` (the
+    adversary and the base station run on the coordinator).  The MAC a
+    frame carried off the wire is checked here and kept only as its
+    verdict; the coordinator's mirror does the same for the rows it
+    ingests, so a ``Delivery`` built from either store recomputes its
+    ``edge_mac`` locally.
     """
 
     __slots__ = ("host", "phase", "_buckets", "_seq", "_ingested", "_last_batch")
@@ -77,7 +86,7 @@ class ReplicaTransport:
     def __init__(self, host: "NodeHost", phase) -> None:
         self.host = host
         self.phase = phase
-        # interval -> receiver -> [(sort_key, delivery)]
+        # interval -> receiver -> [(sort_key, batch, key_index, verdict)]
         self._buckets: Dict[int, Dict[int, List[tuple]]] = {}
         self._seq = 0
         # Envelopes already ingested this phase.  A full envelope tuple is
@@ -105,7 +114,9 @@ class ReplicaTransport:
             env = delivery_envelope(delivery, 1, sender, self._seq)
             host.up_outbox.append(env)
             if receiver in host.hosted_set:
-                self._bucket(interval, receiver).append(((1, sender, self._seq), delivery))
+                self._bucket(interval, receiver).append(
+                    ((1, sender, self._seq), batch, key_index, bool(verdict))
+                )
                 continue
             peer = host.host_of.get(receiver)
             if peer is not None and peer != host.host_index:
@@ -116,7 +127,7 @@ class ReplicaTransport:
     def ingest(self, env) -> None:
         if env in self._ingested:
             return
-        interval, receiver, band, order, subseq, _sender, key_index, mac, _payload = env
+        interval, receiver, band, order, subseq, _sender, key_index, _mac, _payload = env
         batch, verified = ingest_envelope(self.phase, env, self._last_batch)
         self._last_batch = batch
         if receiver not in self.host.hosted_set:
@@ -125,31 +136,23 @@ class ReplicaTransport:
                 f"non-hosted sensor {receiver}"
             )
         self._ingested.add(env)
-        delivery = Delivery(batch, receiver, key_index, interval, edge_mac=mac, verified=verified)
-        self._bucket(interval, receiver).append(((band, order, subseq), delivery))
+        self._bucket(interval, receiver).append(((band, order, subseq), batch, key_index, verified))
 
     def _bucket(self, interval: int, receiver: int) -> List[tuple]:
         return self._buckets.setdefault(interval, {}).setdefault(receiver, [])
-
-    def _sorted(self, pairs: List[tuple]) -> List[object]:
-        pairs.sort(key=lambda pair: pair[0])
-        return [delivery for _, delivery in pairs]
-
-    def frames(self, interval: int, receiver: int) -> List[object]:
-        pairs = self._buckets.get(interval, {}).get(receiver)
-        return self._sorted(pairs) if pairs else []
 
     def rows(self, interval: int):
         receivers: List[int] = []
         batches: List[object] = []
         key_indices: List[int] = []
         verdicts: List[bool] = []
-        for receiver, pairs in self._buckets.get(interval, {}).items():
-            for delivery in self._sorted(pairs):
+        for receiver, bucket in self._buckets.get(interval, {}).items():
+            bucket.sort(key=lambda row: row[0])
+            for _, batch, key_index, verdict in bucket:
                 receivers.append(receiver)
-                batches.append(delivery._batch)
-                key_indices.append(delivery.key_index)
-                verdicts.append(delivery.verified)
+                batches.append(batch)
+                key_indices.append(key_index)
+                verdicts.append(verdict)
         return receivers, range(len(batches)), batches, key_indices, verdicts
 
 
@@ -361,7 +364,7 @@ class NodeHost:
         if stream is not None:
             stream.close()
 
-    async def _ship_frames(self, peer_index: int, envelopes: tuple) -> bool:
+    async def _ship_envelopes(self, peer_index: int, envelopes: tuple) -> bool:
         """Ship one frame batch to a peer host, with seeded retry.
 
         Each attempt is dial + send + bounded ack wait (a stopped peer
@@ -409,7 +412,7 @@ class NodeHost:
     async def _flush_peer_outbox(self) -> None:
         for peer_index, envelopes in sorted(self.peer_outbox.items()):
             if envelopes:
-                await self._ship_frames(peer_index, tuple(envelopes))
+                await self._ship_envelopes(peer_index, tuple(envelopes))
         self.peer_outbox = {}
 
     # ------------------------------------------------------------------

@@ -47,6 +47,7 @@ from ..errors import ConfigError, HostChannelError, ProtocolError, ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
 from ..metrics import Metrics
+from ..net.network import Delivery
 from ..net.soa import SoATransport, block_rows
 from .resilience import (
     DEGRADE_HORIZON,
@@ -81,7 +82,7 @@ class CoordinatorTransport(SoATransport):
     __slots__ = ("runtime", "_phase", "_last_batch")
 
     def __init__(self, runtime: "ServiceRuntime", phase) -> None:
-        super().__init__(phase.network.topology.num_nodes)
+        super().__init__()
         self.runtime = runtime
         # Weak: the phase owns this store, and a strong back-reference
         # would leave every finished phase for the cyclic collector.
@@ -102,7 +103,7 @@ class CoordinatorTransport(SoATransport):
             if host is None:
                 continue  # base station or malicious sensor: coordinator-local
             runtime.order_counter += 1
-            delivery = self._delivery(
+            delivery = Delivery(
                 batch, receiver, key_index, interval, verified=None if verdict else False
             )
             env = delivery_envelope(delivery, band, runtime.order_counter, 0)

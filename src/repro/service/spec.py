@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.queries import MaxQuery, MinQuery
-from ..errors import ConfigError
+from ..errors import ConfigError, parse_json
 from ..faults.plan import FaultPlan
 
 SPEC_ENV = "REPRO_SERVICE_SPEC"
@@ -114,6 +115,9 @@ class ServiceSpec:
         for mid in self.malicious_ids:
             if not 1 <= mid < self.num_nodes:
                 raise ConfigError(f"malicious id {mid} outside 1..{self.num_nodes - 1}")
+        if not -(2**63) <= self.seed < 2**63:
+            # build_deployment keys the master secret with 8 seed bytes.
+            raise ConfigError("seed must fit in a signed 64-bit int")
         if self.tree_variant not in ("timestamp", "hopcount"):
             raise ConfigError(f"unknown tree variant {self.tree_variant!r}")
         for name in (
@@ -125,8 +129,8 @@ class ServiceSpec:
             "retry_max_s",
             "peer_ack_timeout_s",
         ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ConfigError(f"{name} must be positive and finite")
         if self.restart_budget < 0:
             raise ConfigError("restart_budget must be >= 0")
         if self.retry_attempts < 1:
@@ -245,11 +249,7 @@ class ServiceSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ServiceSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigError(f"ServiceSpec is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text, "ServiceSpec"))
 
     @classmethod
     def from_env(cls) -> "ServiceSpec":

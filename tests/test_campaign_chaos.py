@@ -79,7 +79,7 @@ class TestScenario:
 
 class TestRunDeterminism:
     def test_two_runs_produce_identical_stores(self, tmp_path):
-        """The chaos-smoke CI gate, inline: replay and diff at zero tolerance."""
+        """The chaos step of the campaign-smoke CI job, inline: replay and diff at zero tolerance."""
         store = ResultStore(tmp_path)
         first = run_campaign(chaos_spec("chaos-a"), store, jobs=1)
         second = run_campaign(chaos_spec("chaos-b"), store, jobs=1)

@@ -126,7 +126,7 @@ class TestSpecValidation:
 
 class TestRunDeterminism:
     def test_parallel_and_inline_stores_identical(self, tmp_path):
-        """The tournament-smoke CI gate, inline: two runs, zero tolerance."""
+        """The `make tournament-smoke` CI gate, inline: two runs, zero tolerance."""
         store = ResultStore(tmp_path)
         parallel = run_campaign(smoke_spec("t-a"), store, jobs=2)
         inline = run_campaign(smoke_spec("t-b"), store, jobs=1)

@@ -76,5 +76,5 @@ def test_no_job_repeats_a_key():
 def test_documented_jobs_exist():
     # docs/TESTING.md and the Makefile-backed smoke gates name these.
     jobs = job_level_keys(WORKFLOW.read_text())
-    for job in ("test", "matrix-nocache", "tournament-smoke", "scale-smoke"):
+    for job in ("test", "matrix-nocache", "campaign-smoke", "scale-smoke"):
         assert job in jobs, f"CI job {job!r} is missing"

@@ -87,6 +87,26 @@ class TestHash:
         ]
         assert FaultPlan.from_dict(shuffled).plan_hash() == plan.plan_hash()
 
+    def test_int_and_float_fields_hash_alike(self):
+        # An int in a float field is the same value, so the plans (and
+        # the injector streams their hashes seed) must not differ.
+        events = (
+            ClockDrift(node=2, drift=1, start=1, end=3),
+            BurstLoss(loss_rate=0.5, start=1, end=3),
+            BroadcastDelay(round=2, extra_rounds=3),
+        )
+        as_floats = (
+            ClockDrift(node=2, drift=1.0, start=1, end=3),
+            BurstLoss(loss_rate=0.5, start=1, end=3),
+            BroadcastDelay(round=2, extra_rounds=3.0),
+        )
+        a, b = FaultPlan("p", events=events), FaultPlan("p", events=as_floats)
+        assert a.plan_hash() == b.plan_hash()
+        assert a.to_json() == b.to_json()
+        hand_written = b.to_json().replace('"drift": 1.0', '"drift": 1')
+        assert '"drift": 1,' in hand_written
+        assert FaultPlan.from_json(hand_written).plan_hash() == b.plan_hash()
+
 
 class TestValidation:
     def test_window_must_be_nonempty_and_one_based(self):

@@ -12,7 +12,7 @@ every cell still hashes to its committed digest.
 node-host processes (estimate, outcomes, revocations and the protocol
 metrics), so the hosts' honest side is frozen too.
 
-Three planted kernel mutants show the oracle is sharp: each must change
+Two planted kernel mutants show the oracle is sharp: each must change
 at least one digest (a mutant that makes a cell raise counts as a
 change — the kernel no longer produces the frozen output).
 
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -57,19 +55,6 @@ def chained_digest(tracer, metrics, outcomes) -> str:
     for outcome in outcomes:
         state = _link(state, outcome)
     return state.hex()
-
-
-@contextmanager
-def _env(name, value):
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = previous
 
 
 # ----------------------------------------------------------------------
@@ -214,21 +199,21 @@ def _drop_cell():
 
 
 def _regions_cell():
-    """An attacked 7x7 grid with delivery fanout split into 3 regions."""
-    with _env("REPRO_DELIVERY_REGIONS", "3"):
-        deployment = build_deployment(
-            config=small_test_config(depth_bound=14),
-            topology=grid_topology(7, 7),
-            malicious_ids={17},
-            seed=5,
-        )
-        network = deployment.network
-        adversary = Adversary(network, make_strategy("spurious-veto"), seed=5)
-        tracer = Tracer.attach(network)
-        protocol = VMATProtocol(network, adversary=adversary)
-        readings = {i: 60.0 + (i % 11) for i in deployment.topology.sensor_ids}
-        readings[40] = 1.0
-        outcomes = [protocol.execute(MinQuery(), readings).outcome.value for _ in range(2)]
+    """An attacked 7x7 grid: spurious vetoes, pinpointing and revocation
+    reading the adversary's and the base station's inboxes."""
+    deployment = build_deployment(
+        config=small_test_config(depth_bound=14),
+        topology=grid_topology(7, 7),
+        malicious_ids={17},
+        seed=5,
+    )
+    network = deployment.network
+    adversary = Adversary(network, make_strategy("spurious-veto"), seed=5)
+    tracer = Tracer.attach(network)
+    protocol = VMATProtocol(network, adversary=adversary)
+    readings = {i: 60.0 + (i % 11) for i in deployment.topology.sensor_ids}
+    readings[40] = 1.0
+    outcomes = [protocol.execute(MinQuery(), readings).outcome.value for _ in range(2)]
     return tracer, network.metrics, outcomes
 
 
@@ -476,19 +461,11 @@ def _first_changed_digest(cells):
     return None
 
 
-def _reversed_groups(original):
-    def groups(self):
-        return {receiver: rows[::-1] for receiver, rows in original(self).items()}
+def _reversed_inbox(original):
+    def inbox(self, receiver, interval):
+        return original(self, receiver, interval)[::-1]
 
-    return groups
-
-
-def _width_off_by_one(original):
-    def geometry(num_ids):
-        width, count = original(num_ids)
-        return width - 1, count
-
-    return geometry
+    return inbox
 
 
 def _skip_revocation_patch(self):
@@ -504,20 +481,10 @@ class TestMutantsChangeDigests:
     """Each planted kernel mutant must break at least one frozen digest."""
 
     def test_swapped_deposit_order(self, monkeypatch):
-        from repro.net import soa
+        from repro.net.network import PhaseContext
 
-        monkeypatch.setattr(
-            soa._RegionColumns, "groups", _reversed_groups(soa._RegionColumns.groups)
-        )
+        monkeypatch.setattr(PhaseContext, "inbox", _reversed_inbox(PhaseContext.inbox))
         assert _first_changed_digest(sorted(CELLS)) is not None
-
-    def test_region_geometry_off_by_one(self, monkeypatch):
-        from repro.net import soa
-
-        monkeypatch.setattr(
-            soa, "delivery_region_geometry", _width_off_by_one(soa.delivery_region_geometry)
-        )
-        assert _first_changed_digest(["regions-attacked-grid"]) is not None
 
     def test_skipped_revocation_patch(self, monkeypatch):
         from repro.net.network import _SecureTopologyView

@@ -82,6 +82,9 @@ def test_spec_validation_rejects(kwargs, match):
         '{"fault_plan": 7}',
         '{"fault_plan": "{"}',
         '{"fault_plan": "[]"}',
+        '{"seed": 18446744073709551616}',
+        '{"control_timeout_s": NaN}',
+        '{"retry_max_s": Infinity}',
     ],
 )
 def test_spec_from_json_rejects_malformed_input_with_config_error(text):

@@ -6,8 +6,9 @@ state) plus the sharding and cache-sizing machinery around them:
 * cache transparency — full executions, warm vs cache-disabled, over
   line / grid / flood-heavy multipath topologies (both legs run the one
   column kernel; only the caches differ);
-* arrival-order preservation — the column store's stable grouping must
-  replay the deposit order the plain list store recorded, exactly;
+* arrival-order preservation — ``inbox`` on every frame store (column,
+  coordinator mirror, node-host replica) must replay the deposit order
+  the plain list store recorded, exactly;
 * region sharding edge cases (empty, singleton, more shards than items);
 * ring-table rows / intersections / bulk edge keys vs per-object rings;
 * whole-table hashes of the large-build ring path, and the batched ring
@@ -44,7 +45,7 @@ from repro.perf.cache import (
     disabled,
 )
 from repro.perf.scale import reference_equality
-from repro.perf.shard import delivery_region_geometry, fork_map, regions, shard_count
+from repro.perf.shard import fork_map, regions, shard_count
 from repro.topology.generators import grid_topology, line_topology
 
 
@@ -99,7 +100,7 @@ class TestTransportOrder:
         5: [(4, 1)],
     }
 
-    #: Every inbox of ``_duplicate_frames`` as (sender, hop, key,
+    #: Every inbox of ``_duplicate_inboxes`` as (sender, hop, key,
     #: verdict), duplicates included, plus the run's metrics, as the
     #: list store produced them.
     DUPLICATE_FRAMES = {
@@ -134,14 +135,35 @@ class TestTransportOrder:
         "round_log": [],
     }
 
-    def _phase(self):
+    #: The three frame stores behind ``PhaseContext``.
+    STORES = ("soa", "coordinator", "replica")
+
+    def _phase(self, store="soa"):
+        """The 8-node line and a 3-interval phase over one frame store."""
+        from types import SimpleNamespace
+
+        from repro.service.node import ReplicaTransport
+        from repro.service.runtime import CoordinatorTransport
+
         deployment = build_deployment(
-            config=small_test_config(depth_bound=10),
-            topology=line_topology(8),
-            seed=3,
+            config=small_test_config(depth_bound=10), topology=line_topology(8), seed=3
         )
         net = deployment.network
-        return net, net.new_phase("t", 3)
+        if store == "coordinator":
+            runtime = SimpleNamespace(host_of={}, tick_done=False, order_counter=0, pending_ship={})
+            net.transport_factory = lambda phase: CoordinatorTransport(runtime, phase)
+        elif store == "replica":
+            host = SimpleNamespace(
+                up_outbox=[], hosted_set=frozenset(range(8)), host_of={}, host_index=0,
+                peer_outbox={},
+            )
+            net.transport_factory = lambda phase: ReplicaTransport(host, phase)
+        phase = net.new_phase("t", 3)
+        expected = {
+            "soa": SoATransport, "coordinator": CoordinatorTransport, "replica": ReplicaTransport,
+        }[store]
+        assert type(phase.transport) is expected
+        return net, phase
 
     def _send_pattern(self, net, phase):
         from repro.net.message import TreeBeacon
@@ -154,6 +176,18 @@ class TestTransportOrder:
         phase.send(2, [1, 3], TreeBeacon(origin=2, hop_count=2), interval=1)
         phase.send(0, [1], TreeBeacon(origin=0, hop_count=1), interval=1)
 
+    @staticmethod
+    def _in_store_order(store, inboxes):
+        """``inboxes`` (deposit order) as ``store`` orders them.  A node
+        host sorts its own frames on the envelope key ``(1, sender,
+        sequence)``, so per receiver they come sender by sender, each
+        sender's in deposit order.  That is deposit order for every
+        host-side send: an honest step sends one block per interval, in
+        ascending sender order."""
+        if store != "replica":
+            return inboxes
+        return {r: sorted(frames, key=lambda frame: frame[0]) for r, frames in inboxes.items()}
+
     def _orders(self, phase, receivers):
         return {
             r: [(d.sender, d.payload.hop_count) for d in phase.inbox(r, 1)]
@@ -162,7 +196,6 @@ class TestTransportOrder:
 
     def test_soa_store_replays_reference_deposit_order(self):
         net, phase = self._phase()
-        assert type(phase.transport) is SoATransport
         self._send_pattern(net, phase)
         warm = self._orders(phase, (1, 3, 5))
         assert warm == self.REFERENCE_ORDERS
@@ -192,45 +225,21 @@ class TestTransportOrder:
         assert all(verdict for rows in swept.values() for *_, verdict in rows)
         assert 7 not in swept
 
-    def _contract_phase(self, store, monkeypatch):
-        """The 8-node line's phase over one of the four frame stores."""
-        from types import SimpleNamespace
+    @pytest.mark.parametrize("store", STORES)
+    def test_inbox_replays_reference_order_on_every_store(self, store):
+        net, phase = self._phase(store)
+        self._send_pattern(net, phase)
+        expected = self._in_store_order(store, self.REFERENCE_ORDERS)
+        assert self._orders(phase, (1, 3, 5)) == expected
 
-        from repro.service.node import ReplicaTransport
-        from repro.service.runtime import CoordinatorTransport
-
-        if store == "soa-3-regions":
-            monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "3")
-        deployment = build_deployment(
-            config=small_test_config(depth_bound=10), topology=line_topology(8), seed=3
-        )
-        net = deployment.network
-        if store == "coordinator":
-            runtime = SimpleNamespace(host_of={}, tick_done=False, order_counter=0, pending_ship={})
-            net.transport_factory = lambda phase: CoordinatorTransport(runtime, phase)
-        elif store == "replica":
-            host = SimpleNamespace(
-                up_outbox=[], hosted_set=frozenset(range(8)), host_of={}, host_index=0,
-                peer_outbox={},
-            )
-            net.transport_factory = lambda phase: ReplicaTransport(host, phase)
-        phase = net.new_phase("t", 3)
-        expected = {
-            "soa": SoATransport, "soa-3-regions": SoATransport,
-            "coordinator": CoordinatorTransport, "replica": ReplicaTransport,
-        }[store]
-        assert type(phase.transport) is expected
-        return deployment, phase
-
-    @pytest.mark.parametrize("store", ["soa", "soa-3-regions", "coordinator", "replica"])
-    def test_rows_contract_matches_frames_on_every_store(self, store, monkeypatch):
-        """Each receiver's rows filtered out of ``rows(k)`` are its
-        ``frames(k, receiver)`` in order: sender, payload, key index and
-        ``verified``, duplicate and rejected rows included."""
+    @pytest.mark.parametrize("store", STORES)
+    def test_rows_contract_matches_frames_on_every_store(self, store):
+        """Each receiver's rows filtered out of ``rows(k)`` are the
+        frames ``inbox(receiver, k)`` returns, in order: sender, payload,
+        key index and ``verified``, duplicate and rejected rows included."""
         from repro.net.message import TreeBeacon
 
-        deployment, phase = self._contract_phase(store, monkeypatch)
-        net, registry = deployment.network, deployment.registry
+        net, phase = self._phase(store)
         plan = FaultPlan("dup-rows", events=(Duplicate(probability=0.5, start=1, end=9),))
         FaultInjector(plan, seed=4).attach(net)
         phase.begin_interval(1)
@@ -239,14 +248,14 @@ class TestTransportOrder:
             phase.broadcast([4, 6], [TreeBeacon(origin=4, hop_count=hop),
                                      TreeBeacon(origin=6, hop_count=hop)], 1)
         # A key of 2's ring that 1 does not hold: a rejected row.
+        registry = net.registry
         foreign = next(i for i in registry.ring(2).indices if i not in registry.ring(1))
         phase.send(2, [1], TreeBeacon(origin=2, hop_count=9), interval=1, key_index=foreign)
         phase.send(0, [1], TreeBeacon(origin=0, hop_count=1), interval=1)
 
         swept = self._swept(phase, 1)
         framed = {
-            r: [(d.sender, d.payload, d.key_index, d.verified)
-                for d in phase.transport.frames(1, r)]
+            r: [(d.sender, d.payload, d.key_index, d.verified) for d in phase.inbox(r, 1)]
             for r in range(8)
         }
         assert {r: swept.get(r, []) for r in range(8)} == framed
@@ -255,25 +264,12 @@ class TestTransportOrder:
         assert net.metrics.faults_injected["duplicate"] > 0
         assert any(a == b for frames in framed.values() for a, b in zip(frames, frames[1:]))
 
-    def test_multi_region_store_replays_reference_deposit_order(self, monkeypatch):
-        # Force the region-partitioned store on an 8-id topology (3
-        # regions instead of the automatic 1) and replay against the
-        # list store's recorded order at zero tolerance: per receiver, frames must come
-        # back in the exact deposit order even when senders straddle
-        # region boundaries.
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "3")
-        net, phase = self._phase()
-        assert type(phase.transport) is SoATransport
-        assert phase.transport._num_regions == 3
-        self._send_pattern(net, phase)
-        assert self._orders(phase, (1, 3, 5)) == self.REFERENCE_ORDERS
-
-    def _duplicate_frames(self):
-        """A fanout pattern under a Duplicate plan: every frame of every
-        inbox, duplicates included, as (sender, hop, key, verdict)."""
+    def _duplicate_inboxes(self, store):
+        """A fanout pattern under a Duplicate plan: every inbox,
+        duplicates included, as (sender, hop, key, verdict)."""
         from repro.net.message import TreeBeacon
 
-        net, phase = self._phase()
+        net, phase = self._phase(store)
         plan = FaultPlan("dup-order", events=(Duplicate(probability=0.5, start=1, end=9),))
         FaultInjector(plan, seed=4).attach(net)
         phase.begin_interval(1)
@@ -282,28 +278,19 @@ class TestTransportOrder:
             phase.send(4, [3, 5], TreeBeacon(origin=4, hop_count=hop), interval=1)
             phase.send(6, [5, 7], TreeBeacon(origin=6, hop_count=hop), interval=1)
         phase.send(0, [1], TreeBeacon(origin=0, hop_count=1), interval=1)
-        frames = {
+        inboxes = {
             r: [(d.sender, d.payload.hop_count, d.key_index, d.verified)
                 for d in phase.inbox(r, 1)]
             for r in range(8)
         }
-        return frames, net.metrics.to_dict()
+        return inboxes, net.metrics.to_dict()
 
-    @pytest.mark.parametrize("num_regions", [None, "3"])
-    def test_duplicate_plan_replays_on_every_store(self, num_regions, monkeypatch):
+    @pytest.mark.parametrize("store", STORES)
+    def test_duplicate_plan_replays_on_every_store(self, store):
         # The plan duplicated some frames: the pattern is not vacuous.
         assert self.DUPLICATE_METRICS["faults_injected"]["duplicate"] > 0
-        if num_regions is not None:
-            monkeypatch.setenv("REPRO_DELIVERY_REGIONS", num_regions)
-        assert self._duplicate_frames() == (self.DUPLICATE_FRAMES, self.DUPLICATE_METRICS)
-
-    def test_multi_region_full_execution_bit_identical(self, monkeypatch):
-        # End-to-end with the fanout forced multi-region: metrics must
-        # stay byte-identical with caches warm and disabled.
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "4")
-        clear_caches()
-        out = reference_equality("grid", 100, executions=2)
-        assert out["metrics_equal"] == 1.0
+        expected = self._in_store_order(store, self.DUPLICATE_FRAMES)
+        assert self._duplicate_inboxes(store) == (expected, self.DUPLICATE_METRICS)
 
 
 def _square(x):
@@ -337,27 +324,6 @@ class TestSharding:
         args = list(range(7))
         assert fork_map(_square, args, shards=1) == [x * x for x in args]
         assert fork_map(_square, args, shards=4) == [x * x for x in args]
-
-    def test_delivery_region_geometry_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DELIVERY_REGIONS", raising=False)
-        # Below the 20k-id threshold the store stays unpartitioned.
-        assert delivery_region_geometry(0) == (1, 1)
-        assert delivery_region_geometry(100) == (100, 1)
-        assert delivery_region_geometry(19_999) == (19_999, 1)
-        # At scale: one region per 20k ids, capped at 16.
-        assert delivery_region_geometry(100_000) == (20_000, 5)
-        assert delivery_region_geometry(1_000_000) == (62_500, 16)
-
-    def test_delivery_region_geometry_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "5")
-        assert delivery_region_geometry(100) == (20, 5)
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "1")
-        assert delivery_region_geometry(100_000) == (100_000, 1)
-        # More regions than ids clamps to one region per id.
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "64")
-        assert delivery_region_geometry(8) == (1, 8)
-        monkeypatch.setenv("REPRO_DELIVERY_REGIONS", "junk")
-        assert delivery_region_geometry(100) == (100, 1)
 
 
 # ----------------------------------------------------------------------
