@@ -41,6 +41,7 @@ from .core import (
     VMATProtocol,
     required_synopses,
 )
+from .errors import ConfigError
 from .keys import KeyRegistry
 from .net import Network
 from .operator import NetworkOperator
@@ -125,6 +126,11 @@ def build_deployment(
 
     from .topology.generators import recommended_radius
 
+    if not -(2**63) <= seed < 2**63:
+        # The default master secret keys on 8 signed seed bytes.
+        raise ConfigError("seed must fit in a signed 64-bit int")
+    if key_scheme not in ("eschenauer-gligor", "pairwise"):
+        raise ConfigError(f"unknown key scheme {key_scheme!r}")
     config = config or small_test_config()
     if topology is None:
         topology = random_geometric_topology(
@@ -139,8 +145,6 @@ def build_deployment(
         scheme = PairwiseScheme(topology.num_nodes)
         config = _replace(config, keys=scheme.key_config())
         ring_indices_factory = scheme.ring_indices
-    elif key_scheme != "eschenauer-gligor":
-        raise ValueError(f"unknown key scheme {key_scheme!r}")
 
     # Size the crypto caches for this deployment before anything warms
     # them: the defaults fit the test topologies, and a 10k+-node build

@@ -33,22 +33,15 @@ from ..net.message import (
     VetoMessage,
 )
 from ..net.network import Delivery, Network
-from ..net.node import (
-    AggReceiptRecord,
-    AggSendRecord,
-    AuditStore,
-    ConfReceiptRecord,
-    ConfSendRecord,
-)
 
 
 class MaliciousNodeState:
     """Mutable per-sensor scratchpad for a compromised sensor.
 
     Mirrors :class:`~repro.net.node.HonestNode` closely so the mimicking
-    strategy can run the honest algorithms — and so predicate evaluation
-    can duck-type over either kind of node (both expose ``node_id`` and
-    ``audit``)."""
+    strategy can run the honest algorithms.  Its audit tuples go to the
+    network's :class:`~repro.net.node.AuditLog`, the same tables honest
+    sensors write, so predicates are answered from them alike."""
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -58,7 +51,6 @@ class MaliciousNodeState:
         self.level: Optional[int] = None
         self.parents: List[int] = []
         self.best: List[ReadingMessage] = []
-        self.audit = AuditStore()
         self.forwarded_veto = False
         self.forwarded_beacon = False
         self.relayed_reply_phase: Optional[int] = None  # id() of the phase
@@ -69,7 +61,6 @@ class MaliciousNodeState:
         self.level = None
         self.parents = []
         self.best = []
-        self.audit.clear()
         self.forwarded_veto = False
         self.forwarded_beacon = False
         self.relayed_reply_phase = None
@@ -155,6 +146,17 @@ class Adversary:
 
     def usable_neighbors(self, node_id: int) -> List[int]:
         return self.network.secure_neighbors(node_id)
+
+    def recorded_links(self, node_id: int, others: Iterable[int]) -> List[Tuple[int, int]]:
+        """``(other, edge key)`` for each of ``others`` sharing an edge key
+        with ``node_id``: the links a send by ``node_id`` is booked on."""
+        registry = self.network.registry
+        links = []
+        for other in others:
+            index = registry.edge_key_index(node_id, other)
+            if index is not None:
+                links.append((other, index))
+        return links
 
     def sign_reading(self, node_id: int, value: float, nonce: bytes, instance: int = 0) -> ReadingMessage:
         """A *valid* reading message for the compromised sensor's own id —
@@ -271,22 +273,18 @@ class Strategy:
 
     def _mimic_collect(self, adv: Adversary, ctx, node_id: int, interval: int) -> None:
         state = adv.state[node_id]
+        receipts = adv.network.audit.aggregation_receipts
         for delivery in ctx.phase.inbox(node_id, interval):
             if not isinstance(delivery.payload, SynopsisBundle):
                 continue
             if not adv.verify_for(node_id, delivery, ctx.phase.name):
                 continue
-            for message in delivery.payload.messages:
-                if not 0 <= message.instance < len(state.best):
-                    continue
-                state.audit.agg_receipts.append(
-                    AggReceiptRecord(
-                        interval=interval,
-                        message=message,
-                        in_edge_index=delivery.key_index,
-                        frm=delivery.sender,
-                    )
-                )
+            messages = [
+                message for message in delivery.payload.messages
+                if 0 <= message.instance < len(state.best)
+            ]
+            receipts.add(node_id, interval, ((delivery.sender, delivery.key_index),), messages)
+            for message in messages:
                 if message < state.best[message.instance]:
                     state.best[message.instance] = message
 
@@ -301,17 +299,9 @@ class Strategy:
         if not parents:
             return
         ctx.phase.send(node_id, parents, SynopsisBundle(tuple(messages)), interval=k)
-        for parent in parents:
-            out_index = registry.edge_key_index(node_id, parent)
-            if out_index is None:
-                continue
-            for message in messages:
-                state.audit.agg_sends.append(
-                    AggSendRecord(
-                        level=state.level, message=message,
-                        out_edge_index=out_index, to=parent,
-                    )
-                )
+        adv.network.audit.aggregation_sends.add(
+            node_id, state.level, adv.recorded_links(node_id, parents), messages
+        )
 
     # ------------------------------------------------------------------
     # Confirmation (SOF)
@@ -331,13 +321,9 @@ class Strategy:
                 node_id, delivery, ctx.phase.name
             ):
                 state.forwarded_veto = True
-                state.audit.conf_receipts.append(
-                    ConfReceiptRecord(
-                        interval=k - 1,
-                        message=delivery.payload,
-                        in_edge_index=delivery.key_index,
-                        frm=delivery.sender,
-                    )
+                adv.network.audit.confirmation_receipts.add(
+                    node_id, k - 1, ((delivery.sender, delivery.key_index),),
+                    (delivery.payload,),
                 )
                 self._mimic_send_veto(adv, ctx, node_id, delivery.payload, k)
                 break
@@ -354,19 +340,13 @@ class Strategy:
         return None
 
     def _mimic_send_veto(self, adv: Adversary, ctx, node_id: int, veto: VetoMessage, k: int) -> None:
-        state = adv.state[node_id]
         neighbors = adv.usable_neighbors(node_id)
         if not neighbors or k > ctx.phase.num_intervals:
             return
         ctx.phase.send(node_id, neighbors, veto, interval=k)
-        registry = adv.network.registry
-        for neighbor in neighbors:
-            out_index = registry.edge_key_index(node_id, neighbor)
-            if out_index is None:
-                continue
-            state.audit.conf_sends.append(
-                ConfSendRecord(interval=k, message=veto, out_edge_index=out_index, to=neighbor)
-            )
+        adv.network.audit.confirmation_sends.add(
+            node_id, k, adv.recorded_links(node_id, neighbors), (veto,)
+        )
 
     # ------------------------------------------------------------------
     # Keyed predicate test
@@ -383,7 +363,8 @@ class Strategy:
             if not holds:
                 return
             truthful = bool(
-                ctx.predicate is not None and ctx.predicate.evaluate(state, ctx.depth_bound)
+                ctx.predicate is not None
+                and ctx.predicate.satisfied_by(adv.network.audit, (node_id,), ctx.depth_bound)
             )
             if not self.predtest_answer(adv, ctx, node_id, truthful):
                 return

@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from ...errors import ProtocolError
 from ...net.message import ReadingMessage
-from ...net.node import ConfSendRecord
 from ..base import Adversary
 from .classic import PolicyStrategy
 
@@ -97,13 +96,13 @@ class BurstStrategy(PolicyStrategy):
     every round except the last of each period, where the sensor cheats.
     The default cheat is a *recorded* spurious veto — it forges a veto
     framing an honest sensor, injects it at interval 2 (a relay slot,
-    not the vetoer slot), and books the send in its own audit records so
-    later predicate tests can be answered "truthfully".  Cooking the
-    books does not help: the junk-confirmation walk (Figure 6) asks for
-    the matching interval-1 *receipt*, which no forger can have, and the
-    absence branch revokes the sensor — or, in benign mode, defers to
-    inconclusive, which is exactly the deferral the
-    ``revoke-on-absence-despite-benign-mode`` planted mutant removes.
+    not the vetoer slot), and books the send in the audit log under its
+    own id so later predicate tests can be answered "truthfully".
+    Cooking the books does not help: the junk-confirmation walk
+    (Figure 6) asks for the matching interval-1 *receipt*, which no
+    forger can have, and the absence branch revokes the sensor — or, in
+    benign mode, defers to inconclusive, which is exactly the deferral
+    the ``revoke-on-absence-despite-benign-mode`` planted mutant removes.
 
     ``cheat="drop"`` and ``cheat="junk"`` burst the Section IV-B
     dropping/junk-injection attacks instead.
@@ -157,14 +156,9 @@ class BurstStrategy(PolicyStrategy):
         ctx.phase.send(node_id, neighbors, veto, interval=k)
         # Keep honest-looking books: record the forwarding so the
         # Figure-6 "who sent this?" search can be answered truthfully.
-        registry = adv.network.registry
-        for neighbor in neighbors:
-            out_index = registry.edge_key_index(node_id, neighbor)
-            if out_index is None:
-                continue
-            state.audit.conf_sends.append(
-                ConfSendRecord(interval=k, message=veto, out_edge_index=out_index, to=neighbor)
-            )
+        adv.network.audit.confirmation_sends.add(
+            node_id, k, adv.recorded_links(node_id, neighbors), (veto,)
+        )
 
 
 _MENU = ("drop", "junk", "spurious-veto")

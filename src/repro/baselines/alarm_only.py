@@ -76,6 +76,7 @@ class AlarmOnlyProtocol:
         nonce = self.nonces.next()
         network.authenticated_flood("alarm-only-query", query.name, nonce)
 
+        network.audit.clear()
         revoked = network.registry.revoked_sensors  # always empty here
         own_messages = {}
         for node_id, node in network.nodes.items():

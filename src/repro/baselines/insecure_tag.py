@@ -56,6 +56,7 @@ def run_insecure_tag_min(
     # weight because nothing verifies them (accept-everything callback).
     nonce = b"insecure-tag"
     own = {}
+    network.audit.clear()
     revoked = network.registry.revoked_sensors
     for node_id, node in network.nodes.items():
         if node_id in revoked:

@@ -157,6 +157,9 @@ class CampaignSpec:
             raise ConfigError("replicates must be >= 1")
         if not 0 <= self.cell_timeout < math.inf:  # NaN fails both
             raise ConfigError("cell_timeout must be a finite number of seconds >= 0")
+        if self.cell_timeout > 2**31 - 1:
+            # The per-cell alarm is signal.alarm, which takes a C int.
+            raise ConfigError("cell_timeout must be at most 2**31 - 1 seconds")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "imports", tuple(self.imports))
 

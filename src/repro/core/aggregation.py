@@ -17,7 +17,8 @@ pinpointing predicates: an honest sensor's receipt at interval
 
 Every forwarded message is recorded as
 ``<level, message, sensor key, in-edge key, out-edge key>`` split across
-send/receipt records (Section IV-B's audit tuples).
+the network audit log's send and receipt tables (Section IV-B's audit
+tuples).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from ..errors import ProtocolError
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import ReadingMessage, SynopsisBundle
 from ..net.network import Delivery, Network
-from ..net.node import AggReceiptRecord, AggSendRecord
 from .contexts import AggregationContext
 from .phase_state import HonestStep, honest_step
 
@@ -154,7 +154,7 @@ class SlotSchedule(HonestStep):
         Each sender's bundle goes to the parents it still has a usable
         link to.  The slot is atomic: a sender already out of capacity
         raises before any frame, byte or capacity charge of the slot
-        lands.  Audit send records follow the block, sender by sender.
+        lands.  Audit send rows follow the block, sender by sender.
         """
         level = self.phase.num_intervals - k + 1
         group = self._groups.get(level)
@@ -177,31 +177,25 @@ class SlotSchedule(HonestStep):
             links.append(pairs)
             bundles.append(SynopsisBundle(messages=tuple(best[position])))
         phase.broadcast(senders, bundles, k, links)
+        sends = network.audit.aggregation_sends
         for node_id, pairs, bundle in zip(senders, links, bundles):
-            sends = nodes[node_id].audit.agg_sends
-            for parent, out_index in pairs:
-                for message in bundle.messages:
-                    sends.append(
-                        AggSendRecord(
-                            level=level, message=message, out_edge_index=out_index, to=parent
-                        )
-                    )
+            sends.add(node_id, level, pairs, bundle.messages)
 
     def deliver(self, k: int) -> None:
         """Level ``L - k`` collects its children's bundles (level 0 does
         not exist, so interval ``L`` naturally has no listeners).
 
         One sweep over the interval's rows: each verified bundle row
-        addressed to a listener is recorded and folded into that
-        listener's best messages.  Listeners keep no state in common, so
-        row order serves each in its own inbox order.
+        addressed to a listener is recorded in the audit log and folded
+        into that listener's best messages.  Listeners keep no state in
+        common, so row order serves each in its own inbox order.
         """
         group = self._groups.get(self.phase.num_intervals - k)
         if not group:
             return
         ids, best, num_instances = self.ids, self.best, self.num_instances
         listening = {ids[position]: position for position in group}
-        nodes = self.network.nodes
+        receipts = self.network.audit.aggregation_receipts
         receivers, batch_ids, batches, key_indices, verdicts = self.phase.rows(k)
         for row, receiver in enumerate(receivers):
             position = listening.get(receiver)
@@ -210,17 +204,13 @@ class SlotSchedule(HonestStep):
             batch = batches[batch_ids[row]]
             if not isinstance(batch.payload, SynopsisBundle):
                 continue
-            receipts = nodes[receiver].audit.agg_receipts
+            messages = [
+                message for message in batch.payload.messages
+                if 0 <= message.instance < num_instances
+            ]
+            receipts.add(receiver, k, ((batch.claimed_sender, key_indices[row]),), messages)
             row_best = best[position]
-            in_edge_index, frm = key_indices[row], batch.claimed_sender
-            for message in batch.payload.messages:
-                if not 0 <= message.instance < num_instances:
-                    continue
-                receipts.append(
-                    AggReceiptRecord(
-                        interval=k, message=message, in_edge_index=in_edge_index, frm=frm
-                    )
-                )
+            for message in messages:
                 if message < row_best[message.instance]:
                     row_best[message.instance] = message
 

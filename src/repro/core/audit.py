@@ -20,18 +20,22 @@ The protocol itself never *materializes* these trails — they live
 distributed across sensors and are queried via keyed predicate tests.
 This module exists to state Theorem 2's invariant executable-ly: after
 any attacked execution, the reconstructor can exhibit a trail and the
-validator can certify it well-formed.
+validator can certify it well-formed.  It reads the rows every sensor
+keeps in the network's :class:`~repro.net.node.AuditLog` directly (a
+view no single sensor has): each "who sent this?" step is one query
+over a send table, the lowest matching id winning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from ..errors import AuditTrailError
 from ..keys.registry import BASE_STATION_ID, KeyRegistry
-from ..net.message import VetoMessage
+from ..net.message import VetoMessage, message_digest
 from ..net.network import Network
+from ..net.node import AuditTable, digest_equal
 
 
 @dataclass(frozen=True)
@@ -162,12 +166,14 @@ def reconstruct_veto_trail(
 ) -> List[AuditTuple]:
     """Exhibit the well-formed veto trail Theorem 2 promises.
 
-    Uses simulation-omniscient access to every sensor's audit store
-    (honest nodes, plus whatever records the adversary's mimicry kept).
-    Walks the forwarding chain of the vetoed value from the vetoer toward
-    the base station; malicious sensors without a qualifying send record
-    terminate the trail as the final ⊥-tuple.
+    Uses simulation-omniscient access to the network's audit log (the
+    honest sensors' rows, plus whatever rows the adversary's mimicry
+    kept).  Walks the forwarding chain of the vetoed value from the
+    vetoer toward the base station; malicious sensors without a
+    qualifying send row terminate the trail as the final ⊥-tuple.
     """
+    sends = network.audit.aggregation_sends
+    keepers = _record_keepers(network, adversary)
     trail: List[AuditTuple] = []
     current = veto.sensor_id
     level = veto.level
@@ -176,20 +182,21 @@ def reconstruct_veto_trail(
     instance = veto.instance
 
     for _ in range(depth_bound + 2):
-        store = _store_for(network, adversary, current)
-        record = None
-        if store is not None:
+        row = None
+        if current in keepers:
             qualifying = [
                 r
-                for r in store.agg_sends
-                if r.message.instance == instance
-                and r.message.value <= bound
-                and r.level <= level
+                for r in sends.rows_of(current)
+                if sends.message[r].instance == instance
+                and sends.message[r].value <= bound
+                and sends.position[r] <= level
             ]
             if qualifying:
-                record = max(qualifying, key=lambda r: (r.level, -r.message.value))
+                row = max(
+                    qualifying, key=lambda r: (sends.position[r], -sends.message[r].value)
+                )
         is_malicious = network.is_malicious(current)
-        if record is None:
+        if row is None:
             if not is_malicious:
                 raise AuditTrailError(
                     f"honest sensor {current} has no qualifying send — "
@@ -207,23 +214,23 @@ def reconstruct_veto_trail(
             return trail
         trail.append(
             AuditTuple(
-                position=record.level,
-                value=record.message.value,
+                position=sends.position[row],
+                value=sends.message[row].value,
                 owner=None if is_malicious else current,
                 in_edge_index=in_edge,
-                out_edge_index=record.out_edge_index,
+                out_edge_index=sends.edge[row],
             )
         )
-        next_hop = record.to
+        next_hop = sends.peer[row]
         if next_hop == BASE_STATION_ID:
             raise AuditTrailError(
                 "trail reached the base station — but the base station "
                 "did not receive the vetoed value (protocol bug)"
             )
         current = next_hop
-        level = record.level - 1
-        bound = record.message.value
-        in_edge = record.out_edge_index
+        level = sends.position[row] - 1
+        bound = sends.message[row].value
+        in_edge = sends.edge[row]
     raise AuditTrailError("trail exceeded L + 1 tuples")
 
 
@@ -243,9 +250,9 @@ def reconstruct_junk_conf_trail(
     their receipt names, and so on until a sender without a receipt —
     the injector — terminates the trail as the final ⊥-tuple.
     """
-    from ..net.message import message_digest
-
     digest = message_digest(veto)
+    log = network.audit
+    keepers = _record_keepers(network, adversary)
     trail: List[AuditTuple] = []
     key_index = bs_key_index  # key the current tuple used to SEND onward
     interval = arrival_interval
@@ -258,7 +265,7 @@ def reconstruct_junk_conf_trail(
     # uniform adjacency rule ``prev.out == next.in`` holds for every
     # trail kind.
     for _ in range(depth_bound + 2):
-        sender = _find_conf_sender(network, adversary, digest, interval, key_index)
+        sender = _lowest_sender(log.confirmation_sends, keepers, digest, interval, key_index)
         if sender is None:
             # No record of this send anywhere: the physical sender was a
             # malicious node that (unlike the honest-mimicking default)
@@ -279,17 +286,8 @@ def reconstruct_junk_conf_trail(
                 )
             )
             return trail
-        store = _store_for(network, adversary, sender)
         is_malicious = network.is_malicious(sender)
-        receipt = None
-        if store is not None:
-            for record in store.conf_receipts:
-                if (
-                    record.interval == interval - 1
-                    and message_digest(record.message) == digest
-                ):
-                    receipt = record
-                    break
+        receipt = _first_receipt(log.confirmation_receipts, sender, interval - 1, digest)
         if receipt is None:
             # The injector: sent without receiving — ⊥ terminates here.
             if not is_malicious:
@@ -313,10 +311,10 @@ def reconstruct_junk_conf_trail(
                 value=veto.value,
                 owner=None if is_malicious else sender,
                 in_edge_index=key_index,
-                out_edge_index=receipt.in_edge_index,
+                out_edge_index=receipt,
             )
         )
-        key_index = receipt.in_edge_index
+        key_index = receipt
         interval -= 1
         if interval < 1:
             raise AuditTrailError("junk trail walked past interval 1")
@@ -337,16 +335,16 @@ def reconstruct_junk_agg_trail(
     Edge fields are trail-order links, as in
     :func:`reconstruct_junk_conf_trail`.
     """
-    from ..net.message import message_digest
-
     digest = message_digest(message)
+    log = network.audit
+    keepers = _record_keepers(network, adversary)
     trail: List[AuditTuple] = []
     key_index = bs_key_index
     level = 1
     L = depth_bound
 
     for _ in range(depth_bound + 2):
-        sender = _find_agg_sender(network, adversary, digest, level, key_index)
+        sender = _lowest_sender(log.aggregation_sends, keepers, digest, level, key_index)
         if sender is None:
             if key_index not in network.adversary_pool_indices():
                 raise AuditTrailError(
@@ -363,18 +361,9 @@ def reconstruct_junk_agg_trail(
                 )
             )
             return trail
-        store = _store_for(network, adversary, sender)
         is_malicious = network.is_malicious(sender)
-        receipt = None
-        if store is not None:
-            receive_interval = L - level  # a level-l node listens at L - l
-            for record in store.agg_receipts:
-                if (
-                    record.interval == receive_interval
-                    and message_digest(record.message) == digest
-                ):
-                    receipt = record
-                    break
+        # A level-l node listens at interval L - l.
+        receipt = _first_receipt(log.aggregation_receipts, sender, L - level, digest)
         if receipt is None:
             if not is_malicious:
                 raise AuditTrailError(
@@ -397,55 +386,47 @@ def reconstruct_junk_agg_trail(
                 value=message.value,
                 owner=None if is_malicious else sender,
                 in_edge_index=key_index,
-                out_edge_index=receipt.in_edge_index,
+                out_edge_index=receipt,
             )
         )
-        key_index = receipt.in_edge_index
+        key_index = receipt
         level += 1
         if level > L:
             raise AuditTrailError("junk trail walked past level L")
     raise AuditTrailError("junk trail exceeded L + 1 tuples")
 
 
-def _find_agg_sender(
-    network: Network, adversary, digest: bytes, level: int, key_index: int
-) -> Optional[int]:
-    """Omniscient lookup: whose records show it forwarded this exact
-    message at ``level`` over ``key_index``?"""
-    candidates = list(network.nodes)
+def _record_keepers(network: Network, adversary) -> Set[int]:
+    """The sensors whose rows the omniscient walks may read: every
+    honest sensor, plus the adversary's when it is given."""
+    keepers = set(network.nodes)
     if adversary is not None:
-        candidates.extend(getattr(adversary, "state", {}))
-    for node_id in sorted(set(candidates)):
-        store = _store_for(network, adversary, node_id)
-        if store is None:
-            continue
-        if store.agg_sent_exact(digest, level, key_index):
-            return node_id
-    return None
+        keepers.update(getattr(adversary, "state", {}))
+    return keepers
 
 
-def _find_conf_sender(
-    network: Network, adversary, digest: bytes, interval: int, key_index: int
+def _lowest_sender(
+    sends: AuditTable, keepers: Set[int], digest: bytes, position: int, key_index: int
 ) -> Optional[int]:
-    """Omniscient lookup: which node's records show it sent this exact
-    veto on ``key_index`` during ``interval``?"""
-    candidates = list(network.nodes)
-    if adversary is not None:
-        candidates.extend(getattr(adversary, "state", {}))
-    for node_id in sorted(set(candidates)):
-        store = _store_for(network, adversary, node_id)
-        if store is None:
-            continue
-        if store.conf_sent_exact(digest, interval, key_index):
-            return node_id
-    return None
+    """Omniscient lookup: the lowest id whose rows show it sent this
+    exact message at ``position`` over ``key_index``."""
+    return min(
+        sends.query(keepers, position, key_index, key_index, digest_equal(digest)),
+        default=None,
+    )
 
 
-def _store_for(network: Network, adversary, node_id: int):
-    if node_id in network.nodes:
-        return network.nodes[node_id].audit
-    if adversary is not None and node_id in getattr(adversary, "state", {}):
-        return adversary.state[node_id].audit
+def _first_receipt(
+    receipts: AuditTable, node: int, position: int, digest: bytes
+) -> Optional[int]:
+    """The in-edge key of ``node``'s first receipt of this exact message
+    at ``position``, if it recorded one."""
+    for row in receipts.rows_of(node):
+        if (
+            receipts.position[row] == position
+            and message_digest(receipts.message[row]) == digest
+        ):
+            return receipts.edge[row]
     return None
 
 

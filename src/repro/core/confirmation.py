@@ -30,7 +30,6 @@ from ..crypto.mac import verify_mac
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import VetoMessage
 from ..net.network import Delivery, Network
-from ..net.node import ConfReceiptRecord, ConfSendRecord
 from .contexts import ConfirmationContext
 from .phase_state import HonestStep, honest_step
 
@@ -135,21 +134,16 @@ class VetoSchedule(HonestStep):
 
     def tick(self, k: int) -> None:
         """Transmit everything scheduled for this interval as one block;
-        each sender's audit send records follow it."""
+        each sender's audit send rows follow it."""
         ids, vetoes = self._ids, self._vetoes
         if not ids:
             return
         self._ids, self._vetoes = [], []
         network = self.network
         self.phase.broadcast(ids, vetoes, k)
+        sends = network.audit.confirmation_sends
         for node_id, veto in zip(ids, vetoes):
-            sends = network.nodes[node_id].audit.conf_sends
-            for neighbor, out_index in network.secure_links(node_id):
-                sends.append(
-                    ConfSendRecord(
-                        interval=k, message=veto, out_edge_index=out_index, to=neighbor
-                    )
-                )
+            sends.add(node_id, k, network.secure_links(node_id), (veto,))
 
     def deliver(self, k: int) -> None:
         """Waiting sensors adopt the first verified veto they received.
@@ -171,19 +165,13 @@ class VetoSchedule(HonestStep):
                 and isinstance(batches[batch_ids[row]].payload, VetoMessage)
             ):
                 first[receiver] = row
-        nodes = self.network.nodes
+        nodes, receipts = self.network.nodes, self.network.audit.confirmation_receipts
         for node_id in sorted(first):
             row = first[node_id]
             batch = batches[batch_ids[row]]
-            node = nodes[node_id]
-            node.forwarded_veto = True
-            node.audit.conf_receipts.append(
-                ConfReceiptRecord(
-                    interval=k,
-                    message=batch.payload,
-                    in_edge_index=key_indices[row],
-                    frm=batch.claimed_sender,
-                )
+            nodes[node_id].forwarded_veto = True
+            receipts.add(
+                node_id, k, ((batch.claimed_sender, key_indices[row]),), (batch.payload,)
             )
             self._schedule(node_id, batch.payload)
 

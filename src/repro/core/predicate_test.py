@@ -27,7 +27,7 @@ junk-triggered variants ask of the distributed audit trail.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple, Union, get_type_hints
+from typing import Dict, Set, Tuple, Union, get_type_hints
 
 from ..crypto.encoding import encode_parts
 from ..crypto.hash import oneway_hash
@@ -36,7 +36,7 @@ from ..errors import ProtocolError
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import PredicateReply
 from ..net.network import Network
-from ..net.node import HonestNode
+from ..net.node import AuditLog, HonestNode, digest_equal, value_at_most
 from .contexts import PredicateTestContext
 from .phase_state import HonestStep, honest_step
 
@@ -44,6 +44,14 @@ from .phase_state import HonestStep, honest_step
 # ----------------------------------------------------------------------
 # Predicate vocabulary
 # ----------------------------------------------------------------------
+# Each predicate is one audit-log query: ``satisfied_by`` returns the
+# candidates whose own rows satisfy it (``position == p``, edge key in
+# ``[key_low, key_high]``, and a value bound or an exact digest on the
+# message).
+def _id_range(candidates, id_low: int, id_high: int) -> Set[int]:
+    return {c for c in candidates if id_low <= c <= id_high}
+
+
 @dataclass(frozen=True)
 class AggForwarded:
     """Figure 5 predicate, keyed on a *sensor key*: while at ``level``
@@ -57,9 +65,10 @@ class AggForwarded:
     key_high: int
     instance: int = 0
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        return node.audit.agg_forwarded_value(
-            self.level, self.value_bound, self.key_low, self.key_high, self.instance
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.aggregation_sends.query(
+            candidates, self.level, self.key_low, self.key_high,
+            value_at_most(self.value_bound, self.instance),
         )
 
     def encode(self) -> bytes:
@@ -84,12 +93,11 @@ class AggReceived:
     key_index: int
     instance: int = 0
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        if not self.id_low <= node.node_id <= self.id_high:
-            return False
-        interval = depth_bound - self.child_level + 1
-        return node.audit.agg_received_value(
-            interval, self.value_bound, self.key_index, self.instance
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.aggregation_receipts.query(
+            _id_range(candidates, self.id_low, self.id_high),
+            depth_bound - self.child_level + 1, self.key_index, self.key_index,
+            value_at_most(self.value_bound, self.instance),
         )
 
     def encode(self) -> bytes:
@@ -111,10 +119,11 @@ class AggSentExact:
     level: int
     key_index: int
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        if not self.id_low <= node.node_id <= self.id_high:
-            return False
-        return node.audit.agg_sent_exact(self.digest, self.level, self.key_index)
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.aggregation_sends.query(
+            _id_range(candidates, self.id_low, self.id_high),
+            self.level, self.key_index, self.key_index, digest_equal(self.digest),
+        )
 
     def encode(self) -> bytes:
         return encode_parts(
@@ -134,9 +143,10 @@ class AggReceivedExact:
     key_low: int
     key_high: int
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        return node.audit.agg_received_exact(
-            self.digest, self.interval, self.key_low, self.key_high
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.aggregation_receipts.query(
+            candidates, self.interval, self.key_low, self.key_high,
+            digest_equal(self.digest),
         )
 
     def encode(self) -> bytes:
@@ -157,10 +167,11 @@ class ConfSentExact:
     interval: int
     key_index: int
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        if not self.id_low <= node.node_id <= self.id_high:
-            return False
-        return node.audit.conf_sent_exact(self.digest, self.interval, self.key_index)
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.confirmation_sends.query(
+            _id_range(candidates, self.id_low, self.id_high),
+            self.interval, self.key_index, self.key_index, digest_equal(self.digest),
+        )
 
     def encode(self) -> bytes:
         return encode_parts(
@@ -180,9 +191,10 @@ class ConfReceivedExact:
     key_low: int
     key_high: int
 
-    def evaluate(self, node: HonestNode, depth_bound: int) -> bool:
-        return node.audit.conf_received_exact(
-            self.digest, self.interval, self.key_low, self.key_high
+    def satisfied_by(self, audit: AuditLog, candidates, depth_bound: int) -> Set[int]:
+        return audit.confirmation_receipts.query(
+            candidates, self.interval, self.key_low, self.key_high,
+            digest_equal(self.digest),
         )
 
     def encode(self) -> bytes:
@@ -236,7 +248,7 @@ def decode_predicate(data: bytes) -> Predicate:
 
     The wire carries predicates as their canonical encodings (what the
     challenge flood announces); service node hosts reconstruct them here
-    to evaluate against their local audit stores.  Every field is
+    to evaluate against their local audit log.  Every field is
     type-checked, so an ill-typed predicate fails here with
     :class:`ProtocolError` rather than later, at evaluation.
     """
@@ -366,11 +378,12 @@ class ReplyRelay(HonestStep):
     """The reply flood's honest step (one-time relay of the first valid
     reply).
 
-    Building it evaluates the predicate at each holder among the step's
-    ids, over that sensor's *own* audit store — the distributed-audit
-    property the pinpointing protocols rely on — and queues the "yes"
-    reply of every holder that satisfies it.  The predicate arrives as
-    its canonical encoding, exactly what the challenge flood announced.
+    Building it asks the network's audit log once which holders among
+    the step's ids satisfy the predicate, each over its *own* rows — the
+    distributed-audit property the pinpointing protocols rely on — and
+    queues the "yes" reply of every one that does.  The predicate
+    arrives as its canonical encoding, exactly what the challenge flood
+    announced.
 
     Each interval, every queued sensor sends in one
     :meth:`~repro.net.network.PhaseContext.broadcast` block, and one
@@ -391,14 +404,14 @@ class ReplyRelay(HonestStep):
         predicate = decode_predicate(predicate_bytes)
         kind, ident = key_ref
         holders = [ident] if kind == "sensor" else network.registry.holders(ident)
+        satisfied = predicate.satisfied_by(
+            network.audit, honest_set.intersection(holders), phase.num_intervals
+        )
         self.pending: Dict[int, PredicateReply] = {}
         for holder in holders:
-            if holder not in honest_set:
-                continue
-            node = network.nodes[holder]
-            if predicate.evaluate(node, phase.num_intervals):
+            if holder in satisfied:
                 self.pending[holder] = PredicateReply(
-                    mac=reply_mac_for(node_key(network, key_ref, node), nonce)
+                    mac=reply_mac_for(node_key(network, key_ref, network.nodes[holder]), nonce)
                 )
         # Hosted honest sensors that have not relayed yet, and the base
         # station until it hears a valid reply.

@@ -236,7 +236,11 @@ class VMATProtocol:
         nonce = self.nonces.next()
         network.authenticated_flood("query", query.name, query.num_instances, nonce)
 
-        # Install per-execution state on honest sensors...
+        # Clear the previous execution's audit trail (the pinpointing
+        # that may follow an execution runs before the next one starts,
+        # so the trail it needs is always intact), then install
+        # per-execution state on honest sensors...
+        network.audit.clear()
         revoked = network.registry.revoked_sensors
         honest_ids = [i for i in network.nodes if i not in revoked]
         own_messages: Dict[int, List[ReadingMessage]] = {}
@@ -325,10 +329,10 @@ class VMATProtocol:
 
         # Step 5: broadcast the minima, wait for vetoes.
         conf = run_confirmation(network, self.adversary, L, nonce, result.minima)
+        relays = set(network.audit.confirmation_receipts.node)
         result.num_vetoers = sum(
             1 for node_id in honest_ids
-            if network.nodes[node_id].forwarded_veto
-            and not network.nodes[node_id].audit.conf_receipts
+            if network.nodes[node_id].forwarded_veto and node_id not in relays
         )
 
         # Step 6: no veto → the minimum is correct.

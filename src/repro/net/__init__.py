@@ -1,13 +1,13 @@
-"""Message layer: wire formats, nodes with audit storage, slotted network.
+"""Message layer: wire formats, nodes, the audit log, slotted network.
 
 This is the substrate the VMAT phases run on:
 
 * :mod:`~repro.net.message` — the protocol payloads (readings, vetoes,
   tree-formation beacons, predicate-test frames) with byte-accurate
   ``wire_size`` accounting.
-* :mod:`~repro.net.node` — per-sensor runtime state: key material, the
-  verified authenticated-broadcast index, protocol level/parents, and the
-  distributed *audit store* holding the tuples of Sections IV-B/IV-C.
+* :mod:`~repro.net.node` — per-sensor runtime state (key material, the
+  verified authenticated-broadcast index, protocol level/parents) and
+  the network's *audit log* holding the tuples of Sections IV-B/IV-C.
 * :mod:`~repro.net.network` — the slotted network: interval-indexed
   transmission with edge-MAC verification, per-interval forwarding
   capacity (the resource choking attacks exhaust), revocation-aware
@@ -23,11 +23,11 @@ from .message import (
     VetoMessage,
     message_digest,
 )
-from .node import AuditStore, HonestNode
+from .node import AuditLog, HonestNode
 from .network import Delivery, Network, PhaseContext
 
 __all__ = [
-    "AuditStore",
+    "AuditLog",
     "Delivery",
     "HonestNode",
     "Network",

@@ -44,7 +44,7 @@ from ..sim.clock import ClockAssignment
 from ..topology.graph import Topology
 from ..core.node_columns import NodeColumns
 from .message import MAC_BYTES, Payload
-from .node import HonestNode
+from .node import AuditLog, HonestNode
 from .soa import SoATransport
 
 EDGE_KEY_INDEX_BYTES = 2
@@ -684,6 +684,9 @@ class Network:
         # verifier state.
         self._chain_values: Dict[int, bytes] = {0: self.authority.anchor}
         self.nodes: Dict[int, HonestNode] = {}
+        # Every sensor's audit tuples (Sections IV-B/IV-C), honest and
+        # malicious alike.
+        self.audit = AuditLog()
         # The six per-node scalars live in parallel arrays; honest
         # nodes are thin views over them (repro.core.node_columns).
         self.node_columns = NodeColumns(topology.num_nodes)

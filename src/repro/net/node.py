@@ -1,4 +1,4 @@
-"""Per-sensor runtime state and the distributed audit store.
+"""Per-sensor runtime state and the network's distributed audit trail.
 
 An :class:`HonestNode` owns exactly what a deployed sensor would hold:
 
@@ -6,174 +6,148 @@ An :class:`HonestNode` owns exactly what a deployed sensor would hold:
   by compromising it;
 * the index of the base station's hash chain it last verified (its
   authenticated-broadcast state, a column cell);
-* protocol state (level, parents, current reading);
-* an :class:`AuditStore` with the tuples of Sections IV-B and IV-C, the
-  distributed audit trail the pinpointing protocols later query through
-  keyed predicate tests.
+* protocol state (level, parents, current reading).
 
-The audit tuples in the paper are
+The audit tuples of Sections IV-B and IV-C, which the pinpointing
+protocols later query through keyed predicate tests, live in the
+network's :class:`AuditLog`.  In the paper they are
 ``<level, message, sensor key, in-edge key, out-edge key>`` (aggregation)
 and ``<interval, message, sensor key, in-edge key, out-edge key>``
-(confirmation).  We keep send and receipt records separately — a receipt
-pins down the *in-edge key* and arrival interval, a send record the
-*out-edge key* and level/interval — which is the same information keyed
-for the queries of Figures 5 and 6.
+(confirmation).  The log keeps send and receipt tuples in separate
+tables — a receipt pins down the *in-edge key* and arrival interval, a
+send the *out-edge key* and level/interval — which is the same
+information keyed for the queries of Figures 5 and 6.  Each table is a
+set of flat columns with a ``node`` column, so one query answers a
+predicate for every holder of a key at once; a sensor still answers
+only from its own rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from array import array
+from typing import Callable, Collection, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..keys.soa import LazySensorKeyMaterial
-from .message import ReadingMessage, VetoMessage, message_digest
+from .message import message_digest
 
 
-@dataclass(frozen=True)
-class AggSendRecord:
-    """This sensor, at ``level``, forwarded ``message`` to ``to`` over
-    the edge key with pool index ``out_edge_index``."""
+class AuditTable:
+    """One kind of audit tuple for every sensor, as flat columns.
 
-    level: int
-    message: ReadingMessage
-    out_edge_index: int
-    to: int
-
-
-@dataclass(frozen=True)
-class AggReceiptRecord:
-    """This sensor received ``message`` during aggregation interval
-    ``interval`` over edge key ``in_edge_index`` (claimed sender ``frm``).
-
-    A child at tree level ``l`` transmits in interval ``L - l + 1``, so
-    the arrival interval identifies the child's level without trusting
-    the child's claim.
+    Row ``i`` is the tuple ``(node, position, edge, peer, message)``:
+    ``position`` is the level of an aggregation send and the interval of
+    every other record (a child at tree level ``l`` transmits in
+    interval ``L - l + 1``, so an arrival interval pins the child's
+    level without trusting its claim); ``edge`` is the out-edge key of a
+    send and the in-edge key of a receipt; ``peer`` is the receiver of a
+    send and the claimed sender of a receipt.  Rows stay in append
+    order, so one sensor's rows read in the order it recorded them.
     """
 
-    interval: int
-    message: ReadingMessage
-    in_edge_index: int
-    frm: int
-
-
-@dataclass(frozen=True)
-class ConfSendRecord:
-    """SOF: sent/forwarded ``message`` in confirmation ``interval``."""
-
-    interval: int
-    message: VetoMessage
-    out_edge_index: int
-    to: int
-
-
-@dataclass(frozen=True)
-class ConfReceiptRecord:
-    """SOF: received ``message`` in confirmation ``interval``."""
-
-    interval: int
-    message: VetoMessage
-    in_edge_index: int
-    frm: int
-
-
-class AuditStore:
-    """One sensor's share of the distributed audit trail."""
+    __slots__ = ("node", "position", "edge", "peer", "message")
 
     def __init__(self) -> None:
-        self.agg_sends: List[AggSendRecord] = []
-        self.agg_receipts: List[AggReceiptRecord] = []
-        self.conf_sends: List[ConfSendRecord] = []
-        self.conf_receipts: List[ConfReceiptRecord] = []
+        self.clear()
+
+    def __len__(self) -> int:
+        return len(self.message)
 
     def clear(self) -> None:
-        self.agg_sends.clear()
-        self.agg_receipts.clear()
-        self.conf_sends.clear()
-        self.conf_receipts.clear()
+        self.node = array("i")
+        self.position = array("i")
+        self.edge = array("i")
+        self.peer = array("i")
+        self.message: List[object] = []
 
-    # ------------------------------------------------------------------
-    # Queries backing the pinpointing predicates (Section VI)
-    # ------------------------------------------------------------------
-    def agg_forwarded_value(
+    def add(
         self,
-        level: int,
-        value_bound: float,
+        node: int,
+        position: int,
+        links: Sequence[Tuple[int, int]],
+        messages: Sequence[object],
+    ) -> None:
+        """Record ``node``'s tuples at ``position``: one row per
+        ``(peer, edge)`` link and message, link-major."""
+        count = len(messages)
+        rows = len(links) * count
+        if not rows:
+            return
+        self.node.extend([node] * rows)
+        self.position.extend([position] * rows)
+        for peer, edge in links:
+            self.edge.extend([edge] * count)
+            self.peer.extend([peer] * count)
+            self.message.extend(messages)
+
+    def rows_of(self, node: int) -> List[int]:
+        """Indices of ``node``'s rows, in append order."""
+        return np.flatnonzero(np.array(self.node, dtype=np.int32) == node).tolist()
+
+    def query(
+        self,
+        candidates: Collection[int],
+        position: int,
         key_low: int,
         key_high: int,
-        instance: int = 0,
-    ) -> bool:
-        """Figure 5 predicate body: while at ``level`` this sensor sent a
-        message with value <= ``value_bound`` whose out-edge key index
-        lies in ``[key_low, key_high]``."""
-        return any(
-            record.level == level
-            and record.message.instance == instance
-            and record.message.value <= value_bound
-            and key_low <= record.out_edge_index <= key_high
-            for record in self.agg_sends
+        match: Callable[[object], bool],
+    ) -> Set[int]:
+        """The ``candidates`` holding a row at ``position`` whose edge
+        key lies in ``[key_low, key_high]`` and whose message satisfies
+        ``match`` — every predicate body of Section VI, for every
+        candidate at once."""
+        found: Set[int] = set()
+        if not candidates or not self.message:
+            return found
+        edges = np.array(self.edge, dtype=np.int32)
+        rows = np.flatnonzero(
+            (np.array(self.position, dtype=np.int32) == position)
+            & (edges >= key_low)
+            & (edges <= key_high)
         )
+        node, message = self.node, self.message
+        for row in rows.tolist():
+            holder = node[row]
+            if holder in candidates and holder not in found and match(message[row]):
+                found.add(holder)
+        return found
 
-    def agg_received_value(
-        self,
-        interval: int,
-        value_bound: float,
-        in_edge_index: int,
-        instance: int = 0,
-    ) -> bool:
-        """Figure 6 predicate body: received a report with value <=
-        ``value_bound`` over edge key ``in_edge_index`` during aggregation
-        ``interval`` (i.e. from a child at the corresponding level)."""
-        return any(
-            record.interval == interval
-            and record.message.instance == instance
-            and record.message.value <= value_bound
-            and record.in_edge_index == in_edge_index
-            for record in self.agg_receipts
-        )
 
-    def agg_sent_exact(self, digest: bytes, level: int, out_edge_index: int) -> bool:
-        """Junk-triggered (aggregation) analogue of Figure 6: forwarded
-        exactly this message at ``level`` over ``out_edge_index``."""
-        return any(
-            record.level == level
-            and record.out_edge_index == out_edge_index
-            and message_digest(record.message) == digest
-            for record in self.agg_sends
-        )
+def value_at_most(bound: float, instance: int) -> Callable[[object], bool]:
+    """Match a message of ``instance`` whose value is at most ``bound``."""
+    return lambda message: message.instance == instance and message.value <= bound
 
-    def agg_received_exact(
-        self, digest: bytes, interval: int, key_low: int, key_high: int
-    ) -> bool:
-        """Junk-triggered (aggregation) analogue of Figure 5: received
-        exactly this message in ``interval`` over a key in the range."""
-        return any(
-            record.interval == interval
-            and key_low <= record.in_edge_index <= key_high
-            and message_digest(record.message) == digest
-            for record in self.agg_receipts
-        )
 
-    def conf_sent_exact(self, digest: bytes, interval: int, out_edge_index: int) -> bool:
-        """Junk-triggered (confirmation): forwarded exactly this veto in
-        ``interval`` over ``out_edge_index``."""
-        return any(
-            record.interval == interval
-            and record.out_edge_index == out_edge_index
-            and message_digest(record.message) == digest
-            for record in self.conf_sends
-        )
+def digest_equal(digest: bytes) -> Callable[[object], bool]:
+    """Match the byte-identical message ``digest`` names."""
+    return lambda message: message_digest(message) == digest
 
-    def conf_received_exact(
-        self, digest: bytes, interval: int, key_low: int, key_high: int
-    ) -> bool:
-        """Junk-triggered (confirmation): received exactly this veto in
-        ``interval`` over a key in the range."""
-        return any(
-            record.interval == interval
-            and key_low <= record.in_edge_index <= key_high
-            and message_digest(record.message) == digest
-            for record in self.conf_receipts
-        )
+
+class AuditLog:
+    """The network's distributed audit trail, one table per tuple kind.
+
+    Honest steps and the adversary's mimicry and forgeries write the
+    same tables; the protocol clears them all at the start of each
+    execution, after the pinpointing that may follow the previous one.
+    """
+
+    __slots__ = (
+        "aggregation_sends",
+        "aggregation_receipts",
+        "confirmation_sends",
+        "confirmation_receipts",
+    )
+
+    def __init__(self) -> None:
+        self.aggregation_sends = AuditTable()
+        self.aggregation_receipts = AuditTable()
+        self.confirmation_sends = AuditTable()
+        self.confirmation_receipts = AuditTable()
+
+    def clear(self) -> None:
+        for name in self.__slots__:
+            getattr(self, name).clear()
 
 
 class HonestNode:
@@ -190,7 +164,6 @@ class HonestNode:
         "node_id",
         "material",
         "query_values",
-        "audit",
         "parents",
         "_columns",
     )
@@ -212,7 +185,6 @@ class HonestNode:
         # a plain MIN query uses [reading], synopsis queries the m
         # synopsis values).  Consulted when deciding whether to veto.
         self.query_values: Optional[List[float]] = None
-        self.audit = AuditStore()
         # Tree state (set during tree formation each execution)
         self.level: Optional[int] = None
         self.parents: List[int] = []
@@ -235,16 +207,10 @@ class HonestNode:
         return self.material.holds(index)
 
     def begin_execution(self, reading: Optional[float] = None) -> None:
-        """Reset per-execution state (a fresh VMAT run from Figure 1).
-
-        Audit trails from the *previous* execution are cleared here — the
-        pinpointing that may follow an execution runs before the next one
-        starts, so the trail it needs is always intact.
-        """
+        """Reset per-execution state (a fresh VMAT run from Figure 1)."""
         if reading is not None:
             self.reading = reading
         self.query_values = None
-        self.audit.clear()
         self.level = None
         self.parents = []
         self.forwarded_veto = False

@@ -13,7 +13,7 @@ unmodified phase functions in :mod:`repro.core`):
   honest step (:mod:`repro.core.phase_state`) over the hosted shard:
   the same object the in-process simulator builds over every honest
   sensor.  Building it runs the phase's setup (initial vetoes, the
-  predicate evaluated over the **local** audit stores, ...).
+  predicate evaluated over the **local** audit log, ...).
 * ``tick k`` — the step's sends for interval ``k``, through the real
   :meth:`PhaseContext.send` path (capacity, faults, metrics, edge
   HMACs); frames are shipped to peer hosts over TCP and every frame is
@@ -483,6 +483,7 @@ class NodeHost:
                 f"query {query_name!r} instance mismatch: "
                 f"{query.num_instances} != {num_instances}"
             )
+        network.audit.clear()
         revoked = network.registry.revoked_sensors
         self.own_messages = {}
         # The full honest install loop (not just the hosted shard): the

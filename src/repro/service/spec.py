@@ -105,12 +105,17 @@ class ServiceSpec:
     def validate(self) -> None:
         if self.num_nodes < 2:
             raise ConfigError("a service deployment needs at least one sensor")
+        if self.num_nodes > 2**31 - 1:
+            # Node ids are int32 columns (frame store, secure CSR, audit log).
+            raise ConfigError("num_nodes must fit in a signed 32-bit int")
         if self.processes < 1:
             raise ConfigError("at least one node-host process is required")
-        if self.processes > len(self.honest_sensor_ids()):
+        honest = self.num_nodes - 1 - len(
+            {mid for mid in self.malicious_ids if 1 <= mid < self.num_nodes}
+        )
+        if self.processes > honest:
             raise ConfigError(
-                f"{self.processes} processes but only "
-                f"{len(self.honest_sensor_ids())} honest sensors to host"
+                f"{self.processes} processes but only {honest} honest sensors to host"
             )
         for mid in self.malicious_ids:
             if not 1 <= mid < self.num_nodes:

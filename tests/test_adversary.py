@@ -91,7 +91,7 @@ class TestMimicryParity:
         # Passive malicious node kept audit records like an honest one.
         state = adv.state[5]
         assert state.level is not None
-        assert state.audit.agg_sends
+        assert dep.network.audit.aggregation_sends.rows_of(5)
 
     def test_passive_malicious_vetoes_when_its_value_dropped(self):
         """A passive compromised sensor whose value an HONEST protocol

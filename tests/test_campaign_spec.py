@@ -80,6 +80,8 @@ class TestCampaignSpec:
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "seed": 1.5}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "replicates": true}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": "1"}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": 3e9}',
+            '{"name": "x", "scenarios": [{"scenario": "comm"}], "cell_timeout": 2147483648}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": "mod"}',
             '{"name": "x", "scenarios": [{"scenario": "comm"}], "imports": [1]}',
             '{"name": "x", "scenarios": [{"scenario": "comm", "grdi": {"nodes": [5]}}]}',

@@ -75,22 +75,26 @@ class TestHonestAggregation:
         readings[9] = 3.0
         run(line_deployment, None, readings, 12)
         # Every intermediate node forwarded the 3.0 value at its level.
+        audit = line_deployment.network.audit
         for node_id in range(1, 9):
-            node = line_deployment.network.nodes[node_id]
             assert any(
-                record.message.value == 3.0 for record in node.audit.agg_sends
+                audit.aggregation_sends.message[row].value == 3.0
+                for row in audit.aggregation_sends.rows_of(node_id)
             ), f"node {node_id} missing forward record"
             assert any(
-                record.message.value == 3.0 for record in node.audit.agg_receipts
+                audit.aggregation_receipts.message[row].value == 3.0
+                for row in audit.aggregation_receipts.rows_of(node_id)
             ), f"node {node_id} missing receipt record"
 
     def test_receipt_intervals_match_level_arithmetic(self, line_deployment):
         L = 12
         readings = {i: 100.0 + i for i in line_deployment.topology.sensor_ids}
         run(line_deployment, None, readings, L)
+        receipts = line_deployment.network.audit.aggregation_receipts
+        assert len(receipts)
         for node_id, node in line_deployment.network.nodes.items():
-            for receipt in node.audit.agg_receipts:
-                assert receipt.interval == L - node.level
+            for row in receipts.rows_of(node_id):
+                assert receipts.position[row] == L - node.level
 
     def test_ties_resolve_deterministically(self, line_deployment):
         readings = {i: 5.0 for i in line_deployment.topology.sensor_ids}
@@ -180,7 +184,7 @@ class TestAttackedAggregation:
         assert net.nodes[victim].parents == [forged]
         result = run_aggregation(net, None, 12, NONCE, own, 1, lambda i, m: True)
         assert result.minimum_values() == [101.0]
-        assert not net.nodes[victim].audit.agg_sends
+        assert not net.audit.aggregation_sends.rows_of(victim)
 
 
 class TestAtomicSlot:
@@ -218,7 +222,7 @@ class TestAtomicSlot:
         assert len(phase.rows(k)[0]) == rows_before
         assert net.metrics.to_dict() == metrics_before
         assert phase._payloads_per_interval == charges_before
-        assert not any(net.nodes[i].audit.agg_sends for i in senders)
+        assert not set(net.audit.aggregation_sends.node) & set(senders)
 
 
 class TestEmptyNetworkEdgeCases:

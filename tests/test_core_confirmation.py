@@ -65,11 +65,10 @@ class TestVetoDelivery:
         prepare(line_deployment, readings)
         run_confirmation(line_deployment.network, None, L, NONCE, [11.0])
         # SOF: each forwarder records interval = predecessor + 1 <= L.
-        for node in line_deployment.network.nodes.values():
-            for record in node.audit.conf_sends:
-                assert 1 <= record.interval <= L
-            for record in node.audit.conf_receipts:
-                assert 1 <= record.interval <= L - 1
+        audit = line_deployment.network.audit
+        assert len(audit.confirmation_sends) and len(audit.confirmation_receipts)
+        assert all(1 <= interval <= L for interval in audit.confirmation_sends.position)
+        assert all(1 <= interval <= L - 1 for interval in audit.confirmation_receipts.position)
 
     def test_one_time_forwarding(self, grid_deployment):
         readings = {i: 10.0 for i in grid_deployment.topology.sensor_ids}
@@ -78,8 +77,9 @@ class TestVetoDelivery:
             readings[vetoer] = 1.0
         prepare(grid_deployment, readings, depth_bound=10)
         run_confirmation(grid_deployment.network, None, 10, NONCE, [5.0])
-        for node in grid_deployment.network.nodes.values():
-            distinct_intervals = {r.interval for r in node.audit.conf_sends}
+        sends = grid_deployment.network.audit.confirmation_sends
+        for node_id in grid_deployment.network.nodes:
+            distinct_intervals = {sends.position[r] for r in sends.rows_of(node_id)}
             # a node transmits its veto payload in exactly one interval
             assert len(distinct_intervals) <= 1
 

@@ -167,11 +167,11 @@ class TestTheorem3AdversarialSide:
         even when malicious relays refuse to forward."""
         dep, adv = self._attacked(PolicyStrategy(predtest="deny"), malicious={5, 6})
         # Honest node 15 (far corner) forwarded its own reading.
-        node = dep.network.nodes[15]
-        record = node.audit.agg_sends[0]
+        sends = dep.network.audit.aggregation_sends
+        row = sends.rows_of(15)[0]
         predicate = AggForwarded(
-            level=record.level,
-            value_bound=record.message.value,
+            level=sends.position[row],
+            value_bound=sends.message[row].value,
             key_low=0,
             key_high=10**6,
         )

@@ -2,9 +2,10 @@
 
 Fault plans, service specs, campaign specs and fuzz-repro files arrive
 as hand-editable JSON.  Four entry points parse them:
-``FaultPlan.from_json``, ``ServiceSpec.from_json``,
-``CampaignSpec.from_json`` and ``invariants.fuzz.replay_repro`` (which
-then replays the config it read).  Every mutated or truncated document
+``FaultPlan.from_json``, ``ServiceSpec.from_json`` (followed by
+``validate()``, as every service process does), ``CampaignSpec.from_json``
+and ``invariants.fuzz.replay_repro`` (which then replays the config it
+read).  Every mutated or truncated document
 must end in a value or a typed :class:`~repro.errors.ReproError`, within
 a time bound: never a bare ``TypeError``/``OverflowError``, a recursion
 blow-up or a hang.  Modelled on ``tests/test_decode_fuzz.py``.
@@ -92,7 +93,10 @@ def _replay_text(tmp_path):
 #: entry point -> (parser factory over a scratch directory, seed document)
 ENTRY_POINTS = {
     "fault-plan": (lambda tmp_path: FaultPlan.from_json, PLAN.to_dict()),
-    "service-spec": (lambda tmp_path: ServiceSpec.from_json, SERVICE.to_dict()),
+    "service-spec": (
+        lambda tmp_path: lambda text: ServiceSpec.from_json(text).validate(),
+        SERVICE.to_dict(),
+    ),
     "campaign-spec": (lambda tmp_path: CampaignSpec.from_json, CAMPAIGN.to_dict()),
     "repro": (_replay_text, REPRO),
 }

@@ -12,7 +12,7 @@ every cell still hashes to its committed digest.
 node-host processes (estimate, outcomes, revocations and the protocol
 metrics), so the hosts' honest side is frozen too.
 
-Two planted kernel mutants show the oracle is sharp: each must change
+Three planted kernel mutants show the oracle is sharp: each must change
 at least one digest (a mutant that makes a cell raise counts as a
 change — the kernel no longer produces the frozen output).
 
@@ -477,6 +477,14 @@ def _skip_revocation_patch(self):
     self._rows = None
 
 
+def _keyless_query(original):
+    # Drop the key-range bound: any edge key matches.
+    def query(self, candidates, position, key_low, key_high, match):
+        return original(self, candidates, position, -(2**31), 2**31 - 1, match)
+
+    return query
+
+
 class TestMutantsChangeDigests:
     """Each planted kernel mutant must break at least one frozen digest."""
 
@@ -490,6 +498,12 @@ class TestMutantsChangeDigests:
         from repro.net.network import _SecureTopologyView
 
         monkeypatch.setattr(_SecureTopologyView, "sync", _skip_revocation_patch)
+        assert _first_changed_digest(sorted(CELLS)) is not None
+
+    def test_audit_query_without_key_range(self, monkeypatch):
+        from repro.net.node import AuditTable
+
+        monkeypatch.setattr(AuditTable, "query", _keyless_query(AuditTable.query))
         assert _first_changed_digest(sorted(CELLS)) is not None
 
 

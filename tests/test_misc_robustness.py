@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Deployment, MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.crypto.encoding import decode_parts, encode_parts
-from repro.errors import CryptoError
+from repro.errors import ConfigError, CryptoError
 from repro.topology import grid_topology
 
 
@@ -36,6 +36,18 @@ class TestDecoderFuzz:
 
 
 class TestDeploymentBuilder:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(seed=2**63), "signed 64-bit"),
+            (dict(seed=-(2**63) - 1), "signed 64-bit"),
+            (dict(key_scheme="quantum"), "unknown key scheme"),
+        ],
+    )
+    def test_bad_arguments_raise_config_error(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            build_deployment(num_nodes=10, **kwargs)
+
     def test_custom_master_secret_changes_keys(self):
         a = build_deployment(num_nodes=10, seed=1, master_secret=b"alpha")
         b = build_deployment(num_nodes=10, seed=1, master_secret=b"beta")

@@ -70,9 +70,9 @@ class TestHonestMultipath:
         protocol = VMATProtocol(dep.network)
         readings = {i: 40.0 + i for i in dep.topology.sensor_ids}
         result = protocol.execute(MinQuery(), readings)
+        sends = dep.network.audit.aggregation_sends
         for node_id, parents in result.tree.parents.items():
-            node = dep.network.nodes[node_id]
-            assert len(node.audit.agg_sends) == len(parents)
+            assert len(sends.rows_of(node_id)) == len(parents)
 
     def test_count_query_multipath(self):
         dep = deploy()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionOutcome, MinQuery, VMATProtocol, build_deployment, small_test_config
 from repro.adversary import Adversary, DropMinimumStrategy
-from repro.errors import KeyManagementError
+from repro.errors import ConfigError, KeyManagementError
 from repro.keys.schemes import PairwiseScheme
 from repro.topology import grid_topology, line_topology
 
@@ -90,7 +90,7 @@ class TestPairwiseDeployment:
             assert dep.registry.holders(index) == scheme.holders(index)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             build_deployment(num_nodes=10, key_scheme="quantum")
 
     def test_honest_min_query(self):

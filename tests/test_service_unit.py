@@ -59,6 +59,9 @@ def test_spec_from_env_requires_variable(monkeypatch):
         (dict(num_nodes=4, processes=9), "only 3 honest sensors"),
         (dict(malicious_ids=(99,)), "outside"),
         (dict(tree_variant="steiner"), "unknown tree variant"),
+        (dict(num_nodes=4, processes=3, malicious_ids=(2, 2)), "only 2 honest sensors"),
+        (dict(num_nodes=10**12), "32-bit"),
+        (dict(num_nodes=2**31), "32-bit"),
     ],
 )
 def test_spec_validation_rejects(kwargs, match):
