@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import build_deployment, small_test_config
+from repro import MinQuery, build_deployment, small_test_config
 from repro.adversary import Adversary, ChokingFloodStrategy
 from repro.baselines import run_unverified_confirmation
 from repro.core.confirmation import run_confirmation
+from repro.core.protocol import install_execution
 from repro.core.tree import form_tree
 from repro.topology import grid_topology
 
@@ -42,9 +43,7 @@ def build_scenario(seed: int):
     adversary = Adversary(deployment.network, ChokingFloodStrategy(), seed=seed)
     readings = {i: 20.0 + i for i in deployment.topology.sensor_ids}
     readings[15] = 1.0  # honest vetoer: broadcast minimum is wrong
-    for node_id, node in deployment.network.nodes.items():
-        node.begin_execution(reading=readings[node_id])
-        node.query_values = [node.reading]
+    install_execution(deployment.network, readings, MinQuery(), b"demo-nonce")
     malicious = deployment.network.malicious_ids
     adversary.begin_execution(
         {i: readings[i] for i in malicious},

@@ -73,7 +73,7 @@ def safe_theta(deployment):
     loot = deployment.network.adversary_pool_indices()
     return 1 + max(
         len(set(deployment.registry.ring(h).indices) & loot)
-        for h in deployment.network.nodes
+        for h in deployment.network.honest_sensors
     )
 
 

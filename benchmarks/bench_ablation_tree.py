@@ -39,7 +39,7 @@ def run_variant(variant: str, entry: int, exit: int, seed: int):
         seed=seed,
     )
     result = form_tree(deployment.network, adversary, DEPTH, variant=variant)
-    return result.valid_fraction(deployment.network.nodes)
+    return result.valid_fraction(deployment.network.honest_sensors)
 
 
 def test_tree_formation_under_wormhole(benchmark):

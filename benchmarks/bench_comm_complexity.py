@@ -72,7 +72,7 @@ def _measure(num_nodes: int):
     naive = naive_collection_cost(tree.levels, tree.parents)
     vmat_max = max(
         deployment.network.metrics.node_communication(i)
-        for i in deployment.network.nodes
+        for i in deployment.network.honest_sensors
     )
     return vmat_max, naive.max_node_bytes, result.estimate
 

@@ -38,8 +38,10 @@ from ..net.network import Delivery, Network
 class MaliciousNodeState:
     """Mutable per-sensor scratchpad for a compromised sensor.
 
-    Mirrors :class:`~repro.net.node.HonestNode` closely so the mimicking
-    strategy can run the honest algorithms.  Its audit tuples go to the
+    Holds the per-execution values an honest sensor keeps in the
+    network's :class:`~repro.core.node_columns.NodeColumns`, as
+    attributes, so the mimicking strategy can run the honest
+    algorithms.  Its audit tuples go to the
     network's :class:`~repro.net.node.AuditLog`, the same tables honest
     sensors write, so predicates are answered from them alike."""
 
@@ -75,15 +77,16 @@ class Adversary:
         self.strategy = strategy if strategy is not None else Strategy()
         self.rng = random.Random(("adversary", seed).__repr__())
         registry = network.registry
-        self.loot = {
-            node_id: registry.sensor_deployment_material(node_id)
-            for node_id in network.malicious_ids
-        }
+        # What capturing a sensor yields: its ring (plus its sensor key,
+        # :meth:`sensor_key`).
+        self.loot = {node_id: registry.ring(node_id) for node_id in network.malicious_ids}
         # Pooled edge keys: every malicious sensor can use every
         # compromised key (they collude freely).
-        self.pooled_keys: Dict[int, bytes] = {}
-        for material in self.loot.values():
-            self.pooled_keys.update(material.all_keys)
+        self.pooled_keys: Dict[int, bytes] = {
+            index: registry.pool_key(index)
+            for ring in self.loot.values()
+            for index in ring.indices
+        }
         self.state: Dict[int, MaliciousNodeState] = {
             node_id: MaliciousNodeState(node_id) for node_id in network.malicious_ids
         }
@@ -122,19 +125,22 @@ class Adversary:
         return self.pooled_keys[key_index]
 
     def sensor_key(self, node_id: int) -> bytes:
-        return self.loot[node_id].sensor_key
+        """A compromised sensor's sensor key (``KeyError`` for any other)."""
+        if node_id not in self.loot:
+            raise KeyError(node_id)
+        return self.network.registry.sensor_key(node_id)
 
     def verify_for(self, node_id: int, delivery: Delivery, phase_name: str) -> bool:
         """Link-layer verification as the compromised sensor would do it:
         the key must be in its *own* ring (mimicry — an honest sensor
         could not check keys it does not hold), unrevoked, MAC valid."""
-        material = self.loot[node_id]
-        if not material.holds(delivery.key_index):
+        ring = self.loot[node_id]
+        if not ring.holds(delivery.key_index):
             return False
         if self.network.registry.revocation.is_key_revoked(delivery.key_index):
             return False
         return verify_mac(
-            material.key(delivery.key_index),
+            ring.key(delivery.key_index),
             delivery.edge_mac,
             "edge",
             delivery.sender,

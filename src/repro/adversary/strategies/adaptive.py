@@ -18,13 +18,7 @@ from typing import Dict, List
 from ...errors import ProtocolError
 from ...net.message import ReadingMessage
 from ..base import Adversary
-from .classic import PolicyStrategy
-
-
-def _lowest_honest(adv: Adversary, node_id: int) -> int:
-    """The framing victim every deterministic forgery claims."""
-    honest = sorted(set(adv.network.nodes) - {node_id})
-    return honest[0] if honest else node_id
+from .classic import PolicyStrategy, _lowest_honest
 
 
 class AdaptiveStrategy(PolicyStrategy):

@@ -33,6 +33,11 @@ from ..base import Adversary, Strategy
 _POLICIES = ("truthful", "deny", "lie_yes", "coin")
 
 
+def _lowest_honest(adv: Adversary, node_id: int) -> int:
+    """The framing victim every deterministic forgery claims."""
+    return next((i for i in adv.network.honest_sensors if i != node_id), node_id)
+
+
 class PolicyStrategy(Strategy):
     """Base for attack strategies: adds the predicate-test policy knob."""
 
@@ -117,8 +122,7 @@ class JunkMinimumStrategy(PolicyStrategy):
         state = adv.state[node_id]
         claimed = self.claimed_id
         if claimed is None:
-            honest = sorted(set(adv.network.nodes) - {node_id})
-            claimed = honest[0] if honest else node_id
+            claimed = _lowest_honest(adv, node_id)
         return [
             adv.forge_reading(claimed, self.junk_value, instance=m.instance)
             for m in state.own_messages
@@ -150,8 +154,7 @@ class SpuriousVetoStrategy(PolicyStrategy):
         state.forwarded_veto = True
         claimed = self.claimed_id
         if claimed is None:
-            honest = sorted(set(adv.network.nodes) - {node_id})
-            claimed = honest[0] if honest else node_id
+            claimed = _lowest_honest(adv, node_id)
         finite = [m for m in ctx.broadcast_minima if m != float("inf")]
         base = min(finite) if finite else 0.0
         veto = adv.forge_veto(claimed, base - 1.0, self.fake_level, salt=node_id)

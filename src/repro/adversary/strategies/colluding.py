@@ -38,8 +38,8 @@ class ColludingStrategy(PolicyStrategy):
 
     def _victim(self, adv: Adversary) -> int:
         """The honest sensor every colluder agrees to frame."""
-        honest = sorted(set(adv.network.nodes) - set(self.roster))
-        return honest[0] if honest else self.roster[0]
+        roster = set(self.roster)
+        return next((i for i in adv.network.honest_sensors if i not in roster), self.roster[0])
 
 
 class CoverForAccompliceStrategy(ColludingStrategy):

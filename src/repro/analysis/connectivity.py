@@ -85,7 +85,7 @@ def revocation_sweep(
         registry = deployment.registry
         # Through the logged path, so the secure view sees every key.
         registry.revocation.theta = None
-        num_sensors = len(deployment.network.nodes)
+        num_sensors = len(deployment.network.honest_sensors)
         for fraction in fractions:
             target = math.ceil(fraction * pool_size)
             while revoked_so_far < target:

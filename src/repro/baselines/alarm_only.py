@@ -23,6 +23,7 @@ from ..crypto.nonce import NonceSource
 from ..net.network import Network
 from ..core.aggregation import run_aggregation
 from ..core.confirmation import run_confirmation
+from ..core.protocol import install_execution, sign_instance_values
 from ..core.tree import form_tree
 
 
@@ -76,16 +77,7 @@ class AlarmOnlyProtocol:
         nonce = self.nonces.next()
         network.authenticated_flood("alarm-only-query", query.name, nonce)
 
-        network.audit.clear()
-        revoked = network.registry.revoked_sensors  # always empty here
-        own_messages = {}
-        for node_id, node in network.nodes.items():
-            if node_id in revoked:
-                continue
-            node.begin_execution(reading=float(readings.get(node_id, 0.0)))
-            values = query.instance_values(node_id, node.reading, nonce)
-            node.query_values = values
-            own_messages[node_id] = self._sign_values(node_id, values, nonce)
+        own_messages = install_execution(network, readings, query, nonce)
 
         if self.adversary is not None:
             mal = network.malicious_ids
@@ -93,7 +85,9 @@ class AlarmOnlyProtocol:
             mal_values = {
                 i: query.instance_values(i, mal_readings[i], nonce) for i in mal
             }
-            mal_messages = {i: self._sign_values(i, mal_values[i], nonce) for i in mal}
+            mal_messages = {
+                i: sign_instance_values(network.registry, i, mal_values[i], nonce) for i in mal
+            }
             self.adversary.begin_execution(mal_readings, mal_values, mal_messages)
 
         form_tree(network, self.adversary, L)
@@ -124,21 +118,6 @@ class AlarmOnlyProtocol:
                 session.final_estimate = result.estimate
                 break
         return session
-
-    def _sign_values(self, sensor_id, values, nonce):
-        from ..crypto.mac import compute_mac
-        from ..net.message import ReadingMessage
-
-        key = self.network.registry.sensor_key(sensor_id)
-        return [
-            ReadingMessage(
-                sensor_id=sensor_id,
-                value=value,
-                mac=compute_mac(key, sensor_id, instance, value, nonce),
-                instance=instance,
-            )
-            for instance, value in enumerate(values)
-        ]
 
     def _verify(self, query, nonce, instance, message) -> bool:
         from ..crypto.mac import verify_mac

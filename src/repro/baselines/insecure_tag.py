@@ -47,6 +47,8 @@ def run_insecure_tag_min(
     checks anything: whatever reaches the base station *is* the answer.
     """
     from ..core.aggregation import run_aggregation
+    from ..core.protocol import install_execution
+    from ..core.queries import MinQuery
     from ..core.tree import form_tree
 
     bytes_before = network.metrics.total_bytes()
@@ -55,17 +57,12 @@ def run_insecure_tag_min(
     # Honest sensors still frame readings as messages; the MACs carry no
     # weight because nothing verifies them (accept-everything callback).
     nonce = b"insecure-tag"
-    own = {}
-    network.audit.clear()
-    revoked = network.registry.revoked_sensors
-    for node_id, node in network.nodes.items():
-        if node_id in revoked:
-            continue
-        node.begin_execution(reading=float(readings.get(node_id, 0.0)))
-        node.query_values = [node.reading]
-        own[node_id] = [
-            ReadingMessage(sensor_id=node_id, value=node.reading, mac=b"\x00" * 8)
-        ]
+    own = install_execution(
+        network, readings, MinQuery(), nonce,
+        sign=lambda registry, node_id, values, _nonce: [
+            ReadingMessage(sensor_id=node_id, value=values[0], mac=b"\x00" * 8)
+        ],
+    )
 
     if adversary is not None:
         malicious = network.malicious_ids

@@ -63,8 +63,7 @@ def run_unverified_confirmation(
     )
     result = UnverifiedFloodingResult(broadcast_minima=minima)
 
-    revoked = network.registry.revoked_sensors
-    honest_ids = [i for i in network.nodes if i not in revoked]
+    honest_ids = network.honest_ids
 
     # Per-node forwarding queue of distinct vetoes, FIFO.
     queues: Dict[int, List[VetoMessage]] = {i: [] for i in honest_ids}
@@ -74,8 +73,7 @@ def run_unverified_confirmation(
     from ..core.confirmation import _make_veto
 
     for node_id in honest_ids:
-        node = network.nodes[node_id]
-        veto = _make_veto(node, minima, nonce, L)
+        veto = _make_veto(network, node_id, minima, nonce, L)
         if veto is not None:
             result.honest_vetoers += 1
             queues[node_id].append(veto)

@@ -193,9 +193,8 @@ def tournament_scenario(params: Mapping[str, Any], seed: int) -> Dict[str, float
         )
     revoked_honest = [
         node_id
-        for node_id in network.nodes
+        for node_id in network.honest_sensors
         if network.registry.revocation.is_sensor_revoked(node_id)
-        and node_id not in network.malicious_ids
     ]
     if revoked_honest:
         raise ReproError(

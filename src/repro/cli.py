@@ -36,6 +36,17 @@ import sys
 from typing import List, Optional, Sequence
 
 
+def node_count(text: str) -> int:
+    """The argparse type of every ``--nodes`` flag: an int >= 2, the
+    base station plus at least one sensor."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"needs the base station plus at least one sensor (>= 2), got {value}"
+        )
+    return value
+
+
 def _print_table(title: str, header: Sequence[str], rows) -> None:
     print(f"\n=== {title} ===")
     widths = [max(len(str(h)), 12) for h in header]
@@ -794,7 +805,7 @@ def _add_faults_parser(sub) -> None:
     p = fsub.add_parser("example", help="emit a deterministic preset chaos plan")
     p.add_argument("--profile", type=str, default="mixed",
                    help="crash | partition | burst | clock | mixed")
-    p.add_argument("--nodes", type=int, default=17,
+    p.add_argument("--nodes", type=node_count, default=17,
                    help="total node count including the base station")
     p.add_argument("--depth-bound", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -979,7 +990,7 @@ def _add_service_parser(sub) -> None:
     def spec_args(p):
         p.add_argument("--spec", type=str, default=None,
                        help="ServiceSpec JSON file (overrides the flags below)")
-        p.add_argument("--nodes", type=int, default=25,
+        p.add_argument("--nodes", type=node_count, default=25,
                        help="total node count including the base station")
         p.add_argument("--processes", type=int, default=2,
                        help="node-host OS processes sharing the sensors")
@@ -1245,7 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig8)
 
     p = sub.add_parser("comm", help="Section IX byte comparison")
-    p.add_argument("--nodes", type=int, default=10_000)
+    p.add_argument("--nodes", type=node_count, default=10_000)
     p.add_argument("--synopses", type=int, default=100)
     p.set_defaults(func=cmd_comm)
 
@@ -1255,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rounds)
 
     p = sub.add_parser("connectivity", help="mass-revocation collapse")
-    p.add_argument("--nodes", type=int, default=120)
+    p.add_argument("--nodes", type=node_count, default=120)
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--plot", action="store_true", help="render an ASCII chart")
     p.set_defaults(func=cmd_connectivity)
@@ -1268,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="attacked session walkthrough")
     p.add_argument("--attack", choices=sorted(_ATTACKS), default="drop")
-    p.add_argument("--nodes", type=int, default=40)
+    p.add_argument("--nodes", type=node_count, default=40)
     p.add_argument("--compromised", type=int, nargs="+", default=[5])
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trace", type=str, default=None, metavar="TRACE.jsonl",
@@ -1287,8 +1298,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .errors import ReproError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"ERROR  {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

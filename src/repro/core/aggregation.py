@@ -24,6 +24,7 @@ tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,8 +82,7 @@ def run_aggregation(
         num_instances=num_instances,
     )
 
-    revoked = network.registry.revoked_sensors
-    honest_ids = [i for i in network.nodes if i not in revoked]
+    honest_ids = network.honest_ids
     schedule = honest_step(
         network, phase, SlotSchedule, honest_ids, num_instances,
         own_messages=own_messages,
@@ -124,14 +124,13 @@ class SlotSchedule(HonestStep):
     def __init__(self, network, phase, ids, num_instances, own_messages) -> None:
         super().__init__(network, phase)
         L = phase.num_intervals
-        nodes = network.nodes
-        self.ids: List[int] = [i for i in ids if nodes[i].has_valid_level(L)]
+        levels = network.node_columns.level[np.asarray(ids, dtype=np.int64)]
+        valid = (levels >= 1) & (levels <= L)
+        levels = levels[valid]
+        self.ids: List[int] = list(compress(ids, valid.tolist()))
         self.num_instances = num_instances
         self.best: List[List[object]] = []
         count = len(self.ids)
-        levels = np.fromiter(
-            (nodes[i].level for i in self.ids), dtype=np.int32, count=count
-        )
         for node_id in self.ids:
             messages = own_messages.get(node_id)
             if messages is None or len(messages) != num_instances:
@@ -161,11 +160,11 @@ class SlotSchedule(HonestStep):
         if not group:
             return
         network, phase, ids, best = self.network, self.phase, self.ids, self.best
-        nodes = network.nodes
+        parents = network.node_columns.parents
         senders, links, bundles = [], [], []
         for position in group:
             node_id = ids[position]
-            pairs = network.usable_links(node_id, nodes[node_id].parents)
+            pairs = network.usable_links(node_id, parents(node_id))
             if not pairs:
                 continue  # every link to a parent was revoked since tree formation
             if not phase.remaining_capacity(node_id, k):

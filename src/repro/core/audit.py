@@ -399,7 +399,7 @@ def reconstruct_junk_agg_trail(
 def _record_keepers(network: Network, adversary) -> Set[int]:
     """The sensors whose rows the omniscient walks may read: every
     honest sensor, plus the adversary's when it is given."""
-    keepers = set(network.nodes)
+    keepers = set(network.honest_sensors)
     if adversary is not None:
         keepers.update(getattr(adversary, "state", {}))
     return keepers

@@ -73,8 +73,7 @@ def run_confirmation(
         broadcast_minima=minima,
     )
 
-    revoked = network.registry.revoked_sensors
-    honest_ids = [i for i in network.nodes if i not in revoked]
+    honest_ids = network.honest_ids
     schedule = honest_step(network, phase, VetoSchedule, honest_ids, nonce, minima)
 
     bs_arrivals: List[Tuple[Delivery, int]] = []
@@ -105,8 +104,8 @@ class VetoSchedule(HonestStep):
     ascending id order for free: the vetoer scan and each interval's
     adopter scan both visit ascending ids, and the schedule is fully
     drained every interval, so appends are always already sorted.
-    Node objects get their ``forwarded_veto`` flag too, so post-phase
-    readers (``ExecutionResult.num_vetoers``) see it.
+    The node columns get each sender's ``forwarded_veto`` flag too, so
+    post-phase readers (``ExecutionResult.num_vetoers``) see it.
     """
 
     __slots__ = ("waiting", "vetoers", "_ids", "_vetoes")
@@ -118,12 +117,12 @@ class VetoSchedule(HonestStep):
         self._ids: List[int] = []
         self._vetoes: List[object] = []
         depth_bound = phase.num_intervals
+        forwarded = network.node_columns.forwarded_veto
         for node_id in ids:
-            node = network.nodes[node_id]
-            veto = _make_veto(node, minima, nonce, depth_bound)
+            veto = _make_veto(network, node_id, minima, nonce, depth_bound)
             if veto is not None:
                 self._schedule(node_id, veto)
-                node.forwarded_veto = True
+                forwarded[node_id] = True
         # Vetoers not yet reported to a coordinator's copy.
         self.vetoers: List[int] = list(self._ids)
 
@@ -165,11 +164,12 @@ class VetoSchedule(HonestStep):
                 and isinstance(batches[batch_ids[row]].payload, VetoMessage)
             ):
                 first[receiver] = row
-        nodes, receipts = self.network.nodes, self.network.audit.confirmation_receipts
+        forwarded = self.network.node_columns.forwarded_veto
+        receipts = self.network.audit.confirmation_receipts
         for node_id in sorted(first):
             row = first[node_id]
             batch = batches[batch_ids[row]]
-            nodes[node_id].forwarded_veto = True
+            forwarded[node_id] = True
             receipts.add(
                 node_id, k, ((batch.claimed_sender, key_indices[row]),), (batch.payload,)
             )
@@ -180,15 +180,16 @@ class VetoSchedule(HonestStep):
         return tuple(vetoers)
 
     def absorb(self, rows) -> None:
-        for node_id in rows:
-            self.network.nodes[node_id].forwarded_veto = True
+        self.network.node_columns.forwarded_veto[list(rows)] = True
 
 
-def _make_veto(node, minima, nonce, depth_bound) -> Optional[VetoMessage]:
-    """Build the node's veto for the first violated instance, if any."""
+def _make_veto(network, node_id, minima, nonce, depth_bound) -> Optional[VetoMessage]:
+    """Build honest sensor ``node_id``'s veto for the first violated
+    instance, if any."""
     from ..crypto.mac import compute_mac
 
-    if getattr(node, "crash_suspected", False):
+    columns = network.node_columns
+    if columns.crash_suspected[node_id]:
         # Benign-failure self-awareness (repro.faults): a sensor that
         # crashed mid-execution or missed an authenticated broadcast
         # cannot trust its own view of the minima; vetoing on it would
@@ -196,24 +197,26 @@ def _make_veto(node, minima, nonce, depth_bound) -> Optional[VetoMessage]:
         # abstains — correctness degrades (its value may be missing from
         # the answer), safety does not.
         return None
-    if not node.has_valid_level(depth_bound):
+    level = int(columns.level[node_id])
+    if not 1 <= level <= depth_bound:
         # A sensor without a valid aggregation level cannot name the
         # level field of a veto; it abstains (relevant only under the
         # hop-count baseline, where this is the measured damage).
         return None
-    own_values = getattr(node, "query_values", None)
-    if own_values is None:
-        own_values = [node.reading] * len(minima)
+    if columns.query_values is None:
+        own_values = [float(columns.reading[node_id])] * len(minima)
+    else:
+        own_values = columns.query_values[node_id].tolist()
     for instance, minimum in enumerate(minima):
         if instance < len(own_values) and own_values[instance] < minimum:
             value = own_values[instance]
             mac = compute_mac(
-                node.sensor_key, node.node_id, instance, value, node.level, nonce
+                network.registry.sensor_key(node_id), node_id, instance, value, level, nonce
             )
             return VetoMessage(
-                sensor_id=node.node_id,
+                sensor_id=node_id,
                 value=value,
-                level=node.level,
+                level=level,
                 mac=mac,
                 instance=instance,
             )

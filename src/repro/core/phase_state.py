@@ -44,11 +44,6 @@ from typing import Tuple
 _EMPTY: Tuple[int, ...] = ()
 
 
-def node_id_bound(network) -> int:
-    """One past the largest sensor id (array sizing; BS is id 0)."""
-    return max(network.nodes) + 1 if network.nodes else 1
-
-
 class HonestStep:
     """Base of the per-phase steps: the parts most phases leave empty."""
 

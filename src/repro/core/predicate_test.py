@@ -36,7 +36,7 @@ from ..errors import ProtocolError
 from ..keys.registry import BASE_STATION_ID
 from ..net.message import PredicateReply
 from ..net.network import Network
-from ..net.node import AuditLog, HonestNode, digest_equal, value_at_most
+from ..net.node import AuditLog, digest_equal, value_at_most
 from .contexts import PredicateTestContext
 from .phase_state import HonestStep, honest_step
 
@@ -324,8 +324,7 @@ def run_keyed_predicate_test(
         predicate=predicate,
     )
 
-    revoked = registry.revoked_sensors
-    honest_ids = [i for i in network.nodes if i not in revoked]
+    honest_ids = network.honest_ids
     relay = honest_step(
         network, phase, ReplyRelay, honest_ids,
         key_ref, predicate_bytes, nonce, reply_hash,
@@ -411,7 +410,7 @@ class ReplyRelay(HonestStep):
         for holder in holders:
             if holder in satisfied:
                 self.pending[holder] = PredicateReply(
-                    mac=reply_mac_for(node_key(network, key_ref, network.nodes[holder]), nonce)
+                    mac=reply_mac_for(node_key(network, key_ref, holder), nonce)
                 )
         # Hosted honest sensors that have not relayed yet, and the base
         # station until it hears a valid reply.
@@ -435,14 +434,13 @@ class ReplyRelay(HonestStep):
             self.pending.update(found)
 
 
-def node_key(network: Network, key_ref: Tuple[str, int], node: HonestNode) -> bytes:
-    """The key an honest holder uses to build its reply — taken from its
-    *own deployed material*, not the registry, so a coding error that let
-    a non-holder reply would fail MAC verification rather than pass
-    silently."""
+def node_key(network: Network, key_ref: Tuple[str, int], node_id: int) -> bytes:
+    """The key honest sensor ``node_id`` uses to build its reply — taken
+    from its *own* ring or sensor key, so a coding error that let a
+    non-holder reply raises rather than passes silently."""
     kind, ident = key_ref
     if kind == "sensor":
-        if node.node_id != ident:
-            raise ProtocolError(f"sensor {node.node_id} asked to reply for {ident}")
-        return node.sensor_key
-    return node.material.key(ident)
+        if node_id != ident:
+            raise ProtocolError(f"sensor {node_id} asked to reply for {ident}")
+        return network.registry.sensor_key(node_id)
+    return network.registry.ring(node_id).key(ident)

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..crypto.encoding import encode_parts
 from ..crypto.mac import (
@@ -38,6 +40,7 @@ from ..net.message import ReadingMessage
 from ..net.network import Network
 from .aggregation import AggregationResult, run_aggregation
 from .confirmation import ConfirmationResult, run_confirmation
+from .node_columns import NO_LEVEL
 from .pinpoint import Pinpointer, PinpointOutcome
 from .queries import MinQuery
 from .synopses import verify_synopsis
@@ -95,6 +98,46 @@ def sign_instance_values(
         )
         for instance, value in enumerate(values)
     ]
+
+
+def install_execution(
+    network: Network,
+    readings: Dict[int, float],
+    query,
+    nonce: bytes,
+    sign: Optional[Callable[..., List[ReadingMessage]]] = None,
+) -> Dict[int, List[ReadingMessage]]:
+    """Start one execution (Figure 1) on every unrevoked honest sensor.
+
+    Clears the network's audit log, resets each sensor's level, parents
+    and one-time flags, installs its reading (0.0 when ``readings``
+    names none) and its query values, and returns its per-instance
+    messages: ``sign(registry, sensor_id, values, nonce)``, by default
+    :func:`sign_instance_values`.  ``crash_suspected`` is not touched:
+    the driver resets it before the query flood, which precedes this
+    call and may itself be the broadcast a sensor misses.
+    """
+    sign = sign or sign_instance_values
+    network.audit.clear()
+    ids = network.honest_ids
+    columns = network.node_columns
+    columns.level[ids] = NO_LEVEL
+    columns.parents_len[ids] = 0
+    columns.forwarded_veto[ids] = False
+    columns.forwarded_beacon[ids] = False
+    own_readings = [float(readings.get(node_id, 0.0)) for node_id in ids]
+    own_values: List[float] = []
+    own_messages: Dict[int, List[ReadingMessage]] = {}
+    for node_id, reading in zip(ids, own_readings):
+        values = query.instance_values(node_id, reading, nonce)
+        own_values.extend(values)
+        own_messages[node_id] = sign(network.registry, node_id, values, nonce)
+    m = query.num_instances
+    columns.query_values = np.zeros((len(columns.reading), m))
+    if ids:
+        columns.reading[ids] = own_readings
+        columns.query_values[ids] = np.reshape(own_values, (len(ids), m))
+    return own_messages
 
 
 class ExecutionOutcome(enum.Enum):
@@ -222,8 +265,7 @@ class VMATProtocol:
         # Benign-failure self-awareness resets at the execution boundary,
         # *before* the query flood: the query broadcast is part of this
         # execution and a node that misses it must stay suspected.
-        for node in network.nodes.values():
-            node.crash_suspected = False
+        network.node_columns.crash_suspected[:] = False
         # Service seam (repro.service): node hosts mirror the execution
         # boundary — they reset crash flags now, and install the same
         # per-execution state on their replicas right after the query
@@ -240,16 +282,8 @@ class VMATProtocol:
         # that may follow an execution runs before the next one starts,
         # so the trail it needs is always intact), then install
         # per-execution state on honest sensors...
-        network.audit.clear()
+        own_messages = install_execution(network, readings, query, nonce)
         revoked = network.registry.revoked_sensors
-        honest_ids = [i for i in network.nodes if i not in revoked]
-        own_messages: Dict[int, List[ReadingMessage]] = {}
-        for node_id in honest_ids:
-            node = network.nodes[node_id]
-            node.begin_execution(reading=float(readings.get(node_id, 0.0)))
-            values = query.instance_values(node_id, node.reading, nonce)
-            node.query_values = values
-            own_messages[node_id] = self._sign_values(node_id, values, nonce)
         if driver is not None:
             driver.begin_execution(readings, query.name, query.num_instances, nonce)
 
@@ -330,9 +364,10 @@ class VMATProtocol:
         # Step 5: broadcast the minima, wait for vetoes.
         conf = run_confirmation(network, self.adversary, L, nonce, result.minima)
         relays = set(network.audit.confirmation_receipts.node)
+        forwarded = network.node_columns.forwarded_veto
         result.num_vetoers = sum(
-            1 for node_id in honest_ids
-            if network.nodes[node_id].forwarded_veto and node_id not in relays
+            1 for node_id in own_messages  # the unrevoked honest sensors
+            if forwarded[node_id] and node_id not in relays
         )
 
         # Step 6: no veto → the minimum is correct.

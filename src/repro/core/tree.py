@@ -40,7 +40,8 @@ from ..keys.registry import BASE_STATION_ID
 from ..net.message import TreeBeacon
 from ..net.network import Network
 from .contexts import TreeContext
-from .phase_state import HonestStep, honest_step, node_id_bound
+from .node_columns import NO_LEVEL
+from .phase_state import HonestStep, honest_step
 
 
 @dataclass
@@ -71,7 +72,8 @@ class TreeColumns(HonestStep):
     past ``2**31`` included — so that variant keeps its levels in the
     ``claimed`` dict, which holds them exactly.  Parents live in one
     shared ``array('i')`` arena addressed by per-node (start, length)
-    cursors.  Nothing reaches the nodes until :meth:`install`.
+    cursors.  Nothing reaches the network's node columns until
+    :meth:`install`, which hands them the arena.
     """
 
     __slots__ = ("ids", "waiting", "depth_bound", "multipath", "hopcount",
@@ -80,7 +82,7 @@ class TreeColumns(HonestStep):
 
     def __init__(self, network, phase, ids, variant: str) -> None:
         super().__init__(network, phase)
-        num_ids = node_id_bound(network)
+        num_ids = network.topology.num_nodes
         self.ids = ids
         # Hosted sensors without a level yet: the only ones a beacon
         # can still change.
@@ -204,31 +206,33 @@ class TreeColumns(HonestStep):
         self.install(self.ids)
 
     def install(self, honest_ids, result: Optional[TreeFormationResult] = None) -> None:
-        """Write levels/parents onto nodes (and into ``result``).
+        """Write levels and forward flags into the node columns, hand
+        them the parents arena (and fill ``result``).
 
         A level outside ``[1, depth_bound]`` (possible only under the
         hop-count baseline) leaves the sensor without a slot: it is
         reported invalid and keeps no level or parents.
         """
-        nodes = self.network.nodes
+        columns = self.network.node_columns
         depth_bound = self.depth_bound
         for node_id in honest_ids:
-            node = nodes[node_id]
             lv, parents = self._entry(node_id)
-            node.forwarded_beacon = lv is not None and (
+            columns.forwarded_beacon[node_id] = lv is not None and (
                 self.hopcount or lv + 1 <= depth_bound
             )
             if lv is not None and 1 <= lv <= depth_bound:
-                node.level = lv
-                node.parents = parents
+                columns.level[node_id] = lv
                 if result is not None:
                     result.levels[node_id] = lv
-                    result.parents[node_id] = list(parents)
+                    result.parents[node_id] = parents
             else:
                 if result is not None:
                     result.invalid_level_sensors.add(node_id)
-                node.level = None
-                node.parents = []
+                columns.level[node_id] = NO_LEVEL
+                self.parents_len[node_id] = 0
+        columns.parents_arena = self.parents_arena
+        columns.parents_start = self.parents_start
+        columns.parents_len = self.parents_len
 
 
 def form_tree(
@@ -237,7 +241,8 @@ def form_tree(
     depth_bound: int,
     variant: str = "timestamp",
 ) -> TreeFormationResult:
-    """Run one tree-formation phase and install levels/parents on nodes.
+    """Run one tree-formation phase and install levels and parents in the
+    node columns.
 
     ``adversary`` may be ``None`` (no malicious sensors act) or an
     :class:`~repro.adversary.base.Adversary`, whose ``tree_interval``
@@ -256,13 +261,12 @@ def form_tree(
     )
     result = TreeFormationResult(variant=variant)
 
-    for node in network.nodes.values():
-        node.level = None
-        node.parents = []
-        node.forwarded_beacon = False
+    columns = network.node_columns
+    columns.level[:] = NO_LEVEL
+    columns.parents_len[:] = 0
+    columns.forwarded_beacon[:] = False
 
-    revoked = network.registry.revoked_sensors
-    honest_ids = [i for i in network.nodes if i not in revoked]
+    honest_ids = network.honest_ids
     cols = honest_step(network, phase, TreeColumns, honest_ids, variant)
 
     for k in phase.intervals():

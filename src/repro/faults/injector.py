@@ -118,15 +118,14 @@ class FaultInjector:
         replica = network.service_replica
         metrics = network.metrics
 
-        down_honest = [n for n in network.nodes if self.node_down(n)]
+        down_honest = [n for n in network.honest_sensors if self.node_down(n)]
         if down_honest:
             if not replica:
                 metrics.record_crash_intervals(len(down_honest))
-            for node_id in down_honest:
-                # A crashed sensor knows (watchdog reboot, radio gap)
-                # that it missed traffic: it must abstain from vetoing
-                # on a view it cannot trust.
-                network.nodes[node_id].crash_suspected = True
+            # A crashed sensor knows (watchdog reboot, radio gap) that
+            # it missed traffic: it must abstain from vetoing on a view
+            # it cannot trust.
+            network.node_columns.crash_suspected[down_honest] = True
         if not replica and any(
             isinstance(e, Partition) and e.active(self.now) for e in self.plan.events
         ):

@@ -390,7 +390,7 @@ class BroadcastAuthenticity(Invariant):
         violations: List[Violation] = []
         anchor = network.authority.anchor
         indices = network.node_columns.broadcast_index
-        for node_id in network.nodes:
+        for node_id in network.honest_sensors:
             index = int(indices[node_id])
             head = network.verified_chain_value(index)
             distance = (
@@ -434,8 +434,6 @@ def check_transmission_event(
     """The per-frame §IV-B checks shared by the live monitor and the
     per-execution sweep.  ``event`` is a verified ``transmission`` trace
     event (dict form)."""
-    from ..keys.registry import BASE_STATION_ID
-
     violations: List[Violation] = []
     sender = event["sender"]
     claimed = event.get("claimed", sender)
@@ -453,8 +451,8 @@ def check_transmission_event(
             f"{key_index} the adversary does not hold",
             sender=sender, claimed=claimed, key_index=key_index,
         ))
-    if receiver != BASE_STATION_ID and receiver in network.nodes:
-        if not network.nodes[receiver].holds_pool_key(key_index):
+    if network.is_honest_sensor(receiver):
+        if not network.registry.node_holds(receiver, key_index):
             violations.append(invariant.violation(
                 f"receiver {receiver} verified a frame under key "
                 f"{key_index} it does not hold",

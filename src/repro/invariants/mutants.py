@@ -5,7 +5,8 @@ protocol.  Each :class:`Mutant` here deliberately disables one defense
 the paper's proofs rely on — skip the minimum's sensor-MAC check, trust
 veto MACs blindly, ignore the benign-mode deferral rule, let pinpointing
 terminate silently, count ring-dump revocations toward the θ rule,
-un-defer a single absence branch in benign mode — and pairs it with a
+un-defer a single absence branch in benign mode, deploy clocks twice as
+far apart as Δ allows — and pairs it with a
 *provocation*: a deterministic adversarial scenario in which the
 missing defense matters.
 
@@ -15,7 +16,7 @@ violations.  :func:`mutation_smoke` is the full check: every mutant's
 provocation must be **clean unpatched** (so the scenario itself is not
 what trips the catalog) and **flagged patched** (the named invariant
 catches the weakening).  ``python -m repro invariants mutants`` and CI's
-``invariants-smoke`` job run it; a mutant that survives means the
+``campaign-smoke`` job run it; a mutant that survives means the
 catalog has a blind spot and fails the build.
 """
 
@@ -183,8 +184,27 @@ def _mutate_revoke_on_absence_despite_benign_mode() -> Iterator[None]:
         yield
 
 
+@contextlib.contextmanager
+def _mutate_clock_offsets_over_delta() -> Iterator[None]:
+    """Draw deployment clock offsets from ``uniform(-Δ, Δ)`` instead of
+    ``uniform(-Δ/2, Δ/2)``: two sensors may then disagree by up to 2Δ,
+    breaking the §III synchronization bound the guard bands assume."""
+    from ..sim.clock import ClockAssignment
+
+    original = ClockAssignment.__init__
+
+    def _wide(self, node_ids, config, seed, base_station_id=0):
+        original(self, node_ids, replace(config, max_error=2 * config.max_error), seed,
+                 base_station_id)
+        self.config = config
+
+    with _patched(ClockAssignment, "__init__", _wide):
+        yield
+
+
 _PATCHES = {
     "accept-any-minimum": _mutate_accept_any_minimum,
+    "clock-offsets-over-delta": _mutate_clock_offsets_over_delta,
     "revoke-on-absence-despite-benign-mode": (
         _mutate_revoke_on_absence_despite_benign_mode
     ),
@@ -269,6 +289,17 @@ MUTANTS: Dict[str, Mutant] = {
             expected=("honest-node-safety",),
             strategy="junk-minimum",
             theta=3,
+        ),
+        Mutant(
+            name="clock-offsets-over-delta",
+            description=(
+                "Deployment clock offsets are drawn from uniform(-Delta, "
+                "Delta) instead of uniform(-Delta/2, Delta/2); two sensors "
+                "may disagree by up to 2 Delta, past the bound every guard "
+                "band is sized for."
+            ),
+            weakens="§III synchronized clocks (pairwise error <= Delta)",
+            expected=("clock-sync-delta",),
         ),
     )
 }

@@ -23,7 +23,7 @@ from ..errors import KeyManagementError
 from .pool import KeyPool
 from .revocation import RevocationEvent, RevocationState
 from .ring import KeyRing
-from .soa import LazyRingMap, LazySensorKeyMaterial, RingTable
+from .soa import LazyRingMap, RingTable
 
 BASE_STATION_ID = 0
 
@@ -162,13 +162,3 @@ class KeyRegistry:
     @property
     def revoked_sensors(self) -> frozenset[int]:
         return self.revocation.revoked_sensors
-
-    # ------------------------------------------------------------------
-    # Deployment-side material (what gets loaded onto one sensor)
-    # ------------------------------------------------------------------
-    def sensor_deployment_material(self, sensor_id: int) -> LazySensorKeyMaterial:
-        """The key material physically stored on one sensor — and hence
-        the exact loot an adversary obtains by compromising it."""
-        if not 1 <= sensor_id < self.num_nodes:
-            raise KeyManagementError(f"no ring for node {sensor_id}")
-        return LazySensorKeyMaterial(sensor_id, self.pool, self.ring_table)

@@ -13,10 +13,11 @@ module replaces all of them with one shared table:
   :func:`repro.crypto.prf.sample_distinct_rows`;
   :meth:`RingTable.from_rows` takes a scheme's explicit rows instead
   (the pairwise scheme, :mod:`repro.keys.schemes`);
-* :class:`LazyRingMap` / :class:`LazySensorKeyMaterial` — the public
-  ``registry.rings`` / deployment-material API, materializing per-sensor
-  objects only when something actually asks for them (adversary loot,
-  pinpoint protocols, tests).
+* :class:`LazyRingMap` — the public ``registry.rings`` API,
+  materializing a per-sensor :class:`~repro.keys.ring.KeyRing` only when
+  something asks for one (adversary loot, pinpoint protocols, tests).
+  A sensor's key material is its table row plus its sensor key, both
+  served by the registry; nothing else is stored per sensor.
 
 :class:`repro.keys.revocation.RevocationState` keeps its counters and
 holder index over the same table.  Rows hold exactly the indices
@@ -228,48 +229,3 @@ class LazyRingMap(Mapping):
 
     def __iter__(self):
         return iter(range(1, self._table.num_nodes))
-
-
-class LazySensorKeyMaterial:
-    """Deployment material served from the shared table.
-
-    Stores nothing per sensor beyond the memoized sensor key: ring
-    indices come from the table row and key bytes from the pool PRF on
-    demand.  ``all_keys`` still returns the full loot dict (what an
-    adversary extracts from a captured node) — built per call.
-    """
-
-    __slots__ = ("sensor_id", "_pool", "_table", "_sensor_key")
-
-    def __init__(self, sensor_id: int, pool: KeyPool, table: RingTable) -> None:
-        self.sensor_id = sensor_id
-        self._pool = pool
-        self._table = table
-        self._sensor_key: Optional[bytes] = None
-
-    @property
-    def sensor_key(self) -> bytes:
-        if self._sensor_key is None:
-            self._sensor_key = self._pool.sensor_key(self.sensor_id)
-        return self._sensor_key
-
-    @property
-    def ring_indices(self) -> Tuple[int, ...]:
-        return tuple(self._table.row_list(self.sensor_id))
-
-    def holds(self, index: int) -> bool:
-        return self._table.holds(self.sensor_id, index)
-
-    def key(self, index: int) -> bytes:
-        if not self._table.holds(self.sensor_id, index):
-            raise KeyManagementError(
-                f"sensor {self.sensor_id} material does not include pool key {index}"
-            )
-        return self._pool.pool_key(index)
-
-    @property
-    def all_keys(self) -> Dict[int, bytes]:
-        return {
-            index: self._pool.pool_key(index)
-            for index in self._table.row_list(self.sensor_id)
-        }

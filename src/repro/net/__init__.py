@@ -1,13 +1,13 @@
-"""Message layer: wire formats, nodes, the audit log, slotted network.
+"""Message layer: wire formats, the audit log, slotted network.
 
 This is the substrate the VMAT phases run on:
 
 * :mod:`~repro.net.message` — the protocol payloads (readings, vetoes,
   tree-formation beacons, predicate-test frames) with byte-accurate
   ``wire_size`` accounting.
-* :mod:`~repro.net.node` — per-sensor runtime state (key material, the
-  verified authenticated-broadcast index, protocol level/parents) and
-  the network's *audit log* holding the tuples of Sections IV-B/IV-C.
+* :mod:`~repro.net.node` — the network's *audit log* holding the
+  tuples of Sections IV-B/IV-C (per-sensor state is columns,
+  :mod:`repro.core.node_columns`).
 * :mod:`~repro.net.network` — the slotted network: interval-indexed
   transmission with edge-MAC verification, per-interval forwarding
   capacity (the resource choking attacks exhaust), revocation-aware
@@ -23,13 +23,12 @@ from .message import (
     VetoMessage,
     message_digest,
 )
-from .node import AuditLog, HonestNode
+from .node import AuditLog
 from .network import Delivery, Network, PhaseContext
 
 __all__ = [
     "AuditLog",
     "Delivery",
-    "HonestNode",
     "Network",
     "PhaseContext",
     "PredicateChallenge",

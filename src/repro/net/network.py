@@ -44,7 +44,7 @@ from ..sim.clock import ClockAssignment
 from ..topology.graph import Topology
 from ..core.node_columns import NodeColumns
 from .message import MAC_BYTES, Payload
-from .node import AuditLog, HonestNode
+from .node import AuditLog
 from .soa import SoATransport
 
 EDGE_KEY_INDEX_BYTES = 2
@@ -381,7 +381,7 @@ class PhaseContext:
         indptr, row_cols, row_keys = view._indptr, view._cols, view._keys
         known = 0 <= sender < len(indptr) - 1
         start, stop = (indptr[sender], indptr[sender + 1]) if known else (0, 0)
-        nodes = network.nodes
+        malicious = network.malicious_ids
         targets: List[Tuple[int, int, bool]] = []
         for receiver in receivers:
             try:
@@ -395,8 +395,9 @@ class PhaseContext:
             elif edge_key >= 0:
                 # The default edge key is never revoked and both endpoints
                 # hold it, so the precheck collapses to whether the
-                # receiver runs honest accept logic at all.
-                verdict = receiver == BASE_STATION_ID or receiver in nodes
+                # receiver runs honest accept logic at all (the base
+                # station does; it is never malicious).
+                verdict = receiver not in malicious
                 targets.append((receiver, edge_key, verdict))
             # else: no shared usable key — the frame cannot be
             # authenticated and an honest receiver would drop it; skip.
@@ -441,7 +442,7 @@ class PhaseContext:
         if not self._open(interval):
             return
         ptr, cols, keys, verdicts = self.network._secure_view().secure_rows()
-        nodes = self.network.nodes
+        malicious = self.network.malicious_ids
         active: List[int] = []
         batches: List[_SendBatch] = []
         counts: List[int] = []
@@ -454,7 +455,7 @@ class PhaseContext:
                 row = (
                     [receiver for receiver, _ in links[i]],
                     [key_index for _, key_index in links[i]],
-                    [receiver == BASE_STATION_ID or receiver in nodes for receiver, _ in links[i]],
+                    [receiver not in malicious for receiver, _ in links[i]],
                 )
             if not row[0] or not self._charge(sender, interval):
                 continue
@@ -683,21 +684,17 @@ class Network:
         # with the per-node index column, this is every sensor's μTESLA
         # verifier state.
         self._chain_values: Dict[int, bytes] = {0: self.authority.anchor}
-        self.nodes: Dict[int, HonestNode] = {}
+        # Every honest sensor, revoked or not, ascending: the loops'
+        # population.  Membership is "not malicious" (is_honest_sensor).
+        malicious = self.malicious_ids
+        self.honest_sensors: Tuple[int, ...] = tuple(
+            i for i in topology.sensor_ids if i not in malicious
+        )
         # Every sensor's audit tuples (Sections IV-B/IV-C), honest and
         # malicious alike.
         self.audit = AuditLog()
-        # The six per-node scalars live in parallel arrays; honest
-        # nodes are thin views over them (repro.core.node_columns).
+        # Per-sensor state as columns keyed by id (repro.core.node_columns).
         self.node_columns = NodeColumns(topology.num_nodes)
-        for node_id in topology.sensor_ids:
-            if node_id in self.malicious_ids:
-                continue
-            self.nodes[node_id] = HonestNode(
-                node_id=node_id,
-                material=registry.sensor_deployment_material(node_id),
-                columns=self.node_columns,
-            )
 
         self._adversary_pool_indices: Optional[FrozenSet[int]] = None
         # Incrementally-maintained secure-link state (built lazily on the
@@ -739,6 +736,11 @@ class Network:
     def is_malicious(self, node_id: int) -> bool:
         return node_id in self.malicious_ids
 
+    def is_honest_sensor(self, node_id: int) -> bool:
+        """Whether ``node_id`` is a deployed sensor running honest code
+        (revoked or not); the base station is not a sensor."""
+        return 0 < node_id < self.topology.num_nodes and node_id not in self.malicious_ids
+
     def adversary_pool_indices(self) -> FrozenSet[int]:
         """Union of all compromised rings: the keys the adversary can use."""
         if self._adversary_pool_indices is None:
@@ -765,22 +767,7 @@ class Network:
     def honest_ids(self) -> List[int]:
         """Honest, non-revoked sensors (the nodes that still participate)."""
         revoked = self.registry.revoked_sensors
-        return [i for i in self.nodes if i not in revoked]
-
-    @property
-    def participating_ids(self) -> List[int]:
-        """All non-revoked sensors, malicious included."""
-        revoked = self.registry.revoked_sensors
-        return [
-            i
-            for i in self.topology.sensor_ids
-            if i not in revoked
-        ]
-
-    def honest_node(self, node_id: int) -> HonestNode:
-        if node_id not in self.nodes:
-            raise NetworkError(f"node {node_id} is not an honest sensor")
-        return self.nodes[node_id]
+        return [i for i in self.honest_sensors if i not in revoked]
 
     # ------------------------------------------------------------------
     # Secure topology
@@ -883,9 +870,9 @@ class Network:
         if self.registry.revocation.is_key_revoked(key_index):
             return False
         if receiver != BASE_STATION_ID:
-            if receiver not in self.nodes:
-                return False  # malicious or revoked receivers have no honest accept logic
-            if not self.nodes[receiver].holds_pool_key(key_index):
+            if not self.is_honest_sensor(receiver):
+                return False  # malicious receivers have no honest accept logic
+            if not self.registry.node_holds(receiver, key_index):
                 return False
         return True
 
@@ -926,12 +913,12 @@ class Network:
         if injector is None:
             component = self.honest_secure_component()
             # Partitioned sensors cannot be reached (Section III).
-            reached = [node_id for node_id in self.nodes if node_id in component]
+            reached = [node_id for node_id in self.honest_sensors if node_id in component]
         else:
             injector.on_broadcast(round_index)
             component = self.fault_aware_secure_component()
             reached = []
-            for node_id in self.nodes:
+            for node_id in self.honest_sensors:
                 if (
                     node_id not in component
                     or injector.node_down(node_id)
@@ -1197,7 +1184,7 @@ class _SecureTopologyView:
         if rows is None:
             network = self.network
             is_revoked = network.registry.revocation.is_sensor_revoked
-            nodes = network.nodes
+            malicious = network.malicious_ids
             indptr, cols, keys = self._indptr, self._cols, self._keys
             ptr, row_cols, row_keys, verdicts = array("q", [0]), array("i"), array("i"), array("b")
             for node in range(len(indptr) - 1):
@@ -1207,7 +1194,7 @@ class _SecureTopologyView:
                         if keys[pos] >= 0 and (other == BASE_STATION_ID or not is_revoked(other)):
                             row_cols.append(other)
                             row_keys.append(keys[pos])
-                            verdicts.append(other == BASE_STATION_ID or other in nodes)
+                            verdicts.append(other not in malicious)
                 ptr.append(len(row_cols))
             rows = self._rows = (ptr, row_cols, row_keys, verdicts)
         return rows
@@ -1225,7 +1212,7 @@ class _SecureTopologyView:
     def _allowed_honest(self) -> Set[int]:
         network = self.network
         revoked = network.registry.revocation.revoked_sensors
-        allowed = {i for i in network.nodes if i not in revoked}
+        allowed = {i for i in network.honest_sensors if i not in revoked}
         allowed.add(BASE_STATION_ID)
         return allowed
 

@@ -1,12 +1,12 @@
-"""Per-sensor runtime state and the network's distributed audit trail.
+"""The network's distributed audit trail.
 
-An :class:`HonestNode` owns exactly what a deployed sensor would hold:
-
-* its key material (sensor key + ring keys), the loot an adversary gets
-  by compromising it;
-* the index of the base station's hash chain it last verified (its
-  authenticated-broadcast state, a column cell);
-* protocol state (level, parents, current reading).
+A sensor is an id into the network's columns: its key material is
+served by :class:`~repro.keys.registry.KeyRegistry` (the loot an
+adversary gets by compromising it), and its runtime state — reading,
+query values, level, parents, the one-time flags, the verified
+authenticated-broadcast index — lives in
+:class:`~repro.core.node_columns.NodeColumns`.  What remains per sensor
+is what it records.
 
 The audit tuples of Sections IV-B and IV-C, which the pinpointing
 protocols later query through keyed predicate tests, live in the
@@ -25,11 +25,10 @@ only from its own rows.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Collection, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..keys.soa import LazySensorKeyMaterial
 from .message import message_digest
 
 
@@ -148,127 +147,3 @@ class AuditLog:
     def clear(self) -> None:
         for name in self.__slots__:
             getattr(self, name).clear()
-
-
-class HonestNode:
-    """Runtime state of one honest sensor.
-
-    The six per-node scalars (reading, level, the two one-time flags,
-    the crash flag, the verified broadcast index) live in the network's
-    shared :class:`~repro.core.node_columns.NodeColumns` arrays behind
-    properties, so a million nodes cost six array cells each instead
-    of six boxed attributes; readers get plain Python values back.
-    """
-
-    __slots__ = (
-        "node_id",
-        "material",
-        "query_values",
-        "parents",
-        "_columns",
-    )
-
-    def __init__(
-        self,
-        node_id: int,
-        material: LazySensorKeyMaterial,
-        columns,
-        reading: float = 0.0,
-    ) -> None:
-        # Set first: the scalar assignments below route through the
-        # column-backed properties.
-        self._columns = columns
-        self.node_id = node_id
-        self.material = material
-        self.reading = reading
-        # Per-instance values for the current query (set by the driver;
-        # a plain MIN query uses [reading], synopsis queries the m
-        # synopsis values).  Consulted when deciding whether to veto.
-        self.query_values: Optional[List[float]] = None
-        # Tree state (set during tree formation each execution)
-        self.level: Optional[int] = None
-        self.parents: List[int] = []
-        # SOF one-time flag
-        self.forwarded_veto = False
-        # Tree-formation one-time flag
-        self.forwarded_beacon = False
-        # Benign-failure self-awareness (repro.faults): set when this
-        # sensor crashed mid-execution or detectably missed an
-        # authenticated broadcast.  A sensor that knows its view of the
-        # execution is incomplete abstains from vetoing rather than
-        # triggering pinpointing on a gap that is its own radio's fault.
-        self.crash_suspected = False
-
-    @property
-    def sensor_key(self) -> bytes:
-        return self.material.sensor_key
-
-    def holds_pool_key(self, index: int) -> bool:
-        return self.material.holds(index)
-
-    def begin_execution(self, reading: Optional[float] = None) -> None:
-        """Reset per-execution state (a fresh VMAT run from Figure 1)."""
-        if reading is not None:
-            self.reading = reading
-        self.query_values = None
-        self.level = None
-        self.parents = []
-        self.forwarded_veto = False
-        self.forwarded_beacon = False
-        # crash_suspected is deliberately NOT cleared here: the protocol
-        # driver resets it before the query broadcast, which precedes
-        # this call and may itself be the broadcast a node misses.
-
-    def has_valid_level(self, depth_bound: int) -> bool:
-        return self.level is not None and 1 <= self.level <= depth_bound
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{type(self).__name__}(id={self.node_id}, "
-            f"level={self.level}, reading={self.reading})"
-        )
-
-    @property
-    def reading(self) -> float:
-        return float(self._columns.reading[self.node_id])
-
-    @reading.setter
-    def reading(self, value: float) -> None:
-        self._columns.reading[self.node_id] = value
-
-    @property
-    def level(self) -> Optional[int]:
-        return self._columns.get_level(self.node_id)
-
-    @level.setter
-    def level(self, value: Optional[int]) -> None:
-        self._columns.set_level(self.node_id, value)
-
-    @property
-    def forwarded_veto(self) -> bool:
-        return bool(self._columns.forwarded_veto[self.node_id])
-
-    @forwarded_veto.setter
-    def forwarded_veto(self, value: bool) -> None:
-        self._columns.forwarded_veto[self.node_id] = value
-
-    @property
-    def forwarded_beacon(self) -> bool:
-        return bool(self._columns.forwarded_beacon[self.node_id])
-
-    @forwarded_beacon.setter
-    def forwarded_beacon(self, value: bool) -> None:
-        self._columns.forwarded_beacon[self.node_id] = value
-
-    @property
-    def crash_suspected(self) -> bool:
-        return bool(self._columns.crash_suspected[self.node_id])
-
-    @crash_suspected.setter
-    def crash_suspected(self, value: bool) -> None:
-        self._columns.crash_suspected[self.node_id] = value
-
-    @property
-    def broadcast_index(self) -> int:
-        """The μTESLA chain index this sensor last verified."""
-        return int(self._columns.broadcast_index[self.node_id])

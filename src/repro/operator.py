@@ -155,9 +155,7 @@ class NetworkOperator:
             if error is not None:
                 errors_by_query.setdefault(record.query_name, []).append(error)
         revoked_sensors = sorted(self.network.registry.revoked_sensors)
-        surviving = len(
-            [i for i in self.network.nodes if i not in revoked_sensors]
-        )
+        surviving = len(self.network.honest_ids)
         component = self.network.honest_secure_component()
         return HealthReport(
             epochs=len(self.history),

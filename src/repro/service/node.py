@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.aggregation import SlotSchedule
 from ..core.confirmation import VetoSchedule
 from ..core.predicate_test import ReplyRelay
-from ..core.protocol import sign_instance_values
+from ..core.protocol import install_execution
 from ..core.tree import TreeColumns
 from ..errors import ServiceError
 from ..faults import FaultInjector
@@ -442,8 +442,7 @@ class NodeHost:
             self.network.authenticated_flood(*record[1])
             return ("ok",)
         if kind == "execution-starting":
-            for node in self.network.nodes.values():
-                node.crash_suspected = False
+            self.network.node_columns.crash_suspected[:] = False
             return ("ok",)
         if kind == "begin-execution":
             return self._handle_begin_execution(*record[1:])
@@ -483,20 +482,10 @@ class NodeHost:
                 f"query {query_name!r} instance mismatch: "
                 f"{query.num_instances} != {num_instances}"
             )
-        network.audit.clear()
-        revoked = network.registry.revoked_sensors
-        self.own_messages = {}
-        # The full honest install loop (not just the hosted shard): the
-        # coordinator's execute() installs state on every honest node, and
-        # mirror-equality is simplest to audit when replicas do the same.
-        for node_id in [i for i in network.nodes if i not in revoked]:
-            node = network.nodes[node_id]
-            node.begin_execution(reading=readings.get(node_id, 0.0))
-            values = query.instance_values(node_id, node.reading, nonce)
-            node.query_values = values
-            self.own_messages[node_id] = sign_instance_values(
-                network.registry, node_id, values, nonce
-            )
+        # The full honest install (not just the hosted shard): the
+        # coordinator's execute() installs state on every honest sensor,
+        # and mirror-equality is simplest to audit when replicas do the same.
+        self.own_messages = install_execution(network, readings, query, nonce)
         return ("ok",)
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import MinQuery, VMATProtocol, build_deployment, small_test_config
+from repro.core.protocol import install_execution
 from repro.adversary import (
     Adversary,
     ChokingFloodStrategy,
@@ -104,9 +105,8 @@ class TestMimicryParity:
         dep = build_deployment(num_nodes=15, seed=6, malicious_ids={4})
         adv = Adversary(dep.network, PassiveStrategy(), seed=6)
         adv.begin_execution({4: 1.0}, {4: [1.0]}, {4: [adv.sign_reading(4, 1.0, b"n")]})
-        for node_id, node in dep.network.nodes.items():
-            node.begin_execution(reading=50.0)
-            node.query_values = [50.0]
+        readings = dict.fromkeys(dep.network.honest_sensors, 50.0)
+        install_execution(dep.network, readings, MinQuery(), b"n")
         form_tree(dep.network, adv, dep.config.protocol.depth_bound)
         result = run_confirmation(
             dep.network, adv, dep.config.protocol.depth_bound, b"n", [10.0]

@@ -122,9 +122,8 @@ def run_contract_scenario(name: str, seed: int = 11, malicious=None):
 def _revoked_honest(network):
     return [
         node_id
-        for node_id in network.nodes
+        for node_id in network.honest_sensors
         if network.registry.revocation.is_sensor_revoked(node_id)
-        and node_id not in network.malicious_ids
     ]
 
 

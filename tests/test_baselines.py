@@ -18,6 +18,7 @@ from repro.baselines import (
 from repro.baselines.naive import NAIVE_REPORT_BYTES
 from repro.config import ProtocolConfig
 from repro.core.confirmation import run_confirmation
+from repro.core.protocol import install_execution
 from repro.core.tree import form_tree
 from repro.topology import grid_topology, line_topology, star_topology
 
@@ -120,9 +121,7 @@ class TestUnverifiedFlooding:
         adv = Adversary(dep.network, strategy, seed=seed) if malicious else None
         readings = {i: 20.0 + i for i in dep.topology.sensor_ids}
         readings[15] = 1.0
-        for node_id, node in dep.network.nodes.items():
-            node.begin_execution(reading=readings[node_id])
-            node.query_values = [node.reading]
+        install_execution(dep.network, readings, MinQuery(), b"n")
         if adv is not None:
             mal = dep.network.malicious_ids
             adv.begin_execution(

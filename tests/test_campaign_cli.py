@@ -165,14 +165,13 @@ class TestEndToEnd:
         assert "cli-smoke" in out
         assert "fig7" in out  # registered scenarios are listed
 
-    def test_unknown_scenario_is_a_clean_error(self, tmp_path):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown scenario"):
-            main([
-                "campaign", "run", "--scenario", "not-real",
-                "--store", str(tmp_path),
-            ])
+    def test_unknown_scenario_is_a_clean_error(self, tmp_path, capsys):
+        code = main([
+            "campaign", "run", "--scenario", "not-real",
+            "--store", str(tmp_path),
+        ])
+        assert code == 1
+        assert "ERROR  unknown scenario" in capsys.readouterr().err
 
 
 def _run_suffix(store, name):

@@ -98,3 +98,31 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "mis-revoked" in out
+
+
+class TestBadInput:
+    """Bad input ends in one error line and a nonzero exit, never a
+    traceback: argparse rejects a ``--nodes`` below 2 (exit 2), and
+    ``main`` turns any :class:`~repro.errors.ReproError` into an
+    ``ERROR`` line on stderr (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["demo", "--seed", str(2**63)], 1, "ERROR  seed must fit in a signed 64-bit int"),
+            (["demo", "--nodes", "0"], 2, "argument --nodes"),
+            (["demo", "--compromised", "0"], 1, "ERROR  the base station is trusted"),
+            (["comm", "--nodes", "-5"], 2, "argument --nodes"),
+        ],
+        ids=["seed-past-int64", "demo-zero-nodes", "compromised-base-station", "comm-negative-nodes"],
+    )
+    def test_one_error_line(self, capsys, argv, code, message):
+        try:
+            got = main(argv)
+        except SystemExit as exit_info:
+            got = exit_info.code
+        captured = capsys.readouterr()
+        assert got == code
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert "naive collect-all" not in captured.out

@@ -63,7 +63,7 @@ def _bfs_connected_share(num_nodes, fraction, config, trials, seed):
                 if other not in reached and registry.link_usable(node, other):
                     reached.add(other)
                     frontier.append(other)
-        total += (len(reached) - 1) / len(deployment.network.nodes)
+        total += (len(reached) - 1) / len(deployment.network.honest_sensors)
     return total / trials
 
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import build_deployment, small_test_config
+from repro import MinQuery, build_deployment, small_test_config
 from repro.adversary import Adversary, DropMinimumStrategy, JunkMinimumStrategy
 from repro.core.aggregation import run_aggregation
+from repro.core.protocol import install_execution
 from repro.core.tree import form_tree
 from repro.crypto.mac import compute_mac
 from repro.net.message import ReadingMessage
@@ -16,19 +17,7 @@ NONCE = b"agg-test-nonce"
 
 
 def sign_all(deployment, readings, nonce=NONCE):
-    messages = {}
-    for node_id, node in deployment.network.nodes.items():
-        node.begin_execution(reading=readings[node_id])
-        node.query_values = [node.reading]
-        key = deployment.registry.sensor_key(node_id)
-        messages[node_id] = [
-            ReadingMessage(
-                sensor_id=node_id,
-                value=node.reading,
-                mac=compute_mac(key, node_id, 0, node.reading, nonce),
-            )
-        ]
-    return messages
+    return install_execution(deployment.network, readings, MinQuery(), nonce)
 
 
 def run(deployment, adversary, readings, depth_bound, verify=lambda i, m: True):
@@ -92,9 +81,10 @@ class TestHonestAggregation:
         run(line_deployment, None, readings, L)
         receipts = line_deployment.network.audit.aggregation_receipts
         assert len(receipts)
-        for node_id, node in line_deployment.network.nodes.items():
+        level = line_deployment.network.node_columns.level
+        for node_id in line_deployment.network.honest_sensors:
             for row in receipts.rows_of(node_id):
-                assert receipts.position[row] == L - node.level
+                assert receipts.position[row] == L - level[node_id]
 
     def test_ties_resolve_deterministically(self, line_deployment):
         readings = {i: 5.0 for i in line_deployment.topology.sensor_ids}
@@ -181,7 +171,7 @@ class TestAttackedAggregation:
         readings = {i: 100.0 + i for i in deployment.topology.sensor_ids}
         own = sign_all(deployment, readings)
         form_tree(net, ForgingRelay(), 12)
-        assert net.nodes[victim].parents == [forged]
+        assert net.node_columns.parents(victim) == [forged]
         result = run_aggregation(net, None, 12, NONCE, own, 1, lambda i, m: True)
         assert result.minimum_values() == [101.0]
         assert not net.audit.aggregation_sends.rows_of(victim)
@@ -201,7 +191,7 @@ class TestAtomicSlot:
         own = sign_all(grid_deployment, readings)
         form_tree(net, None, 10)
         phase = net.new_phase("aggregation", 10)
-        schedule = SlotSchedule(net, phase, list(net.nodes), 1, own_messages=own)
+        schedule = SlotSchedule(net, phase, list(net.honest_sensors), 1, own_messages=own)
         level = max(schedule._groups, key=lambda lv: len(schedule._groups[lv]))
         senders = [schedule.ids[p] for p in schedule._groups[level]]
         assert len(senders) >= 2

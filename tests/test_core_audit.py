@@ -15,6 +15,8 @@ from repro.core.audit import (
     validate_veto_trail,
 )
 from repro.core.confirmation import run_confirmation
+from repro.core.node_columns import NO_LEVEL
+from repro.core.protocol import install_execution
 from repro.errors import AuditTrailError
 from repro.topology import grid_topology, line_topology
 
@@ -145,11 +147,11 @@ class TestTheorem2Reconstruction:
         veto_sensor = 8
         from repro.net.message import VetoMessage
 
-        node = dep.network.nodes[veto_sensor]
+        level = int(dep.network.node_columns.level[veto_sensor])
         veto = VetoMessage(
             sensor_id=veto_sensor,
             value=1.0,
-            level=node.level if node.level else 8,
+            level=level if level != NO_LEVEL else 8,
             mac=b"x" * 8,
         )
         trail = reconstruct_veto_trail(dep.network, adv, veto, 12)
@@ -172,8 +174,8 @@ class TestTheorem2Reconstruction:
         assert result.outcome is ExecutionOutcome.VETO_PINPOINT
         from repro.net.message import VetoMessage
 
-        node = dep.network.nodes[15]
-        veto = VetoMessage(sensor_id=15, value=1.0, level=node.level, mac=b"x" * 8)
+        level = int(dep.network.node_columns.level[15])
+        veto = VetoMessage(sensor_id=15, value=1.0, level=level, mac=b"x" * 8)
         trail = merge_bottom_segments(reconstruct_veto_trail(dep.network, adv, veto, 10))
         validate_veto_trail(trail, 10, network=dep.network)
 
@@ -204,8 +206,6 @@ class TestJunkTrailReconstruction:
         from repro.core.confirmation import run_confirmation
         from repro.core.tree import form_tree
         from repro.core.aggregation import run_aggregation
-        from repro.crypto.mac import compute_mac
-        from repro.net.message import ReadingMessage
 
         dep, adv, protocol, readings = self._spurious_scenario(seed)
         result = protocol.execute(MinQuery(), readings)
@@ -215,17 +215,7 @@ class TestJunkTrailReconstruction:
         dep, adv, protocol, readings = self._spurious_scenario(seed)
         nonce = protocol.nonces.next()
         dep.network.authenticated_flood("query", "min", 1, nonce)
-        own = {}
-        for node_id, node in dep.network.nodes.items():
-            node.begin_execution(reading=readings[node_id])
-            node.query_values = [node.reading]
-            key = dep.registry.sensor_key(node_id)
-            own[node_id] = [
-                ReadingMessage(
-                    sensor_id=node_id, value=node.reading,
-                    mac=compute_mac(key, node_id, 0, node.reading, nonce),
-                )
-            ]
+        own = install_execution(dep.network, readings, MinQuery(), nonce)
         mal = dep.network.malicious_ids
         adv.begin_execution(
             {i: readings[i] for i in mal},
@@ -257,8 +247,6 @@ class TestJunkAggTrailReconstruction:
         )
         from repro.core.aggregation import run_aggregation
         from repro.core.tree import form_tree
-        from repro.crypto.mac import compute_mac
-        from repro.net.message import ReadingMessage
 
         dep = build_deployment(
             config=small_test_config(depth_bound=12),
@@ -271,17 +259,7 @@ class TestJunkAggTrailReconstruction:
         nonce = protocol.nonces.next()
         dep.network.authenticated_flood("query", "min", 1, nonce)
         readings = {i: 50.0 + i for i in dep.topology.sensor_ids}
-        own = {}
-        for node_id, node in dep.network.nodes.items():
-            node.begin_execution(reading=readings[node_id])
-            node.query_values = [node.reading]
-            key = dep.registry.sensor_key(node_id)
-            own[node_id] = [
-                ReadingMessage(
-                    sensor_id=node_id, value=node.reading,
-                    mac=compute_mac(key, node_id, 0, node.reading, nonce),
-                )
-            ]
+        own = install_execution(dep.network, readings, MinQuery(), nonce)
         mal = dep.network.malicious_ids
         adv.begin_execution(
             {i: readings[i] for i in mal},

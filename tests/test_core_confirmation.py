@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import build_deployment, small_test_config
+from repro import MinQuery, build_deployment, small_test_config
 from repro.adversary import Adversary, SpuriousVetoStrategy
 from repro.core.confirmation import run_confirmation
+from repro.core.protocol import install_execution
 from repro.core.tree import form_tree
 from repro.topology import grid_topology, line_topology
 
@@ -15,12 +16,10 @@ NONCE = b"conf-test-nonce"
 
 
 def prepare(deployment, readings, adversary=None, depth_bound=12):
-    for node_id, node in deployment.network.nodes.items():
-        node.begin_execution(reading=readings[node_id])
-        node.query_values = [node.reading]
-        # Confirmation requires an aggregation send record to exist for
-        # honest vetoers in the end-to-end flow; here we test SOF alone,
-        # so levels from tree formation suffice.
+    # Confirmation requires an aggregation send record to exist for
+    # honest vetoers in the end-to-end flow; here we test SOF alone, so
+    # levels from tree formation suffice.
+    install_execution(deployment.network, readings, MinQuery(), NONCE)
     if adversary is not None:
         mal = deployment.network.malicious_ids
         adversary.begin_execution(
@@ -78,7 +77,7 @@ class TestVetoDelivery:
         prepare(grid_deployment, readings, depth_bound=10)
         run_confirmation(grid_deployment.network, None, 10, NONCE, [5.0])
         sends = grid_deployment.network.audit.confirmation_sends
-        for node_id in grid_deployment.network.nodes:
+        for node_id in grid_deployment.network.honest_sensors:
             distinct_intervals = {sends.position[r] for r in sends.rows_of(node_id)}
             # a node transmits its veto payload in exactly one interval
             assert len(distinct_intervals) <= 1

@@ -160,7 +160,7 @@ def framing_safe_theta(dep):
     the test is omniscient."""
     loot = dep.network.adversary_pool_indices()
     return 1 + max(
-        len(set(dep.registry.ring(h).indices) & loot) for h in dep.network.nodes
+        len(set(dep.registry.ring(h).indices) & loot) for h in dep.network.honest_sensors
     )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import build_deployment, small_test_config
+from repro import MinQuery, build_deployment, small_test_config
 from repro.adversary import Adversary, PolicyStrategy
 from repro.adversary.strategies import PassiveStrategy
 from repro.core.predicate_test import (
@@ -20,6 +20,7 @@ from repro.core.predicate_test import (
 )
 from repro.core.tree import form_tree
 from repro.core.aggregation import run_aggregation
+from repro.core.protocol import install_execution
 from repro.crypto.encoding import encode_parts
 from repro.crypto.mac import compute_mac
 from repro.errors import ProtocolError
@@ -30,18 +31,7 @@ NONCE = b"predtest-nonce"
 
 
 def run_min_aggregation(deployment, adversary, readings, depth_bound):
-    own = {}
-    for node_id, node in deployment.network.nodes.items():
-        node.begin_execution(reading=readings[node_id])
-        node.query_values = [node.reading]
-        key = deployment.registry.sensor_key(node_id)
-        own[node_id] = [
-            ReadingMessage(
-                sensor_id=node_id,
-                value=readings[node_id],
-                mac=compute_mac(key, node_id, 0, readings[node_id], NONCE),
-            )
-        ]
+    own = install_execution(deployment.network, readings, MinQuery(), NONCE)
     if adversary is not None:
         mal = deployment.network.malicious_ids
         adversary.begin_execution(

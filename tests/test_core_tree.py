@@ -25,7 +25,7 @@ class TestTimestampTree:
     def test_every_honest_sensor_gets_valid_level(self, deployment):
         result = form_tree(deployment.network, None, deployment.config.protocol.depth_bound)
         assert result.invalid_level_sensors == set()
-        assert result.valid_fraction(deployment.network.nodes) == 1.0
+        assert result.valid_fraction(deployment.network.honest_sensors) == 1.0
 
     def test_parents_are_one_level_above(self, grid_deployment):
         result = form_tree(grid_deployment.network, None, 10)

@@ -112,7 +112,7 @@ class TestBenignSafety:
 
     def test_crashed_node_abstains_from_vetoing(self):
         network, _, _ = run_executions(CRASH_PLAN, executions=1)
-        assert network.nodes[5].crash_suspected
+        assert network.node_columns.crash_suspected[5]
 
     def test_total_partition_goes_inconclusive_not_revoked(self):
         plan = FaultPlan(
@@ -139,7 +139,7 @@ class TestBenignSafety:
         plan = FaultPlan("deaf", events=(BroadcastLoss(round=1, nodes=(7,)),))
         network, results, _ = run_executions(plan, executions=1)
         assert not results[0].revocations
-        assert network.nodes[7].crash_suspected
+        assert network.node_columns.crash_suspected[7]
         assert network.metrics.faults_injected["broadcast-loss"] == 1
         assert network.metrics.faults_injected["broadcast-miss"] >= 1
 

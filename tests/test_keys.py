@@ -137,17 +137,17 @@ class TestKeyRegistry:
             registry.edge_key_index(3, 3)
 
     def test_deployment_material_matches_registry(self, registry):
-        material = registry.sensor_deployment_material(4)
-        assert material.sensor_key == registry.sensor_key(4)
-        assert material.ring_indices == registry.ring(4).indices
-        for index in material.ring_indices:
-            assert material.key(index) == registry.pool_key(index)
+        ring = registry.ring(4)
+        assert registry.sensor_key(4) == registry.pool.sensor_key(4)
+        assert ring.indices == tuple(registry.ring_table.row_list(4))
+        for index in ring.indices:
+            assert ring.key(index) == registry.pool_key(index)
 
     def test_material_denies_unheld_keys(self, registry):
-        material = registry.sensor_deployment_material(4)
-        outside = next(i for i in range(CFG.pool_size) if not material.holds(i))
+        ring = registry.ring(4)
+        outside = next(i for i in range(CFG.pool_size) if not registry.node_holds(4, i))
         with pytest.raises(KeyManagementError):
-            material.key(outside)
+            ring.key(outside)
 
     def test_rejects_tiny_deployment(self):
         with pytest.raises(KeyManagementError):

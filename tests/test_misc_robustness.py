@@ -86,6 +86,7 @@ class TestCompetingVetoes:
         one-is-enough semantics — the BS hears a valid veto, and it is
         one of the actual vetoers."""
         from repro.core.confirmation import run_confirmation
+        from repro.core.protocol import install_execution
         from repro.core.tree import form_tree
 
         dep = build_deployment(
@@ -96,9 +97,7 @@ class TestCompetingVetoes:
         readings = {i: 50.0 for i in dep.topology.sensor_ids}
         for vetoer in vetoers:
             readings[vetoer] = 1.0
-        for node_id, node in dep.network.nodes.items():
-            node.begin_execution(reading=readings[node_id])
-            node.query_values = [node.reading]
+        install_execution(dep.network, readings, MinQuery(), b"n")
         form_tree(dep.network, None, 10)
         result = run_confirmation(dep.network, None, 10, b"n", [10.0])
         assert result.valid_veto is not None

@@ -47,7 +47,7 @@ class TestReceiverAcceptanceMatrix:
         # The adversary signs with a compromised key its victim lacks.
         sender = 4
         receiver = next(
-            r for r in net.topology.neighbors(sender) if r in net.nodes
+            r for r in net.topology.neighbors(sender) if net.is_honest_sensor(r)
         )
         foreign = next(
             i
@@ -108,9 +108,10 @@ class TestFloodUnderPartition:
         net.authenticated_flood("hello")
         # Sensors 3..5 sit beyond the malicious cut vertex: outside the
         # honest secure component, the [20] primitive cannot reach them.
-        assert net.nodes[1].broadcast_index == 1
+        index = net.node_columns.broadcast_index
+        assert index[1] == 1
         for stranded in (3, 4, 5):
-            assert net.nodes[stranded].broadcast_index == 0
+            assert index[stranded] == 0
 
 
 class TestBroadcastIndexColumn:
@@ -125,7 +126,7 @@ class TestBroadcastIndexColumn:
         from repro.faults.plan import BroadcastLoss
 
         net = deployment.network
-        victim = sorted(net.nodes)[3]
+        victim = net.honest_sensors[3]
         plan = FaultPlan(
             "gap",
             events=(BroadcastLoss(round=2, nodes=(victim,)),
@@ -135,7 +136,7 @@ class TestBroadcastIndexColumn:
         payloads = [("round", i) for i in range(1, 5)]
         for payload in payloads:
             net.authenticated_flood(*payload)
-        assert net.nodes[victim].crash_suspected
+        assert net.node_columns.crash_suspected[victim]
         # A standalone verifier fed only the rounds the victim heard.
         authority = BroadcastAuthority(deployment.registry.pool.broadcast_chain_seed())
         verifier = BroadcastVerifier(authority.anchor)
@@ -146,11 +147,11 @@ class TestBroadcastIndexColumn:
                 continue
             verifier.receive_message(message)
             assert verifier.receive_disclosure(disclosure) == payload
-        node = net.nodes[victim]
-        assert node.broadcast_index == verifier.verified_index == 4
-        assert net.verified_chain_value(node.broadcast_index) == verifier.chain_head
-        others = [n for n in net.nodes.values() if n.node_id != victim]
-        assert all(n.broadcast_index == 4 for n in others)
+        index = net.node_columns.broadcast_index
+        assert index[victim] == verifier.verified_index == 4
+        assert net.verified_chain_value(int(index[victim])) == verifier.chain_head
+        others = [n for n in net.honest_sensors if n != victim]
+        assert all(index[n] == 4 for n in others)
 
     def test_corrupted_index_is_an_authenticity_violation(self, deployment):
         from repro.invariants import BroadcastAuthenticity, ExecutionView
@@ -160,7 +161,7 @@ class TestBroadcastIndexColumn:
             net.authenticated_flood("round", i)
         view = ExecutionView(query="min", outcome="result", network=net)
         assert BroadcastAuthenticity().check(view) == []
-        victim = sorted(net.nodes)[2]
+        victim = net.honest_sensors[2]
         net.node_columns.broadcast_index[victim] = 7  # never verified
         violations = BroadcastAuthenticity().check(view)
         assert [v.context["node"] for v in violations] == [victim]
@@ -173,7 +174,7 @@ class TestBroadcastIndexColumn:
             net.authenticated_flood("round", i)
         net._chain_values[2] = b"\x00" * len(net._chain_values[2])
         view = ExecutionView(query="min", outcome="result", network=net)
-        assert len(BroadcastAuthenticity().check(view)) == len(net.nodes)
+        assert len(BroadcastAuthenticity().check(view)) == len(net.honest_sensors)
 
 
 class TestBroadcastVerifierFuzz:

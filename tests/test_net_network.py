@@ -162,7 +162,7 @@ class TestKeyPossession:
         assert len(delivered) == 1
         # Verified only if the honest target happens to hold the key.
         holds = target != 0 and key in dep.registry.ring(target)
-        assert delivered[0].verified == (holds and target in net.nodes)
+        assert delivered[0].verified == (holds and net.is_honest_sensor(target))
 
     def test_forged_claimed_sender_rejected_only_by_mac_content(self):
         dep = build_deployment(num_nodes=10, seed=1, malicious_ids={2})
@@ -175,7 +175,7 @@ class TestKeyPossession:
         inbox = phase.inbox(target, 1)
         assert inbox[0].sender == 7  # forged claim carried through
         # still verified: edge MACs authenticate the KEY, not the sender.
-        if target in net.nodes and key in dep.registry.ring(target):
+        if net.is_honest_sensor(target) and key in dep.registry.ring(target):
             assert inbox[0].verified
 
 
@@ -241,8 +241,8 @@ class TestAuthenticatedFlood:
     def test_payload_reaches_all_honest_nodes(self, net):
         payload = net.authenticated_flood("hello", 42)
         assert payload == ("hello", 42)
-        for node in net.nodes.values():
-            assert node.broadcast_index >= 1
+        for node_id in net.honest_sensors:
+            assert net.node_columns.broadcast_index[node_id] >= 1
 
     def test_flood_costs_one_round(self, net):
         before = net.metrics.flooding_rounds
@@ -251,4 +251,4 @@ class TestAuthenticatedFlood:
 
     def test_flood_charges_bytes(self, net):
         net.authenticated_flood("x")
-        assert all(net.metrics.bytes_received[i] > 0 for i in net.nodes)
+        assert all(net.metrics.bytes_received[i] > 0 for i in net.honest_sensors)

@@ -9,6 +9,7 @@ predicate, over one sensor's rows at a time.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import NamedTuple
 
 import pytest
@@ -24,7 +25,8 @@ from repro.core.predicate_test import (
     ConfSentExact,
 )
 from repro.net.message import ReadingMessage, VetoMessage, message_digest
-from repro.net.node import AuditLog, HonestNode
+from repro.core.node_columns import NO_LEVEL, NodeColumns
+from repro.net.node import AuditLog
 
 
 def reading(value, instance=0, sensor_id=9):
@@ -336,8 +338,8 @@ class TestLifecycle:
         assert holds(AggForwarded(4, 5.0, 0, 99), audit)
 
     def test_nodes_keep_no_audit_state(self, deployment):
-        assert not hasattr(deployment.network.nodes[1], "audit")
-        assert "audit" not in HonestNode.__slots__
+        assert not hasattr(deployment.network.node_columns, "audit")
+        assert "audit" not in NodeColumns.__slots__
         assert not hasattr(MaliciousNodeState(4), "audit")
 
     def test_each_execution_starts_a_fresh_log(self, deployment):
@@ -352,21 +354,36 @@ class TestLifecycle:
         assert all(message is not stale for message in network.audit.aggregation_sends.message)
 
     def test_begin_execution_resets_node_state(self, deployment):
-        node = deployment.network.nodes[1]
-        node.level = 3
-        node.parents = [0]
-        node.forwarded_veto = True
-        node.begin_execution(reading=7.5)
-        assert node.reading == 7.5
-        assert node.level is None and node.parents == []
-        assert not node.forwarded_veto
-        assert node.query_values is None
+        from repro import MinQuery
+        from repro.core.protocol import install_execution
 
-    def test_has_valid_level(self, deployment):
-        node = deployment.network.nodes[1]
-        node.level = None
-        assert not node.has_valid_level(10)
-        node.level = 5
-        assert node.has_valid_level(10)
-        node.level = 11
-        assert not node.has_valid_level(10)
+        network = deployment.network
+        columns = network.node_columns
+        assert columns.query_values is None
+        columns.level[1] = 3
+        columns.parents_arena = array("i", [0])
+        columns.parents_len[1] = 1
+        assert columns.parents(1) == [0]
+        columns.forwarded_veto[1] = True
+        columns.forwarded_beacon[1] = True
+        own = install_execution(network, {1: 7.5}, MinQuery(), b"nonce")
+        assert columns.reading[1] == 7.5
+        assert columns.level[1] == NO_LEVEL and columns.parents(1) == []
+        assert not columns.forwarded_veto[1] and not columns.forwarded_beacon[1]
+        assert columns.query_values.shape == (network.topology.num_nodes, 1)
+        assert columns.query_values[1].tolist() == [7.5]
+        assert [m.value for m in own[1]] == [7.5]
+        assert list(own) == list(network.honest_ids)
+
+    def test_level_column_validity(self, deployment):
+        level = deployment.network.node_columns.level
+
+        def valid(node_id, depth_bound):
+            return bool(1 <= level[node_id] <= depth_bound)
+
+        level[1] = NO_LEVEL
+        assert not valid(1, 10)
+        level[1] = 5
+        assert valid(1, 10)
+        level[1] = 11
+        assert not valid(1, 10)

@@ -15,6 +15,8 @@ These tests pin the contracts the 10k-node path leans on:
   registry's direct link computation across revocation epochs;
 * the cache-stat algebra (merge/diff/sum) keeps honest counters across
   clears and worker processes;
+* a network's memory grows by a few array cells per sensor, not by a
+  per-sensor object;
 * the scale bench's cell plan, payload gate and bit-identity check.
 """
 
@@ -311,12 +313,48 @@ class TestSecureViewEquivalence:
             exclude={
                 i
                 for i in net.topology.node_ids
-                if i != 0 and (i not in net.nodes or i in revoked)
+                if i != 0 and (not net.is_honest_sensor(i) or i in revoked)
             }
         )
         assert net.honest_secure_component() == reference
         # A revoked mid-line sensor cuts everything behind it off.
         assert all(node <= 4 for node in reference)
+
+
+# ----------------------------------------------------------------------
+# Network memory per sensor
+# ----------------------------------------------------------------------
+class TestNetworkMemory:
+    """A sensor is an id into the network's columns: building a
+    :class:`~repro.net.network.Network` costs a few array cells per
+    sensor (state columns, clock offsets, the honest-id tuple), not a
+    per-sensor object."""
+
+    @staticmethod
+    def _network_bytes(side):
+        import tracemalloc
+
+        from repro.keys.registry import KeyRegistry
+        from repro.net.network import Network
+        from repro.topology import grid_topology
+
+        config = small_test_config()
+        topology = grid_topology(side, side)
+        registry = KeyRegistry(b"network-memory", topology.num_nodes, config.keys)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            network = Network(topology, registry, config, seed=1)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert network.topology is topology
+        return used
+
+    def test_bytes_per_added_sensor(self):
+        small, large = self._network_bytes(40), self._network_bytes(80)
+        per_sensor = (large - small) / (80 * 80 - 40 * 40)
+        assert per_sensor < 128, f"{per_sensor:.1f} B per added sensor"
 
 
 # ----------------------------------------------------------------------

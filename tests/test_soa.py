@@ -34,7 +34,7 @@ from repro.faults import Duplicate, FaultInjector, FaultPlan
 from repro.keys.ring import ring_indices_from_seed, ring_seed
 from repro.keys.revocation import RevocationState
 from repro.keys.soa import RingTable
-from repro.net.node import HonestNode
+from repro.core.node_columns import NO_LEVEL, NodeColumns
 from repro.net.soa import SoATransport
 from repro.perf.cache import (
     LRUCache,
@@ -707,11 +707,14 @@ class TestCacheSizing:
 # One kernel: every inline run, honest or attacked, caches on or off
 # ----------------------------------------------------------------------
 def _assert_column_kernel(network):
-    """The network runs the column kernel: node views over shared
+    """The network runs the column kernel: sensors are ids into shared
     columns, the SoA frame store and the ring-table registry."""
-    nodes = list(network.nodes.values())
-    assert nodes and all(type(node) is HonestNode for node in nodes)
-    assert all(node._columns is network.node_columns for node in nodes)
+    columns = network.node_columns
+    assert network.honest_sensors and not hasattr(network, "nodes")
+    assert type(columns) is NodeColumns
+    for name in ("reading", "level", "parents_start", "parents_len", "forwarded_veto",
+                 "forwarded_beacon", "crash_suspected", "broadcast_index"):
+        assert len(getattr(columns, name)) == network.topology.num_nodes, name
     assert type(network.new_phase("probe", 1).transport) is SoATransport
     assert network.registry.ring_table is not None
     assert isinstance(network.registry.revocation, RevocationState)
@@ -759,7 +762,7 @@ class TestColumnGating:
         with disabled():
             network = self._deployment().network
             _assert_column_kernel(network)
-            readings = {i: 5.0 + i for i in network.nodes}
+            readings = {i: 5.0 + i for i in network.honest_sensors}
             assert VMATProtocol(network).execute(MinQuery(), readings).produced_result
             _assert_column_kernel(network)
 
@@ -871,11 +874,11 @@ class TestBackendSelection:
         )
         for sensor in range(1, 6):
             assert table.ring(sensor).indices == explicit.ring(sensor).indices
-            table_mat = table.sensor_deployment_material(sensor)
-            explicit_mat = explicit.sensor_deployment_material(sensor)
-            assert table_mat.ring_indices == explicit_mat.ring_indices
-            assert table_mat.sensor_key == explicit_mat.sensor_key
-            assert table_mat.all_keys == explicit_mat.all_keys
+            table_ring, explicit_ring = table.ring(sensor), explicit.ring(sensor)
+            assert table.sensor_key(sensor) == explicit.sensor_key(sensor)
+            assert [table_ring.key(i) for i in table_ring.indices] == [
+                explicit_ring.key(i) for i in explicit_ring.indices
+            ]
         for a in range(6):
             for b in range(a + 1, 6):
                 assert table.shared_key_indices(a, b) == explicit.shared_key_indices(a, b)
@@ -891,7 +894,7 @@ class TestHopCountLevels:
     A wormhole can make that ``-1`` or past ``2**31``; neither may read
     back as "no level" (and so re-accept a later beacon) or overflow an
     ``int32`` cell.  Claims stay in the tree step; a node's level cell
-    only ever holds ``None`` or a valid level.
+    only ever holds ``NO_LEVEL`` or a valid level.
     """
 
     def _tree(self, inflation):
@@ -924,9 +927,9 @@ class TestHopCountLevels:
         network = build_deployment(
             config=small_test_config(depth_bound=6), topology=line_topology(4), seed=1
         ).network
-        node = network.nodes[2]
-        for value in (None, 1, 5, 6, None):
-            node.level = value
-            assert node.level == value
-            assert node.has_valid_level(6) == (value is not None and 1 <= value <= 6)
-        assert network.nodes[1].level is None
+        level = network.node_columns.level
+        for value in (NO_LEVEL, 1, 5, 6, NO_LEVEL):
+            level[2] = value
+            assert level[2] == value
+            assert (1 <= level[2] <= 6) == (value != NO_LEVEL and 1 <= value <= 6)
+        assert level[1] == NO_LEVEL
