@@ -23,7 +23,7 @@ from ..crypto.nonce import NonceSource
 from ..net.network import Network
 from ..core.aggregation import run_aggregation
 from ..core.confirmation import run_confirmation
-from ..core.protocol import install_execution, sign_instance_values
+from ..core.protocol import install_execution
 from ..core.tree import form_tree
 
 
@@ -77,18 +77,9 @@ class AlarmOnlyProtocol:
         nonce = self.nonces.next()
         network.authenticated_flood("alarm-only-query", query.name, nonce)
 
-        own_messages = install_execution(network, readings, query, nonce)
-
-        if self.adversary is not None:
-            mal = network.malicious_ids
-            mal_readings = {i: float(readings.get(i, 0.0)) for i in mal}
-            mal_values = {
-                i: query.instance_values(i, mal_readings[i], nonce) for i in mal
-            }
-            mal_messages = {
-                i: sign_instance_values(network.registry, i, mal_values[i], nonce) for i in mal
-            }
-            self.adversary.begin_execution(mal_readings, mal_values, mal_messages)
+        own_messages = install_execution(
+            network, readings, query, nonce, adversary=self.adversary
+        )
 
         form_tree(network, self.adversary, L)
         agg = run_aggregation(

@@ -54,27 +54,17 @@ def run_insecure_tag_min(
     bytes_before = network.metrics.total_bytes()
     rounds_before = network.metrics.flooding_rounds
 
-    # Honest sensors still frame readings as messages; the MACs carry no
-    # weight because nothing verifies them (accept-everything callback).
+    # Every sensor, honest or compromised, still frames its reading as a
+    # message; the MACs carry no weight because nothing verifies them
+    # (accept-everything callback).
     nonce = b"insecure-tag"
     own = install_execution(
         network, readings, MinQuery(), nonce,
         sign=lambda registry, node_id, values, _nonce: [
             ReadingMessage(sensor_id=node_id, value=values[0], mac=b"\x00" * 8)
         ],
+        adversary=adversary,
     )
-
-    if adversary is not None:
-        malicious = network.malicious_ids
-        mal_readings = {i: float(readings.get(i, 0.0)) for i in malicious}
-        adversary.begin_execution(
-            mal_readings,
-            {i: [mal_readings[i]] for i in malicious},
-            {
-                i: [ReadingMessage(sensor_id=i, value=mal_readings[i], mac=b"\x00" * 8)]
-                for i in malicious
-            },
-        )
 
     form_tree(network, adversary, depth_bound, variant="hopcount")
     agg = run_aggregation(

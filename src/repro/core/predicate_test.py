@@ -324,9 +324,8 @@ def run_keyed_predicate_test(
         predicate=predicate,
     )
 
-    honest_ids = network.honest_ids
     relay = honest_step(
-        network, phase, ReplyRelay, honest_ids,
+        network, phase, ReplyRelay, network.honest_id_set(),
         key_ref, predicate_bytes, nonce, reply_hash,
     )
 
@@ -343,9 +342,12 @@ def run_keyed_predicate_test(
     return relay.heard
 
 
-def first_valid_replies(phase, k: int, reply_hash: bytes, waiting) -> Dict[int, PredicateReply]:
-    """The first hash-valid reply each receiver in ``waiting`` heard in
-    interval ``k``, in one sweep over the interval's rows.
+def first_valid_replies(
+    phase, k: int, reply_hash: bytes, ids, relayed
+) -> Dict[int, PredicateReply]:
+    """The first hash-valid reply each listener heard in interval ``k``,
+    in one sweep over the interval's rows.  Listeners are the base
+    station and ``ids``, less ``relayed``.
 
     The hash check is the *only* gate — the reply is
     content-authenticated, so even a frame with an unverifiable edge MAC
@@ -357,7 +359,11 @@ def first_valid_replies(phase, k: int, reply_hash: bytes, waiting) -> Dict[int, 
     batch_valid: Dict[int, bool] = {}
     mac_valid: Dict[bytes, bool] = {}
     for receiver, batch_id in zip(receivers, batch_ids):
-        if receiver not in waiting or receiver in found:
+        if (
+            receiver in found
+            or receiver in relayed
+            or (receiver not in ids and receiver != BASE_STATION_ID)
+        ):
             continue
         valid = batch_valid.get(batch_id)
         if valid is None:
@@ -386,25 +392,30 @@ class ReplyRelay(HonestStep):
 
     Each interval, every queued sensor sends in one
     :meth:`~repro.net.network.PhaseContext.broadcast` block, and one
-    :func:`first_valid_replies` sweep finds the sensors still waiting
-    that now relay.  The base station listens in the same sweep (it
-    never relays): ``heard`` records whether a valid reply reached it,
-    which is whether the test succeeded.  Node hosts never hold the
-    base station's frames, so there it simply stays unheard.
+    :func:`first_valid_replies` sweep finds the listeners that now
+    relay.  A sensor listens while it is one of the step's ``ids`` and
+    is not in ``relayed``, which grows with the flood.  ``ids`` is a set
+    (inline, the network's per-epoch
+    :meth:`~repro.net.network.Network.honest_id_set`), so building the
+    step costs the key's holders, not the population.  The base station
+    listens in the same sweep until it hears (it never relays):
+    ``heard`` records whether a valid reply reached it, which is whether
+    the test succeeded.  Node hosts never hold the base station's
+    frames, so there it simply stays unheard.
     """
 
-    __slots__ = ("reply_hash", "pending", "listening", "heard")
+    __slots__ = ("ids", "reply_hash", "pending", "relayed", "heard")
 
     def __init__(self, network, phase, ids, key_ref, predicate_bytes, nonce,
                  reply_hash) -> None:
         super().__init__(network, phase)
-        honest_set = set(ids)
+        self.ids = ids
         self.reply_hash = reply_hash
         predicate = decode_predicate(predicate_bytes)
         kind, ident = key_ref
         holders = [ident] if kind == "sensor" else network.registry.holders(ident)
         satisfied = predicate.satisfied_by(
-            network.audit, honest_set.intersection(holders), phase.num_intervals
+            network.audit, {h for h in holders if h in ids}, phase.num_intervals
         )
         self.pending: Dict[int, PredicateReply] = {}
         for holder in holders:
@@ -412,10 +423,8 @@ class ReplyRelay(HonestStep):
                 self.pending[holder] = PredicateReply(
                     mac=reply_mac_for(node_key(network, key_ref, holder), nonce)
                 )
-        # Hosted honest sensors that have not relayed yet, and the base
-        # station until it hears a valid reply.
-        self.listening = honest_set.difference(self.pending)
-        self.listening.add(BASE_STATION_ID)
+        # Sensors that queued a reply, and the base station once heard.
+        self.relayed: Set[int] = set(self.pending)
         self.heard = False
 
     def tick(self, k: int) -> None:
@@ -425,10 +434,10 @@ class ReplyRelay(HonestStep):
             self.phase.broadcast(senders, [pending[s] for s in senders], k)
 
     def deliver(self, k: int) -> None:
-        """Sensors still waiting relay the first valid reply they heard."""
-        found = first_valid_replies(self.phase, k, self.reply_hash, self.listening)
+        """Listeners relay the first valid reply they heard."""
+        found = first_valid_replies(self.phase, k, self.reply_hash, self.ids, self.relayed)
         if found:
-            self.listening.difference_update(found)
+            self.relayed.update(found)
             if found.pop(BASE_STATION_ID, None) is not None:
                 self.heard = True
             self.pending.update(found)

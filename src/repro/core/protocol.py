@@ -106,6 +106,7 @@ def install_execution(
     query,
     nonce: bytes,
     sign: Optional[Callable[..., List[ReadingMessage]]] = None,
+    adversary=None,
 ) -> Dict[int, List[ReadingMessage]]:
     """Start one execution (Figure 1) on every unrevoked honest sensor.
 
@@ -116,6 +117,10 @@ def install_execution(
     :func:`sign_instance_values`.  ``crash_suspected`` is not touched:
     the driver resets it before the query flood, which precedes this
     call and may itself be the broadcast a sensor misses.
+
+    With an ``adversary``, every compromised sensor (revoked or not)
+    gets the same install — reading, query values, messages signed by
+    the same ``sign`` — through :meth:`Adversary.begin_execution`.
     """
     sign = sign or sign_instance_values
     network.audit.clear()
@@ -137,6 +142,17 @@ def install_execution(
     if ids:
         columns.reading[ids] = own_readings
         columns.query_values[ids] = np.reshape(own_values, (len(ids), m))
+    if adversary is not None:
+        malicious = network.malicious_ids
+        mal_readings = {i: float(readings.get(i, 0.0)) for i in malicious}
+        mal_values = {
+            i: query.instance_values(i, mal_readings[i], nonce) for i in malicious
+        }
+        adversary.begin_execution(
+            mal_readings,
+            mal_values,
+            {i: sign(network.registry, i, mal_values[i], nonce) for i in malicious},
+        )
     return own_messages
 
 
@@ -281,26 +297,14 @@ class VMATProtocol:
         # Clear the previous execution's audit trail (the pinpointing
         # that may follow an execution runs before the next one starts,
         # so the trail it needs is always intact), then install
-        # per-execution state on honest sensors...
-        own_messages = install_execution(network, readings, query, nonce)
+        # per-execution state on honest sensors and the adversary's
+        # compromised ones.
+        own_messages = install_execution(
+            network, readings, query, nonce, adversary=self.adversary
+        )
         revoked = network.registry.revoked_sensors
         if driver is not None:
             driver.begin_execution(readings, query.name, query.num_instances, nonce)
-
-        # ... and hand the adversary its loot-side state.
-        if self.adversary is not None:
-            mal_readings = {
-                i: float(readings.get(i, 0.0)) for i in network.malicious_ids
-            }
-            mal_values = {
-                i: query.instance_values(i, mal_readings[i], nonce)
-                for i in network.malicious_ids
-            }
-            mal_messages = {
-                i: self._sign_values(i, mal_values[i], nonce)
-                for i in network.malicious_ids
-            }
-            self.adversary.begin_execution(mal_readings, mal_values, mal_messages)
 
         result = ExecutionResult(outcome=ExecutionOutcome.RESULT, query_name=query.name)
         participating = [i for i in readings if i not in revoked]
@@ -483,11 +487,6 @@ class VMATProtocol:
             self.nonces,
             benign_mode=self.network.fault_injector is not None,
         )
-
-    def _sign_values(
-        self, sensor_id: int, values: Sequence[float], nonce: bytes
-    ) -> List[ReadingMessage]:
-        return sign_instance_values(self.network.registry, sensor_id, values, nonce)
 
     def _verify_minimum(self, query, nonce: bytes, instance: int, message: ReadingMessage) -> bool:
         """Base-station check on a candidate minimum (Figure 1, step 4):

@@ -27,7 +27,8 @@ substrate for VMAT's interval-slotted phases:
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict, deque
+from collections import defaultdict
+from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -377,9 +378,10 @@ class PhaseContext:
         # later revocation; the HMAC is deferred to the first read of
         # ``edge_mac``/``verified``.  The verdict is also the trace
         # event's ``verified``: the simulator's own MAC always verifies.
-        view = network._secure_view()
-        indptr, row_cols, row_keys = view._indptr, view._cols, view._keys
-        known = 0 <= sender < len(indptr) - 1
+        row_keys = network._secure_view().keys
+        topology = network.topology
+        indptr, row_cols = topology.indptr, topology.cols
+        known = 0 <= sender < topology.num_nodes
         start, stop = (indptr[sender], indptr[sender + 1]) if known else (0, 0)
         malicious = network.malicious_ids
         targets: List[Tuple[int, int, bool]] = []
@@ -697,6 +699,8 @@ class Network:
         self.node_columns = NodeColumns(topology.num_nodes)
 
         self._adversary_pool_indices: Optional[FrozenSet[int]] = None
+        # (revocation epoch, honest_ids as a frozenset); see honest_id_set.
+        self._honest_id_set: Tuple[int, FrozenSet[int]] = (-1, frozenset())
         # Incrementally-maintained secure-link state (built lazily on the
         # first secure-topology query).
         self._secure_topology: Optional[_SecureTopologyView] = None
@@ -768,6 +772,13 @@ class Network:
         """Honest, non-revoked sensors (the nodes that still participate)."""
         revoked = self.registry.revoked_sensors
         return [i for i in self.honest_sensors if i not in revoked]
+
+    def honest_id_set(self) -> FrozenSet[int]:
+        """:attr:`honest_ids` as a set, derived once per revocation epoch."""
+        epoch = self.registry.revocation_epoch
+        if self._honest_id_set[0] != epoch:
+            self._honest_id_set = (epoch, frozenset(self.honest_ids))
+        return self._honest_id_set[1]
 
     # ------------------------------------------------------------------
     # Secure topology
@@ -984,6 +995,12 @@ class Network:
         self._chain_values[message.index] = disclosure.chain_key
 
 
+def _current_key(registry: KeyRegistry, a: int, b: int) -> int:
+    """:meth:`KeyRegistry.edge_key_index` with ``-1`` for no usable key."""
+    index = registry.edge_key_index(a, b)
+    return -1 if index is None else index
+
+
 class _SecureTopologyView:
     """Incrementally-maintained secure-link state for one :class:`Network`.
 
@@ -1007,34 +1024,27 @@ class _SecureTopologyView:
     the view only changes *when* per-edge work happens, never its
     outcome.
 
-    **Storage is CSR, not dicts.**  Node ids are contiguous, so the
-    radio adjacency and the per-edge current keys live in three flat
-    arrays — ``_indptr``/``_cols`` (neighbour rows, frozen in
-    ``Topology.neighbors`` iteration order) and ``_keys``
-    (parallel current-key row, ``-1`` = no usable key).  That replaces
-    the per-node neighbour tuples, the edge-key dict and the
-    million-set secure adjacency of the dict-based view: at 1M nodes
-    the whole secure topology is ~56 MB of arrays instead of several
-    hundred MB of containers, and reachability/depth queries walk the
-    rows directly.
+    **The radio graph is the topology's.**  The view reads
+    ``topology.indptr``/``topology.cols`` (the CSR rows, in protocol row
+    order) and never writes them — one :class:`Topology` may serve
+    several networks.  It owns only what it adds: ``keys``, the current
+    edge key of each CSR entry (``-1`` = no usable key), the inverted
+    key -> edges map that replays key revocations, and per-epoch memos.
 
-    **Secure rows per epoch.**  :meth:`secure_rows` filters the radio
-    rows down to the links usable in the current revocation epoch —
-    keyed edges between unrevoked endpoints, in CSR row order — and
-    pairs each with its edge key and the honest-accept verdict (the
-    receiver is the base station or an honest sensor).  The rows are
-    flat arrays built in one pass over the CSR and dropped by
-    :meth:`sync`, so a neighbour list or a sender's
-    :meth:`PhaseContext.broadcast` rows are a slice and a degree is a
-    pointer difference.
+    **Per epoch.**  :meth:`secure_rows` filters the radio rows down to
+    the links usable in the current revocation epoch — keyed edges
+    between unrevoked endpoints, in CSR row order — and pairs each with
+    its edge key and the honest-accept verdict (the receiver is the base
+    station or an honest sensor).  One :meth:`Topology.depths` run over
+    the keyed edges and the honest, unrevoked sensors gives both the
+    honest secure component and its depth bound.  :meth:`sync` drops
+    both memos.
     """
 
     __slots__ = (
         "network",
         "_epoch",
-        "_indptr",
-        "_cols",
-        "_keys",
+        "keys",
         "_keyed_edges",
         "_component",
         "_depth_bound",
@@ -1045,49 +1055,21 @@ class _SecureTopologyView:
         self.network = network
         topology = network.topology
         registry = network.registry
-        edges = list(topology.edges())
-        # Transient (a < b) edge -> current-key map feeding the CSR fill
-        # below; freed when __init__ returns.
-        edge_key: Dict[Tuple[int, int], Optional[int]] = {}
-        if registry.revocation_epoch == 0 and edges:
+        # One key per undirected edge, written into both directions.
+        heads, tails = array("i"), array("i")
+        for a, b in topology.edges():
+            heads.append(a)
+            tails.append(b)
+        if registry.revocation_epoch == 0:
             # Nothing revoked yet: every edge key is the epoch-zero
             # first-shared index, computed in bulk over region-sharded
             # fork workers instead of one ring intersection per edge.
-            bulk = registry.ring_table.edge_keys(
-                [e[0] for e in edges], [e[1] for e in edges]
-            )
-            for edge, index in zip(edges, bulk.tolist()):
-                edge_key[edge] = None if index < 0 else index
+            found = array("i", registry.ring_table.edge_keys(heads, tails).tobytes())
         else:
-            revocation = registry.revocation
-            for edge in edges:
-                a, b = edge
-                index = None
-                for candidate in registry.shared_key_indices(a, b):
-                    if not revocation.is_key_revoked(candidate):
-                        index = candidate
-                        break
-                edge_key[edge] = index
-        # CSR radio adjacency: node ids are contiguous (range(num_nodes)),
-        # so ``cols[indptr[n]:indptr[n + 1]]`` is node n's neighbour row
-        # and ``keys`` the parallel current-edge-key row (-1 = no usable
-        # key).  Rows are frozen in ``Topology.neighbors`` iteration
-        # order (a frozenset of ints, deterministic across processes):
-        # filtering a row in order fixes the secure_neighbors lists —
-        # and hence per-receiver RNG draw order.
-        indptr = array("q", [0])
-        cols = array("i")
-        keys = array("i")
-        for node in topology.node_ids:
-            for other in topology.neighbors(node):
-                cols.append(other)
-                pair = (node, other) if node < other else (other, node)
-                index = edge_key[pair]
-                keys.append(-1 if index is None else index)
-            indptr.append(len(cols))
-        self._indptr = indptr
-        self._cols = cols
-        self._keys = keys
+            found = array("i", map(_current_key, repeat(registry), heads, tails))
+        self.keys = array("i", [-1]) * len(topology.cols)
+        for a, b, index in zip(heads, tails, found):
+            self._set_edge_key(a, b, index)
         # Inverted key -> edges map, needed only to replay key-revocation
         # events; built lazily on the first sync (fully honest runs never
         # pay for it).
@@ -1105,8 +1087,9 @@ class _SecureTopologyView:
         keyed = self._keyed_edges
         if keyed is None:
             keyed = defaultdict(set)
-            indptr, cols, keys = self._indptr, self._cols, self._keys
-            for a in range(len(indptr) - 1):
+            topology = self.network.topology
+            indptr, cols, keys = topology.indptr, topology.cols, self.keys
+            for a in range(topology.num_nodes):
                 for pos in range(indptr[a], indptr[a + 1]):
                     b = cols[pos]
                     if b > a and keys[pos] >= 0:
@@ -1115,8 +1098,9 @@ class _SecureTopologyView:
         return keyed
 
     def _set_edge_key(self, a: int, b: int, index: int) -> None:
-        """Write one radio edge's current key into both directed rows."""
-        indptr, cols, keys = self._indptr, self._cols, self._keys
+        """Write one radio edge's current key into both directed entries."""
+        topology = self.network.topology
+        indptr, cols, keys = topology.indptr, topology.cols, self.keys
         keys[cols.index(b, indptr[a], indptr[a + 1])] = index
         keys[cols.index(a, indptr[b], indptr[b + 1])] = index
 
@@ -1126,20 +1110,14 @@ class _SecureTopologyView:
         log = registry.revocation.log
         if len(log) == self._epoch:
             return
-        revocation = registry.revocation
         keyed_edges = self._ensure_keyed_edges()
         for event in log[self._epoch:]:
             if event.kind != "key":
                 continue  # endpoint revocation is checked live per query
             for edge in keyed_edges.pop(event.target, ()):
-                a, b = edge
-                index = None
-                for candidate in registry.shared_key_indices(a, b):
-                    if not revocation.is_key_revoked(candidate):
-                        index = candidate
-                        break
-                self._set_edge_key(a, b, -1 if index is None else index)
-                if index is not None:
+                index = _current_key(registry, *edge)
+                self._set_edge_key(*edge, index)
+                if index >= 0:
                     keyed_edges[index].add(edge)
         self._epoch = len(log)
         self._component = None
@@ -1150,16 +1128,17 @@ class _SecureTopologyView:
     # Queries
     # ------------------------------------------------------------------
     def edge_key_index(self, a: int, b: int) -> Optional[int]:
-        indptr = self._indptr
-        if not 0 <= a < len(indptr) - 1:
+        topology = self.network.topology
+        if not 0 <= a < topology.num_nodes:
             return self.network.registry.edge_key_index(a, b)
+        indptr = topology.indptr
         try:
-            pos = self._cols.index(b, indptr[a], indptr[a + 1])
+            pos = topology.cols.index(b, indptr[a], indptr[a + 1])
         except ValueError:
             # Non-radio pair (wormhole sends): fall through to the
             # registry's direct computation.
             return self.network.registry.edge_key_index(a, b)
-        index = self._keys[pos]
+        index = self.keys[pos]
         return None if index < 0 else index
 
     def usable_links(self, node_id: int, others: Iterable[int]) -> List[Tuple[int, int]]:
@@ -1185,9 +1164,10 @@ class _SecureTopologyView:
             network = self.network
             is_revoked = network.registry.revocation.is_sensor_revoked
             malicious = network.malicious_ids
-            indptr, cols, keys = self._indptr, self._cols, self._keys
+            topology = network.topology
+            indptr, cols, keys = topology.indptr, topology.cols, self.keys
             ptr, row_cols, row_keys, verdicts = array("q", [0]), array("i"), array("i"), array("b")
-            for node in range(len(indptr) - 1):
+            for node in range(topology.num_nodes):
                 if node == BASE_STATION_ID or not is_revoked(node):
                     for pos in range(indptr[node], indptr[node + 1]):
                         other = cols[pos]
@@ -1209,83 +1189,38 @@ class _SecureTopologyView:
         ptr, cols, _, _ = self.secure_rows()
         return cols[ptr[node_id]:ptr[node_id + 1]].tolist()
 
-    def _allowed_honest(self) -> Set[int]:
-        network = self.network
-        revoked = network.registry.revocation.revoked_sensors
-        allowed = {i for i in network.honest_sensors if i not in revoked}
-        allowed.add(BASE_STATION_ID)
-        return allowed
+    def _traverse(self) -> None:
+        """This epoch's one traversal: keyed edges through honest,
+        unrevoked sensors, giving the component and its depth bound."""
+        keys = self.keys
+        depths = self.network.topology.depths(
+            include=self.network.honest_id_set(),
+            edge_ok=lambda pos, a, b: keys[pos] >= 0,
+        )
+        self._component = set(depths)
+        self._depth_bound = max(depths.values())
 
     def honest_secure_component(self) -> Set[int]:
         if self._component is None:
-            # Reachability over the CSR rows restricted to keyed edges
-            # and allowed endpoints (a reachability set is
-            # traversal-order independent).
-            allowed = self._allowed_honest()
-            indptr, cols, keys = self._indptr, self._cols, self._keys
-            component: Set[int] = {BASE_STATION_ID}
-            frontier = [BASE_STATION_ID]
-            while frontier:
-                current = frontier.pop()
-                for pos in range(indptr[current], indptr[current + 1]):
-                    if keys[pos] < 0:
-                        continue
-                    neighbor = cols[pos]
-                    if neighbor in allowed and neighbor not in component:
-                        component.add(neighbor)
-                        frontier.append(neighbor)
-            self._component = component
+            self._traverse()
         # Callers may mutate the returned set, so hand out a copy.
         return set(self._component)
 
     def fault_aware_component(self, injector: Any) -> Set[int]:
-        allowed = {
-            i
-            for i in self._allowed_honest()
-            if i == BASE_STATION_ID or not injector.node_down(i)
-        }
         # Injector state changes per interval, so this is never cached —
-        # but it still runs on the maintained key rows.
-        indptr, cols, keys = self._indptr, self._cols, self._keys
-        component: Set[int] = {BASE_STATION_ID}
-        frontier = [BASE_STATION_ID]
-        while frontier:
-            current = frontier.pop()
-            for pos in range(indptr[current], indptr[current + 1]):
-                if keys[pos] < 0:
-                    continue
-                neighbor = cols[pos]
-                if (
-                    neighbor in allowed
-                    and neighbor not in component
-                    and not injector.link_blocked(current, neighbor)
-                ):
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        return component
+        # but it still runs on the maintained key column.
+        keys = self.keys
+        up = {i for i in self.network.honest_id_set() if not injector.node_down(i)}
+        return set(
+            self.network.topology.depths(
+                include=up,
+                edge_ok=lambda pos, a, b: keys[pos] >= 0 and not injector.link_blocked(a, b),
+            )
+        )
 
     def effective_depth_bound(self) -> int:
         if self._depth_bound is None:
-            component = self.honest_secure_component()
-            # Breadth-first depths over the keyed CSR rows (BFS depth is
-            # the shortest-path length, independent of visit order).
-            indptr, cols, keys = self._indptr, self._cols, self._keys
-            depths: Dict[int, int] = {BASE_STATION_ID: 0}
-            frontier = deque((BASE_STATION_ID,))
-            while frontier:
-                current = frontier.popleft()
-                next_depth = depths[current] + 1
-                for pos in range(indptr[current], indptr[current + 1]):
-                    if keys[pos] < 0:
-                        continue
-                    neighbor = cols[pos]
-                    if neighbor in component and neighbor not in depths:
-                        depths[neighbor] = next_depth
-                        frontier.append(neighbor)
-            sensor_depths = [
-                d for node, d in depths.items() if node != BASE_STATION_ID
-            ]
-            if not sensor_depths:
-                raise NetworkError("honest secure component is empty")
-            self._depth_bound = max(sensor_depths)
+            self._traverse()
+        if not self._depth_bound:
+            raise NetworkError("honest secure component is empty")
         return self._depth_bound

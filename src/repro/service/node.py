@@ -193,7 +193,9 @@ class NodeHost:
                 *args, own_messages=self.own_messages
             ),
             "confirmation": VetoSchedule,
-            "predicate-reply": ReplyRelay,
+            "predicate-reply": lambda network, phase, ids, *args: ReplyRelay(
+                network, phase, frozenset(ids), *args
+            ),
         }
         self._stopping = False
         self.timeouts = ControlTimeouts.from_spec(spec)

@@ -1,10 +1,13 @@
 """Sensor-network topology model and generators.
 
 A :class:`~repro.topology.graph.Topology` is the *radio* connectivity
-graph: which sensors can physically hear one another.  The base station is
-node ``0`` by convention.  Protocol code operates on the *secure* subgraph
-(radio edges whose endpoints share a non-revoked Eschenauer–Gligor key),
-which is derived by :class:`~repro.net.network.Network`.
+graph: which sensors can physically hear one another, stored once as CSR
+arrays (``indptr``/``cols``).  The base station is node ``0`` by
+convention.  Protocol code operates on the *secure* subgraph (radio edges
+whose endpoints share a non-revoked Eschenauer–Gligor key), which
+:class:`~repro.net.network.Network` derives as an edge-key column over the
+same arrays; :meth:`~repro.topology.graph.Topology.depths` is the one
+traversal for both.
 
 Generators cover the standard evaluation shapes: random geometric graphs
 (the usual sensor-deployment model), grids, lines (worst-case depth), and

@@ -1,43 +1,30 @@
 """Radio-connectivity graph for a sensor network.
 
 The topology is undirected and static for the lifetime of an experiment.
-Node ``0`` is the base station.  Depth (the paper's per-sensor ``depth``
-and network depth ``L``) is defined on a *subset* of nodes — the proofs
-always exclude malicious sensors when reasoning about depth, so
-:meth:`Topology.depths` takes the node set to consider.
+Node ``0`` is the base station.  The graph is stored once, as CSR: node
+``n``'s radio neighbours are ``cols[indptr[n]:indptr[n + 1]]``.  The
+secure view (:class:`~repro.net.network.Network`) reads these arrays
+directly and keeps only a parallel edge-key column beside them.
+
+Depth (the paper's per-sensor ``depth`` and network depth ``L``) is
+defined on a *subset* of nodes — the proofs always exclude malicious
+sensors when reasoning about depth — so :meth:`Topology.depths` takes the
+node set to consider.  It is the one breadth-first traversal: every
+depth, connectivity and component query, radio or secure, runs it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import accumulate, chain
+from typing import (
+    Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from ..errors import TopologyError
 
 BASE_STATION_ID = 0
-
-
-def depths_over(
-    adjacency: Dict[int, Iterable[int]],
-    source: int = BASE_STATION_ID,
-    allowed: Optional[Set[int]] = None,
-) -> Dict[int, int]:
-    """BFS depths over a plain adjacency mapping (behind
-    :meth:`Topology.depths`).
-
-    ``allowed`` restricts traversal (the source is always allowed);
-    unreachable nodes are absent from the result.
-    """
-    depth: Dict[int, int] = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        current = frontier.popleft()
-        next_depth = depth[current] + 1
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in depth and (allowed is None or neighbor in allowed):
-                depth[neighbor] = next_depth
-                frontier.append(neighbor)
-    return depth
 
 
 class Topology:
@@ -48,11 +35,18 @@ class Topology:
     num_nodes:
         Total node count *including* the base station (node ``0``).
     edges:
-        Iterable of undirected ``(a, b)`` pairs.
+        Iterable of undirected ``(a, b)`` pairs; duplicates collapse.
     positions:
         Optional ``{node_id: (x, y)}`` map for geometric topologies; kept
         for visualization and wormhole-distance checks but never consulted
         by protocol logic.
+
+    The adjacency is two flat arrays, ``indptr`` (``array('q')``, one
+    offset per node plus one) and ``cols`` (``array('i')``, both
+    directions of every edge).  Row order is protocol semantics — it
+    fixes inbox deposit order, single-path parents and the per-receiver
+    loss and fault draws — so each row keeps the iteration order of a
+    ``frozenset`` of the node's neighbour set built in edge order.
     """
 
     def __init__(
@@ -64,32 +58,35 @@ class Topology:
         if num_nodes < 2:
             raise TopologyError("a sensor network needs the base station plus >= 1 sensor")
         self.num_nodes = num_nodes
-        self._adjacency: Dict[int, Set[int]] = {i: set() for i in range(num_nodes)}
+        # Neighbour sets exist only while the rows are built.
+        rows: List[Set[int]] = [set() for _ in range(num_nodes)]
         for a, b in edges:
-            self.add_edge(a, b)
+            self._check_node(a)
+            self._check_node(b)
+            if a == b:
+                raise TopologyError(f"self-loop on node {a}")
+            rows[a].add(b)
+            rows[b].add(a)
+        self.indptr = array("q", [0])
+        self.indptr.extend(accumulate(map(len, rows)))
+        self.cols = array("i", chain.from_iterable(map(frozenset, rows)))
         self.positions = dict(positions) if positions else {}
 
     # ------------------------------------------------------------------
-    # Construction and basic queries
+    # Basic queries
     # ------------------------------------------------------------------
-    def add_edge(self, a: int, b: int) -> None:
-        self._check_node(a)
-        self._check_node(b)
-        if a == b:
-            raise TopologyError(f"self-loop on node {a}")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
-
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adjacency.get(a, ())
+        if not 0 <= a < self.num_nodes:
+            return False
+        return b in self.cols[self.indptr[a]:self.indptr[a + 1]]
 
     def neighbors(self, node: int) -> FrozenSet[int]:
         self._check_node(node)
-        return frozenset(self._adjacency[node])
+        return frozenset(self.cols[self.indptr[node]:self.indptr[node + 1]])
 
     def degree(self, node: int) -> int:
         self._check_node(node)
-        return len(self._adjacency[node])
+        return self.indptr[node + 1] - self.indptr[node]
 
     @property
     def node_ids(self) -> range:
@@ -101,57 +98,74 @@ class Topology:
         return [i for i in range(self.num_nodes) if i != BASE_STATION_ID]
 
     def edges(self) -> Iterator[Tuple[int, int]]:
+        """Each undirected edge once, as ``(a, b)`` with ``a < b``, in
+        row order."""
+        indptr, cols = self.indptr, self.cols
         for a in range(self.num_nodes):
-            for b in self._adjacency[a]:
+            for pos in range(indptr[a], indptr[a + 1]):
+                b = cols[pos]
                 if a < b:
                     yield (a, b)
 
     def num_edges(self) -> int:
-        return sum(1 for _ in self.edges())
+        return len(self.cols) // 2
 
     # ------------------------------------------------------------------
     # Depth and connectivity (Section III definitions)
     # ------------------------------------------------------------------
     def depths(
         self,
-        include: Optional[Set[int]] = None,
+        include: Optional[Container[int]] = None,
         source: int = BASE_STATION_ID,
+        edge_ok: Optional[Callable[[int, int, int], bool]] = None,
     ) -> Dict[int, int]:
         """BFS depth of every reachable node, restricted to ``include``.
 
         ``include`` is the node set the paths may traverse (the paper
-        computes depth "excluding all malicious sensors").  The source is
-        always considered included.  Unreachable nodes are absent from
-        the result.
+        computes depth "excluding all malicious sensors"), as a set; the
+        source is always included.  ``edge_ok(position, a, b)``, when
+        given, decides whether the walk may cross from ``a`` to ``b``
+        over CSR entry ``cols[position]`` (the secure view passes its
+        edge-key test).  Unreachable nodes are absent from the result.
         """
-        allowed = set(include) if include is not None else None
-        if allowed is not None:
-            allowed.add(source)
         self._check_node(source)
-        return depths_over(self._adjacency, source=source, allowed=allowed)
+        indptr, cols = self.indptr, self.cols
+        depth: Dict[int, int] = {source: 0}
+        frontier = deque((source,))
+        while frontier:
+            current = frontier.popleft()
+            next_depth = depth[current] + 1
+            for pos in range(indptr[current], indptr[current + 1]):
+                neighbor = cols[pos]
+                if (
+                    neighbor not in depth
+                    and (include is None or neighbor in include)
+                    and (edge_ok is None or edge_ok(pos, current, neighbor))
+                ):
+                    depth[neighbor] = next_depth
+                    frontier.append(neighbor)
+        return depth
 
     def network_depth(self, exclude: Optional[Set[int]] = None) -> int:
         """The paper's ``L``: max depth over reachable honest sensors."""
-        exclude = exclude or set()
-        include = {i for i in range(self.num_nodes) if i not in exclude}
-        depth = self.depths(include=include)
-        reachable = [d for node, d in depth.items() if node != BASE_STATION_ID]
-        if not reachable:
+        depth = self.depths(include=self._kept(exclude))
+        if len(depth) == 1:
             raise TopologyError("no sensor is reachable from the base station")
-        return max(reachable)
+        return max(depth.values())
 
     def is_connected(self, exclude: Optional[Set[int]] = None) -> bool:
         """Whether all non-excluded nodes reach the base station."""
-        exclude = exclude or set()
-        include = {i for i in range(self.num_nodes) if i not in exclude}
+        include = self._kept(exclude)
         depth = self.depths(include=include)
         return all(node in depth for node in include)
 
     def connected_component(self, exclude: Optional[Set[int]] = None) -> Set[int]:
         """Nodes reachable from the base station avoiding ``exclude``."""
+        return set(self.depths(include=self._kept(exclude)))
+
+    def _kept(self, exclude: Optional[Set[int]]) -> Set[int]:
         exclude = exclude or set()
-        include = {i for i in range(self.num_nodes) if i not in exclude}
-        return set(self.depths(include=include))
+        return {i for i in range(self.num_nodes) if i not in exclude}
 
     # ------------------------------------------------------------------
     # Derivation

@@ -21,8 +21,7 @@ def to_networkx(topology: Topology):
     import networkx
 
     graph = networkx.Graph()
-    graph.add_nodes_from(topology.node_ids)
-    graph.add_edges_from(topology.edges())
+    graph.update(edges=topology.edges(), nodes=topology.node_ids)
     for node, (x, y) in topology.positions.items():
         graph.nodes[node]["pos"] = (x, y)
     return graph

@@ -40,6 +40,7 @@ from repro.perf.scale import (
     LINE_MAX_NODES,
     REFERENCE_MAX_NODES,
     SCALE_SIZES,
+    attacked_reference_equality,
     compare_scale_payloads,
     grid_dims,
     reference_equality,
@@ -321,6 +322,34 @@ class TestSecureViewEquivalence:
         assert all(node <= 4 for node in reference)
 
 
+class TestEdgeKeyColumn:
+    """The view's key column is computed once per undirected edge and
+    mirrored into both directed entries; every entry must equal the
+    registry's own computation for that ordered pair."""
+
+    @staticmethod
+    def _assert_column(network):
+        topology, registry = network.topology, network.registry
+        keys = network._secure_view().keys
+        assert len(keys) == len(topology.cols)
+        for a in topology.node_ids:
+            for pos in range(topology.indptr[a], topology.indptr[a + 1]):
+                expected = registry.edge_key_index(a, topology.cols[pos])
+                assert keys[pos] == (-1 if expected is None else expected)
+
+    def test_epoch_zero_fill_on_a_geometric_graph(self):
+        # Rows of degree up to ~20, neither sorted nor in set order.
+        self._assert_column(build_deployment(num_nodes=300, seed=3).network)
+
+    def test_fill_after_revocations(self):
+        net = build_deployment(num_nodes=300, seed=3).network
+        a, b = next(iter(net.topology.edges()))
+        net.registry.revoke_key(net.registry.edge_key_index(a, b))
+        net.registry.revoke_sensor(7)
+        # The view is first built here, at a nonzero revocation epoch.
+        self._assert_column(net)
+
+
 # ----------------------------------------------------------------------
 # Network memory per sensor
 # ----------------------------------------------------------------------
@@ -355,6 +384,90 @@ class TestNetworkMemory:
         small, large = self._network_bytes(40), self._network_bytes(80)
         per_sensor = (large - small) / (80 * 80 - 40 * 40)
         assert per_sensor < 128, f"{per_sensor:.1f} B per added sensor"
+
+
+def _grid10k_deployment():
+    """The 100x100 grid at paper-scale rings (pool 16,384, ring 250),
+    multipath: the grid10k-min shape."""
+    from dataclasses import replace
+
+    from repro.topology import grid_topology
+
+    config = small_test_config(depth_bound=198, pool_size=16_384, ring_size=250)
+    config = replace(config, network=replace(config.network, multipath=True))
+    return build_deployment(config=config, topology=grid_topology(100, 100), seed=1)
+
+
+class TestRadioGraphMemory:
+    """The radio graph is held once, as the topology's CSR arrays; the
+    secure view adds a key column beside it instead of a second copy."""
+
+    def test_topology_bytes_per_sensor(self):
+        import gc
+        import tracemalloc
+
+        from repro.topology import Topology, grid_topology
+
+        edges = list(grid_topology(100, 100).edges())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            topology = Topology(10_000, edges)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert topology.num_edges() == len(edges)
+        assert kept / 10_000 < 64, f"{kept / 10_000:.1f} B per sensor"
+
+    def test_first_secure_view_build_peak(self):
+        import gc
+        import tracemalloc
+
+        network = _grid10k_deployment().network
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            network._secure_view()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / 10_000 <= 165, f"{peak / 10_000:.1f} B per sensor"
+
+    def test_reply_relay_build_is_independent_of_population(self):
+        # A keyed predicate test's honest step costs its key's holders
+        # (176 here), not a set over all 10k sensors.
+        import gc
+        import tracemalloc
+
+        from repro.core.phase_state import honest_step
+        from repro.core.predicate_test import AggForwarded, ReplyRelay, reply_mac_for
+        from repro.crypto.hash import oneway_hash
+
+        network = _grid10k_deployment().network
+        index, nonce = 7, b"relaynon"
+        assert len(network.registry.holders(index)) > 150
+        reply_hash = oneway_hash(reply_mac_for(network.registry.pool_key(index), nonce))
+        predicate = AggForwarded(level=1, value_bound=1.0, key_low=0, key_high=16_383)
+        phase = network.new_phase("predicate-reply", 198)
+
+        def build():
+            return honest_step(
+                network, phase, ReplyRelay, network.honest_id_set(),
+                ("pool", index), predicate.encode(), nonce, reply_hash,
+            )
+
+        build()  # warm: the per-epoch id set, holder list and key caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"{peak / 1024:.1f} KiB"
 
 
 # ----------------------------------------------------------------------
@@ -483,3 +596,13 @@ class TestScaleBitIdentity:
         assert result["metrics_equal"] == 1.0
         assert result["frames"] > 0
         assert result["intervals"] > 0
+
+    @pytest.mark.parametrize("strategy", ["relay-drop", "cover-accomplice", "spurious-veto"])
+    def test_attacked_reference_equality(self, strategy):
+        # A single-node dropper, a colluding strategy and the
+        # predicate-test-heavy spurious vetoer produce byte-identical
+        # output with caches warm and disabled, outcome sequence
+        # included (docs/PERFORMANCE.md).
+        result = attacked_reference_equality("grid", 100, executions=2, strategy=strategy)
+        assert result["metrics_equal"] == 1.0
+        assert result["frames"] > 0
