@@ -72,7 +72,7 @@ def attack_until_quiet(deployment, protocol, max_executions=400):
 def safe_theta(deployment):
     loot = deployment.network.adversary_pool_indices()
     return 1 + max(
-        len(set(deployment.registry.ring(h).indices) & loot)
+        len(set(deployment.registry.ring(h)) & loot)
         for h in deployment.network.honest_sensors
     )
 

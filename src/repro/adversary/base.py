@@ -24,7 +24,6 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..crypto.mac import compute_mac, verify_mac
-from ..errors import ProtocolError
 from ..net.message import (
     PredicateReply,
     ReadingMessage,
@@ -76,17 +75,10 @@ class Adversary:
         self.network = network
         self.strategy = strategy if strategy is not None else Strategy()
         self.rng = random.Random(("adversary", seed).__repr__())
-        registry = network.registry
-        # What capturing a sensor yields: its ring (plus its sensor key,
-        # :meth:`sensor_key`).
-        self.loot = {node_id: registry.ring(node_id) for node_id in network.malicious_ids}
-        # Pooled edge keys: every malicious sensor can use every
-        # compromised key (they collude freely).
-        self.pooled_keys: Dict[int, bytes] = {
-            index: registry.pool_key(index)
-            for ring in self.loot.values()
-            for index in ring.indices
-        }
+        # Capturing a sensor yields its ring and its sensor key; the
+        # registry serves both (the link layer pools the rings,
+        # :meth:`Network.adversary_pool_indices`), so no key is copied
+        # here.
         self.state: Dict[int, MaliciousNodeState] = {
             node_id: MaliciousNodeState(node_id) for node_id in network.malicious_ids
         }
@@ -113,20 +105,9 @@ class Adversary:
     # ------------------------------------------------------------------
     # Capabilities
     # ------------------------------------------------------------------
-    def holds(self, key_index: int) -> bool:
-        """Whether the pooled loot contains this edge key."""
-        return key_index in self.pooled_keys
-
-    def pool_key(self, key_index: int) -> bytes:
-        if key_index not in self.pooled_keys:
-            raise ProtocolError(
-                f"adversary does not hold pool key {key_index}; it cannot MAC with it"
-            )
-        return self.pooled_keys[key_index]
-
     def sensor_key(self, node_id: int) -> bytes:
         """A compromised sensor's sensor key (``KeyError`` for any other)."""
-        if node_id not in self.loot:
+        if node_id not in self.network.malicious_ids:
             raise KeyError(node_id)
         return self.network.registry.sensor_key(node_id)
 
@@ -134,13 +115,13 @@ class Adversary:
         """Link-layer verification as the compromised sensor would do it:
         the key must be in its *own* ring (mimicry — an honest sensor
         could not check keys it does not hold), unrevoked, MAC valid."""
-        ring = self.loot[node_id]
-        if not ring.holds(delivery.key_index):
+        registry = self.network.registry
+        if not registry.node_holds(node_id, delivery.key_index):
             return False
-        if self.network.registry.revocation.is_key_revoked(delivery.key_index):
+        if registry.revocation.is_key_revoked(delivery.key_index):
             return False
         return verify_mac(
-            ring.key(delivery.key_index),
+            registry.pool_key(delivery.key_index),
             delivery.edge_mac,
             "edge",
             delivery.sender,
@@ -363,8 +344,9 @@ class Strategy:
         state = adv.state[node_id]
         kind, ident = ctx.key_ref
         if k == 1:
+            registry = adv.network.registry
             holds = (kind == "sensor" and ident == node_id) or (
-                kind == "pool" and adv.loot[node_id].holds(ident)
+                kind == "pool" and registry.node_holds(node_id, ident)
             )
             if not holds:
                 return
@@ -374,7 +356,7 @@ class Strategy:
             )
             if not self.predtest_answer(adv, ctx, node_id, truthful):
                 return
-            key = adv.sensor_key(node_id) if kind == "sensor" else adv.loot[node_id].key(ident)
+            key = adv.sensor_key(node_id) if kind == "sensor" else registry.pool_key(ident)
             reply = PredicateReply(mac=compute_mac(key, "predicate-reply", ctx.nonce))
             neighbors = adv.usable_neighbors(node_id)
             if neighbors:

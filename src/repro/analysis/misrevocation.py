@@ -59,24 +59,6 @@ class MisrevocationSeries:
         )
 
 
-def _hypergeometric_sample(rng: random.Random, good: int, total: int, draws: int) -> int:
-    """One Hypergeometric(total, good, draws) sample.
-
-    Sequential sampling without replacement — O(draws), exact.
-    """
-    remaining_good = good
-    remaining_total = total
-    hits = 0
-    for _ in range(draws):
-        if rng.random() < remaining_good / remaining_total:
-            hits += 1
-            remaining_good -= 1
-        remaining_total -= 1
-        if remaining_good == 0:
-            break
-    return hits
-
-
 def misrevocation_trials(
     num_sensors: int,
     num_malicious: int,
@@ -84,7 +66,6 @@ def misrevocation_trials(
     trials: int = 100,
     key_config: KeyConfig = KeyConfig(),
     seed: int = 0,
-    use_numpy: bool = True,
 ) -> MisrevocationSeries:
     """Monte-Carlo estimate of the Figure-7 curve for one (n, f)."""
     if num_malicious >= num_sensors:
@@ -101,10 +82,8 @@ def misrevocation_trials(
     honest = num_sensors - num_malicious
 
     label = ("fig7", seed, num_sensors, num_malicious).__repr__()
-    np_rng = None
-    if use_numpy:
-        digest = hashlib.sha256(label.encode()).digest()
-        np_rng = numpy.random.default_rng(int.from_bytes(digest[:8], "big"))
+    digest = hashlib.sha256(label.encode()).digest()
+    np_rng = numpy.random.default_rng(int.from_bytes(digest[:8], "big"))
     rng = random.Random(label)
 
     for _ in range(trials):
@@ -114,16 +93,9 @@ def misrevocation_trials(
             loot.update(rng.sample(range(u), r))
         loot_size = len(loot)
         # Honest overlaps ~ iid Hypergeometric(u, loot_size, r).
-        if np_rng is not None:
-            overlaps = np_rng.hypergeometric(loot_size, u - loot_size, r, size=honest)
-            for theta in thetas:
-                series.per_trial[theta].append(int((overlaps >= theta).sum()))
-        else:
-            counts = [
-                _hypergeometric_sample(rng, loot_size, u, r) for _ in range(honest)
-            ]
-            for theta in thetas:
-                series.per_trial[theta].append(sum(1 for c in counts if c >= theta))
+        overlaps = np_rng.hypergeometric(loot_size, u - loot_size, r, size=honest)
+        for theta in thetas:
+            series.per_trial[theta].append(int((overlaps >= theta).sum()))
 
     for theta in thetas:
         values = series.per_trial[theta]

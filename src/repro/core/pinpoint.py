@@ -247,7 +247,7 @@ class Pinpointer:
         registry = self.network.registry
         revocation = registry.revocation
         domain: Sequence[int] = [
-            z for z in registry.ring(sensor_id).indices
+            z for z in registry.ring(sensor_id)
             if not revocation.is_key_revoked(z)
         ]
         if not domain:

@@ -452,4 +452,6 @@ def node_key(network: Network, key_ref: Tuple[str, int], node_id: int) -> bytes:
         if node_id != ident:
             raise ProtocolError(f"sensor {node_id} asked to reply for {ident}")
         return network.registry.sensor_key(node_id)
-    return network.registry.ring(node_id).key(ident)
+    if not network.registry.node_holds(node_id, ident):
+        raise ProtocolError(f"sensor {node_id} does not hold pool key {ident}")
+    return network.registry.pool_key(ident)

@@ -6,7 +6,8 @@ the paper's proofs rely on — skip the minimum's sensor-MAC check, trust
 veto MACs blindly, ignore the benign-mode deferral rule, let pinpointing
 terminate silently, count ring-dump revocations toward the θ rule,
 un-defer a single absence branch in benign mode, deploy clocks twice as
-far apart as Δ allows — and pairs it with a
+far apart as Δ allows, book links under a key the receiver does not
+hold — and pairs it with a
 *provocation*: a deterministic adversarial scenario in which the
 missing defense matters.
 
@@ -202,8 +203,26 @@ def _mutate_clock_offsets_over_delta() -> Iterator[None]:
         yield
 
 
+@contextlib.contextmanager
+def _mutate_book_unshared_key() -> Iterator[None]:
+    """Book every aggregation link under the sender's highest ring key
+    instead of the edge key both endpoints share: honest receivers then
+    accept frames under keys they do not hold."""
+    from ..net.network import _SecureTopologyView
+
+    original = _SecureTopologyView.usable_links
+
+    def _own_top_key(self, node_id, others):
+        top = self.network.registry.ring(node_id)[-1]
+        return [(other, top) for other, _ in original(self, node_id, others)]
+
+    with _patched(_SecureTopologyView, "usable_links", _own_top_key):
+        yield
+
+
 _PATCHES = {
     "accept-any-minimum": _mutate_accept_any_minimum,
+    "book-unshared-key": _mutate_book_unshared_key,
     "clock-offsets-over-delta": _mutate_clock_offsets_over_delta,
     "revoke-on-absence-despite-benign-mode": (
         _mutate_revoke_on_absence_despite_benign_mode
@@ -289,6 +308,16 @@ MUTANTS: Dict[str, Mutant] = {
             expected=("honest-node-safety",),
             strategy="junk-minimum",
             theta=3,
+        ),
+        Mutant(
+            name="book-unshared-key",
+            description=(
+                "Aggregation links are booked under the sender's highest "
+                "ring key instead of the shared edge key; honest receivers "
+                "verify bundles under a key they do not hold."
+            ),
+            weakens="§IV-B edge keys (the lowest shared, unrevoked pool key)",
+            expected=("edge-mac-authenticity",),
         ),
         Mutant(
             name="clock-offsets-over-delta",

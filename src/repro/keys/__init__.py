@@ -3,8 +3,10 @@
 * :class:`~repro.keys.pool.KeyPool` — the global pool of ``u`` symmetric
   keys plus per-sensor *sensor keys*, all derived from the base station's
   master secret.
-* :class:`~repro.keys.ring.KeyRing` — one sensor's ``r`` pool keys,
-  selected by an announceable per-sensor seed (Eschenauer–Gligor [7]).
+* :class:`~repro.keys.soa.RingTable` — every sensor's ``r`` pool
+  indices as one row of a shared table, selected by an announceable
+  per-sensor seed (Eschenauer–Gligor [7], :func:`ring_seed`); it answers
+  both a sensor's ring and a key's holders.
 * :class:`~repro.keys.registry.KeyRegistry` — the base station's view:
   who holds which pool key, which keys/sensors are revoked, and which
   pool key serves as the *edge key* for a given neighbour pair.
@@ -14,14 +16,13 @@
 
 from .pool import KeyPool
 from .registry import KeyRegistry
-from .ring import KeyRing, ring_seed
+from .ring import ring_seed
 from .revocation import RevocationEvent, RevocationState
 from .schemes import PairwiseScheme
 
 __all__ = [
     "KeyPool",
     "KeyRegistry",
-    "KeyRing",
     "PairwiseScheme",
     "RevocationEvent",
     "RevocationState",

@@ -22,8 +22,7 @@ from ..config import KeyConfig, RevocationConfig
 from ..errors import KeyManagementError
 from .pool import KeyPool
 from .revocation import RevocationEvent, RevocationState
-from .ring import KeyRing
-from .soa import LazyRingMap, RingTable
+from .soa import RingTable
 
 BASE_STATION_ID = 0
 
@@ -50,8 +49,9 @@ class KeyRegistry:
         theta = revocation_config.theta if revocation_config is not None else None
         # One shared int32 ring table (repro.keys.soa) backs every
         # scheme: the default Eschenauer–Gligor draw, or a scheme's
-        # explicit rings.  Per-sensor objects materialize lazily and
-        # revocation counters are flat arrays.
+        # explicit rings.  It answers both "which keys does sensor s
+        # hold" and "who holds key i"; revocation counters are flat
+        # arrays over the same ids.
         if ring_indices_factory is None:
             self.ring_table = RingTable(master_secret, num_nodes, key_config)
         else:
@@ -59,7 +59,6 @@ class KeyRegistry:
                 [ring_indices_factory(sensor_id) for sensor_id in range(1, num_nodes)],
                 key_config.pool_size,
             )
-        self.rings: Dict[int, KeyRing] = LazyRingMap(master_secret, self.pool, self.ring_table)
         self.revocation = RevocationState(self.ring_table, theta=theta, cascade=cascade)
         # Rings are immutable for the deployment's lifetime, so the set
         # intersection behind shared_key_indices is a pure per-edge
@@ -81,10 +80,10 @@ class KeyRegistry:
     # ------------------------------------------------------------------
     # Key lookups
     # ------------------------------------------------------------------
-    def ring(self, sensor_id: int) -> KeyRing:
-        if sensor_id not in self.rings:
-            raise KeyManagementError(f"no ring for node {sensor_id}")
-        return self.rings[sensor_id]
+    def ring(self, sensor_id: int) -> Tuple[int, ...]:
+        """This sensor's sorted pool indices — the ``z_1 < ... < z_r``
+        Figure 5's binary search runs over."""
+        return tuple(self.ring_table.row_list(sensor_id))
 
     def sensor_key(self, sensor_id: int, store: bool = True) -> bytes:
         return self.pool.sensor_key(sensor_id, store=store)
@@ -97,7 +96,7 @@ class KeyRegistry:
 
         The base station is not listed: it holds every key implicitly.
         """
-        return self.revocation.holders_of(index)
+        return self.ring_table.holders(index)
 
     def node_holds(self, node_id: int, index: int) -> bool:
         """Whether ``node_id`` holds pool key ``index`` (BS holds all)."""
@@ -112,14 +111,16 @@ class KeyRegistry:
         """All pool indices both endpoints hold, sorted (ignores revocation)."""
         if a == b:
             raise KeyManagementError("no edge key between a node and itself")
-        if a == BASE_STATION_ID:
-            return self.ring(b).indices
-        if b == BASE_STATION_ID:
-            return self.ring(a).indices
-        edge = (a, b) if a < b else (b, a)
-        shared = self._shared_indices_memo.get(edge)
+        low, high = (a, b) if a < b else (b, a)
+        shared = self._shared_indices_memo.get((low, high))
         if shared is None:
-            shared = self._shared_indices_memo[edge] = self.ring_table.intersect(a, b)
+            # The base station holds every key: its links share the
+            # sensor's whole ring.
+            if low == BASE_STATION_ID:
+                shared = self.ring(high)
+            else:
+                shared = self.ring_table.intersect(low, high)
+            self._shared_indices_memo[(low, high)] = shared
         return shared
 
     def edge_key_index(self, a: int, b: int) -> Optional[int]:
@@ -133,10 +134,6 @@ class KeyRegistry:
             if not self.revocation.is_key_revoked(index):
                 return index
         return None
-
-    def edge_key(self, a: int, b: int) -> Optional[bytes]:
-        index = self.edge_key_index(a, b)
-        return None if index is None else self.pool.pool_key(index)
 
     def link_usable(self, a: int, b: int) -> bool:
         """A link is usable when both endpoints are unrevoked and they

@@ -10,16 +10,15 @@ framed.  Figure 7 of the paper — reproduced in
 
 One implementation serves every key scheme.  Rings are the rows of the
 deployment's shared :class:`repro.keys.soa.RingTable` (drawn
-Eschenauer–Gligor rows or a scheme's explicit ones), per-sensor revoked
-and exposed counts are two flat integer arrays, and the inverted
-``key -> holders`` index is a CSR built on the first revocation, so
-honest large-scale runs never pay for it.
+Eschenauer–Gligor rows or a scheme's explicit ones), which also answers
+who holds a revoked key; per-sensor revoked and exposed counts are two
+flat integer arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Literal, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Literal, Optional, Set
 
 import numpy as np
 
@@ -82,25 +81,10 @@ class RevocationState:
         # station) has no ring and never counts.
         self._revoked_count = np.zeros(table.num_nodes, dtype=np.int64)
         self._exposed_count = np.zeros(table.num_nodes, dtype=np.int64)
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _check_sensor(self, sensor_id: int) -> None:
         if not 1 <= sensor_id < self._table.num_nodes:
             raise RevocationError(f"unknown sensor {sensor_id}")
-
-    def _holder_ids(self, index: int) -> List[int]:
-        """Ascending sensor ids holding pool key ``index``."""
-        if not 0 <= index < self._table.pool_size:
-            return []
-        if self._csr is None:
-            flat = self._table.rows.ravel()
-            order = np.argsort(flat, kind="stable")
-            # Stable sort keeps equal keys in row order: ascending ids.
-            holders = (order // max(1, self._table.ring_size) + 1).astype(np.int32)
-            indptr = np.searchsorted(flat[order], np.arange(self._table.pool_size + 1))
-            self._csr = (indptr, holders)
-        indptr, holders = self._csr
-        return holders[int(indptr[index]):int(indptr[index + 1])].tolist()
 
     # ------------------------------------------------------------------
     # Queries
@@ -129,10 +113,6 @@ class RevocationState:
         (the count the θ rule uses under no-cascade semantics)."""
         self._check_sensor(sensor_id)
         return int(self._exposed_count[sensor_id])
-
-    def holders_of(self, index: int) -> Tuple[int, ...]:
-        """Sorted sensor ids holding pool key ``index`` (revoked or not)."""
-        return tuple(self._holder_ids(index))
 
     # ------------------------------------------------------------------
     # Mutations
@@ -201,7 +181,7 @@ class RevocationState:
         """Mark a key revoked and count it against each holder's ring
         (callers append the log entry)."""
         self._revoked_keys.add(index)
-        holders = self._holder_ids(index)
+        holders = list(self._table.holders(index))
         if holders:
             self._revoked_count[holders] += 1
             if exposed:

@@ -4,23 +4,23 @@ At 10k nodes the profile of a single execution was dominated not by
 crypto but by *containers*: per-sensor index tuples and frozensets
 (~108 MiB), per-sensor ``{index: key}`` dicts (~91 MiB), boxed ints from
 the ring sampler (~75 MiB) and inverted holder lists (~23 MiB).  This
-module replaces all of them with one shared table:
+module replaces all of them with one shared table,
+:class:`RingTable`: every ring as one ``int32`` row of a single
+``(num_sensors, ring_size)`` array (4 bytes per held key instead of
+~90).  Eschenauer–Gligor rows are built region-sharded across fork
+workers, each region's rings drawn in one call to
+:func:`repro.crypto.prf.sample_distinct_rows`;
+:meth:`RingTable.from_rows` takes a scheme's explicit rows instead (the
+pairwise scheme, :mod:`repro.keys.schemes`).
 
-* :class:`RingTable` — every ring as one ``int32`` row of a single
-  ``(num_sensors, ring_size)`` array (4 bytes per held key instead of
-  ~90).  Eschenauer–Gligor rows are built region-sharded across fork
-  workers, each region's rings drawn in one call to
-  :func:`repro.crypto.prf.sample_distinct_rows`;
-  :meth:`RingTable.from_rows` takes a scheme's explicit rows instead
-  (the pairwise scheme, :mod:`repro.keys.schemes`);
-* :class:`LazyRingMap` — the public ``registry.rings`` API,
-  materializing a per-sensor :class:`~repro.keys.ring.KeyRing` only when
-  something asks for one (adversary loot, pinpoint protocols, tests).
-  A sensor's key material is its table row plus its sensor key, both
-  served by the registry; nothing else is stored per sensor.
+The table answers both directions of "who holds what": a sensor's ring
+is its row (:meth:`RingTable.row_list`), and a key's holders come from
+the inverted ``key -> holders`` CSR (:meth:`RingTable.holders`), built
+on the first call, so honest large-scale runs never pay for it.  This
+module is the only one that knows the row layout; the registry, the
+revocation state and the link layer all ask the table.
 
-:class:`repro.keys.revocation.RevocationState` keeps its counters and
-holder index over the same table.  Rows hold exactly the indices
+Rows hold exactly the indices
 :func:`repro.crypto.prf.sample_distinct_indices` draws (the batch
 sampler seeds the same ``random.Random`` per ring and replays ``sample``
 over its words bit for bit), and intersections return exactly the
@@ -30,8 +30,7 @@ table, whatever the key scheme or table size.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from ..config import KeyConfig
 from ..crypto.prf import sample_distinct_rows
 from ..errors import KeyManagementError
 from ..perf.shard import fork_map, regions, shard_count
-from .pool import KeyPool
-from .ring import KeyRing, ring_seed
+from .ring import ring_seed
 
 #: Read-only state handed to edge-key fork workers by copy-on-write
 #: inheritance (set immediately before the pool forks, cleared after).
@@ -98,6 +96,7 @@ class RingTable:
         self.pool_size = config.pool_size
         self.ring_size = config.ring_size
         self.rows = self._build_rows(master_secret, num_nodes - 1)
+        self._holders: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], pool_size: int) -> "RingTable":
@@ -122,6 +121,7 @@ class RingTable:
         table.pool_size = pool_size
         table.ring_size = array.shape[1]
         table.rows = array.astype(np.int32)
+        table._holders = None
         return table
 
     def _build_rows(self, master_secret: bytes, num_sensors: int) -> np.ndarray:
@@ -159,10 +159,25 @@ class RingTable:
         position = int(np.searchsorted(row, pool_index))
         return position < self.ring_size and int(row[position]) == pool_index
 
-    def rank_of(self, sensor_id: int, pool_index: int) -> int:
-        """Position of ``pool_index`` in the sensor's sorted row; the
-        caller is responsible for membership."""
-        return int(np.searchsorted(self._row(sensor_id), pool_index))
+    def holders(self, pool_index: int) -> Tuple[int, ...]:
+        """Ascending ids of the sensors whose ring holds ``pool_index``;
+        empty for an index outside the pool.  The base station holds
+        every key implicitly and is not listed.
+
+        Holder order is protocol semantics (Figure 6's binary search
+        runs over it): a stable sort of the flattened rows keeps equal
+        keys in row order, which is ascending sensor id.
+        """
+        if not 0 <= pool_index < self.pool_size:
+            return ()
+        if self._holders is None:
+            flat = self.rows.ravel()
+            order = np.argsort(flat, kind="stable")
+            ids = (order // max(1, self.ring_size) + 1).astype(np.int32)
+            indptr = np.searchsorted(flat[order], np.arange(self.pool_size + 1))
+            self._holders = (indptr, ids)
+        indptr, ids = self._holders
+        return tuple(ids[int(indptr[pool_index]):int(indptr[pool_index + 1])].tolist())
 
     def intersect(self, a: int, b: int) -> Tuple[int, ...]:
         """Sorted shared pool indices of two sensors, as Python ints."""
@@ -195,37 +210,3 @@ class RingTable:
             _EDGE_STATE = None
         return np.frombuffer(b"".join(chunks), dtype=np.int32).copy()
 
-
-class LazyRingMap(Mapping):
-    """``registry.rings`` over a :class:`RingTable`.
-
-    Behaves like the eager ``{sensor_id: KeyRing}`` dict — iteration in
-    ascending sensor order, ``in``/``len`` over all deployed sensors —
-    but materializes a (table-backed) :class:`KeyRing` only on first
-    access.
-    """
-
-    def __init__(self, master_secret: bytes, pool: KeyPool, table: RingTable) -> None:
-        self._master_secret = master_secret
-        self._pool = pool
-        self._table = table
-        self._rings: Dict[int, KeyRing] = {}
-
-    def __getitem__(self, sensor_id: int) -> KeyRing:
-        ring = self._rings.get(sensor_id)
-        if ring is None:
-            if not (isinstance(sensor_id, int) and 1 <= sensor_id < self._table.num_nodes):
-                raise KeyError(sensor_id)
-            seed = ring_seed(self._master_secret, sensor_id)
-            ring = KeyRing(sensor_id, seed, self._pool, table=self._table)
-            self._rings[sensor_id] = ring
-        return ring
-
-    def __contains__(self, sensor_id: object) -> bool:
-        return isinstance(sensor_id, int) and 1 <= sensor_id < self._table.num_nodes
-
-    def __len__(self) -> int:
-        return max(0, self._table.num_nodes - 1)
-
-    def __iter__(self):
-        return iter(range(1, self._table.num_nodes))

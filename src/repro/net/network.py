@@ -141,6 +141,12 @@ class _SendBatch:
             + suffix
         )
 
+    def edge_mac(self, receiver: int, key_index: int, interval: int) -> bytes:
+        """The edge MAC of this batch's frame to ``receiver`` under pool
+        key ``key_index`` in ``interval``."""
+        key = self.network.registry.pool_key(key_index)
+        return compute_mac_message(key, self.message_for(receiver, interval))
+
 
 class Delivery:
     """One received link-layer frame, as :meth:`PhaseContext.inbox`
@@ -185,12 +191,7 @@ class Delivery:
     def edge_mac(self) -> bytes:
         mac = self._mac
         if mac is None:
-            batch = self._batch
-            key = batch.network.registry.pool_key(self.key_index)
-            mac = compute_mac_message(
-                key, batch.message_for(self.receiver, self.interval)
-            )
-            self._mac = mac
+            mac = self._mac = self._batch.edge_mac(self.receiver, self.key_index, self.interval)
         return mac
 
     @property
@@ -750,7 +751,7 @@ class Network:
         if self._adversary_pool_indices is None:
             indices: Set[int] = set()
             for node_id in self.malicious_ids:
-                indices.update(self.registry.ring(node_id).indices)
+                indices.update(self.registry.ring(node_id))
             self._adversary_pool_indices = frozenset(indices)
         return self._adversary_pool_indices
 
@@ -761,11 +762,9 @@ class Network:
         everything; compromised sensors share the adversary's pooled loot
         (the attack model lets malicious sensors collude freely).
         """
-        if sender == BASE_STATION_ID:
-            return True
         if sender in self.malicious_ids:
             return key_index in self.adversary_pool_indices()
-        return key_index in self.registry.ring(sender)
+        return self.registry.node_holds(sender, key_index)
 
     @property
     def honest_ids(self) -> List[int]:

@@ -82,7 +82,7 @@ class AuditTable:
 
     def rows_of(self, node: int) -> List[int]:
         """Indices of ``node``'s rows, in append order."""
-        return np.flatnonzero(np.array(self.node, dtype=np.int32) == node).tolist()
+        return np.flatnonzero(np.frombuffer(self.node, dtype=np.intc) == node).tolist()
 
     def query(
         self,
@@ -99,14 +99,15 @@ class AuditTable:
         found: Set[int] = set()
         if not candidates or not self.message:
             return found
-        edges = np.array(self.edge, dtype=np.int32)
-        rows = np.flatnonzero(
-            (np.array(self.position, dtype=np.int32) == position)
-            & (edges >= key_low)
-            & (edges <= key_high)
-        )
+        # Read the columns through views, not copies: filter on
+        # position first, then test only those rows' edge keys.  No
+        # view outlives its expression, since a column whose buffer is
+        # exported cannot grow.
+        at = np.flatnonzero(np.frombuffer(self.position, dtype=np.intc) == position)
+        edges = np.frombuffer(self.edge, dtype=np.intc)[at]
+        rows = at[(edges >= key_low) & (edges <= key_high)].tolist()
         node, message = self.node, self.message
-        for row in rows.tolist():
+        for row in rows:
             holder = node[row]
             if holder in candidates and holder not in found and match(message[row]):
                 found.add(holder)

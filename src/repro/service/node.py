@@ -49,7 +49,6 @@ from ..core.tree import TreeColumns
 from ..errors import ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
-from ..net.network import Delivery
 from ..net.soa import block_rows
 from .resilience import (
     CHAOS_REFUSE_ENV,
@@ -107,11 +106,8 @@ class ReplicaTransport:
             batches, counts, receivers, key_indices, verdicts
         ):
             sender = batch.claimed_sender
-            delivery = Delivery(
-                batch, receiver, key_index, interval, verified=None if verdict else False
-            )
             self._seq += 1
-            env = delivery_envelope(delivery, 1, sender, self._seq)
+            env = delivery_envelope(batch, receiver, key_index, interval, 1, sender, self._seq)
             host.up_outbox.append(env)
             if receiver in host.hosted_set:
                 self._bucket(interval, receiver).append(

@@ -47,7 +47,6 @@ from ..errors import ConfigError, HostChannelError, ProtocolError, ServiceError
 from ..faults import FaultInjector
 from ..faults.plan import FaultPlan, NodeCrash
 from ..metrics import Metrics
-from ..net.network import Delivery
 from ..net.soa import SoATransport, block_rows
 from .resilience import (
     DEGRADE_HORIZON,
@@ -96,17 +95,16 @@ class CoordinatorTransport(SoATransport):
             band = 0  # lands before the interval's honest sends
         else:
             band = 2  # post-tick (tree-phase adversary): after honest sends
-        for batch, receiver, key_index, verdict in block_rows(
+        for batch, receiver, key_index, _ in block_rows(
             batches, counts, receivers, key_indices, verdicts
         ):
             host = runtime.host_of.get(receiver)
             if host is None:
                 continue  # base station or malicious sensor: coordinator-local
             runtime.order_counter += 1
-            delivery = Delivery(
-                batch, receiver, key_index, interval, verified=None if verdict else False
+            env = delivery_envelope(
+                batch, receiver, key_index, interval, band, runtime.order_counter, 0
             )
-            env = delivery_envelope(delivery, band, runtime.order_counter, 0)
             runtime.pending_ship.setdefault(host, []).append(env)
 
     def ingest(self, env) -> None:

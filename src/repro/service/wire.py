@@ -7,12 +7,12 @@ Two kinds of bytes cross process boundaries:
   (``encode_record`` / ``StreamDecoder``).  The coordinator speaks them
   over blocking sockets; node hosts over asyncio streams.
 
-* **frame envelopes** — one per link-layer :class:`~repro.net.network.
-  Delivery`, carrying the byte-level payload encoding plus the real
-  edge-key HMAC and a ``(band, order, subseq)`` sort key.  Receivers
-  re-decode the payload, re-derive the canonical edge-MAC message and
-  verify the HMAC themselves — acceptance is recomputed from crypto on
-  every process, never trusted from the sender.
+* **frame envelopes** — one per deposited frame row, carrying the
+  byte-level payload encoding plus the real edge-key HMAC and a
+  ``(band, order, subseq)`` sort key.  Receivers re-decode the payload,
+  re-derive the canonical edge-MAC message and verify the HMAC
+  themselves — acceptance is recomputed from crypto on every process,
+  never trusted from the sender.
 
 The sort key makes a receiver's per-interval inbox order *identical* to
 the in-process simulator's chronological deposit order no matter how the
@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import HostChannelError, HostUnresponsiveError, ServiceError
 from ..net.framing import FramingError, StreamDecoder, encode_record
-from ..net.network import Delivery, PhaseContext, _SendBatch
+from ..net.network import PhaseContext, _SendBatch
 from .resilience import ControlTimeouts, control_timeout
 
 #: (interval, receiver, band, order, subseq, claimed_sender, key_index,
@@ -53,23 +53,28 @@ HEARTBEAT = ("hb",)
 # Frame envelopes
 # ----------------------------------------------------------------------
 def delivery_envelope(
-    delivery: Delivery, band: int, order: int, subseq: int
+    batch: _SendBatch,
+    receiver: int,
+    key_index: int,
+    interval: int,
+    band: int,
+    order: int,
+    subseq: int,
 ) -> Envelope:
-    """Pack one deposited frame for shipping.
+    """Pack one deposited frame — a row of ``batch`` — for shipping.
 
-    Reading ``delivery.edge_mac`` forces the real HMAC computation on the
-    sending process — the wire always carries authenticated frames.
+    The edge MAC is computed for real on the sending process — the wire
+    always carries authenticated frames.
     """
-    batch = delivery._batch
     return (
-        delivery.interval,
-        delivery.receiver,
+        interval,
+        receiver,
         band,
         order,
         subseq,
         batch.claimed_sender,
-        delivery.key_index,
-        delivery.edge_mac,
+        key_index,
+        batch.edge_mac(receiver, key_index, interval),
         batch.payload_bytes,
     )
 

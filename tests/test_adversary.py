@@ -28,18 +28,19 @@ def attacked():
 class TestLootBoundaries:
     def test_loot_is_exactly_compromised_material(self, attacked):
         dep, adv = attacked
-        assert set(adv.loot) == {3, 8}
-        expected = set(dep.registry.ring(3).indices) | set(dep.registry.ring(8).indices)
-        assert set(adv.pooled_keys) == expected
+        assert set(adv.state) == {3, 8}
+        expected = set(dep.registry.ring(3)) | set(dep.registry.ring(8))
         assert dep.network.adversary_pool_indices() == frozenset(expected)
 
-    def test_cannot_mac_outside_loot(self, attacked):
-        dep, adv = attacked
-        outside = next(
-            i for i in range(dep.config.keys.pool_size) if not adv.holds(i)
-        )
-        with pytest.raises(ProtocolError):
-            adv.pool_key(outside)
+    def test_building_derives_no_keys(self, attacked, monkeypatch):
+        from repro.keys import pool, ring
+
+        dep, _ = attacked
+        calls = []
+        for module in (pool, ring):
+            monkeypatch.setattr(module, "derive_key", lambda *a, **k: calls.append(a))
+        Adversary(dep.network, PassiveStrategy(), seed=31)
+        assert calls == []
 
     def test_sensor_keys_only_for_compromised(self, attacked):
         dep, adv = attacked

@@ -90,15 +90,6 @@ class TestFigure7:
         tolerance = 4 * math.sqrt(max(analytic, mc, 0.2) / 60) + 0.3
         assert abs(mc - analytic) <= max(tolerance, 0.5 * max(analytic, 0.2))
 
-    def test_pure_python_fallback_agrees(self):
-        a = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5, use_numpy=True)
-        b = misrevocation_trials(300, 2, [4, 8], trials=10, seed=5, use_numpy=False)
-        # Different RNG streams, same distribution: crude agreement.
-        for theta in (4, 8):
-            assert abs(a.avg_misrevoked[theta] - b.avg_misrevoked[theta]) < max(
-                3.0, 0.8 * max(a.avg_misrevoked[theta], 1.0)
-            )
-
     def test_rejects_degenerate_population(self):
         with pytest.raises(ConfigError):
             misrevocation_trials(5, 5, [1], trials=1)

@@ -69,7 +69,7 @@ class TestTheorem3HonestSide:
         # Node 9 (level 9) forwarded value 1.0; ask exactly that.
         ring = aggregated_line.registry.ring(9)
         predicate = AggForwarded(
-            level=9, value_bound=1.0, key_low=ring.indices[0], key_high=ring.indices[-1]
+            level=9, value_bound=1.0, key_low=ring[0], key_high=ring[-1]
         )
         nonce = b"n1"
         assert run_keyed_predicate_test(
@@ -128,7 +128,7 @@ class TestTheorem3AdversarialSide:
 
     def test_malicious_holder_can_lie_yes(self):
         dep, adv = self._attacked(PolicyStrategy(predtest="lie_yes"))
-        key_index = dep.registry.ring(4).indices[0]
+        key_index = dep.registry.ring(4)[0]
         # Predicate nobody honestly satisfies (absurd bound).
         predicate = AggReceived(
             id_low=1, id_high=15, value_bound=-1e18, child_level=3, key_index=key_index
@@ -172,7 +172,7 @@ class TestTheorem3AdversarialSide:
     def test_spurious_replies_die_at_first_honest_relay(self):
         dep, adv = self._attacked(PassiveStrategy())
         net = dep.network
-        key_index = dep.registry.ring(4).indices[0]
+        key_index = dep.registry.ring(4)[0]
         predicate = AggReceived(
             id_low=1, id_high=15, value_bound=-1e18, child_level=3, key_index=key_index
         )

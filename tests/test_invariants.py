@@ -521,7 +521,7 @@ class TestCommittedStores:
 class TestMutationSmoke:
     def test_every_mutant_caught(self) -> None:
         reports = mutation_smoke(seed=7)
-        assert len(reports) == 7
+        assert len(reports) == 8
         for report in reports:
             assert report.baseline_clean, (
                 f"{report.name}: baseline provocation was dirty"

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KeyConfig, RevocationConfig
-from repro.errors import KeyManagementError, RevocationError
-from repro.keys import KeyPool, KeyRegistry, KeyRing, ring_seed
+from repro.core.predicate_test import node_key
+from repro.errors import KeyManagementError, ProtocolError, RevocationError
+from repro.keys import KeyPool, KeyRegistry, ring_seed
+from repro.keys.ring import ring_indices_from_seed
 
 CFG = KeyConfig(pool_size=200, ring_size=40)
 
@@ -46,52 +48,53 @@ class TestKeyPool:
 
 
 class TestKeyRing:
-    def test_ring_selection_from_seed(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
+    def test_ring_selection_from_seed(self):
+        ring = ring_indices_from_seed(ring_seed(b"master", 1), CFG)
         assert len(ring) == CFG.ring_size
-        assert list(ring.indices) == sorted(set(ring.indices))
+        assert list(ring) == sorted(set(ring))
 
-    def test_same_seed_same_ring(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(99, ring_seed(b"master", 1), pool)
-        assert a.indices == b.indices
+    def test_same_seed_same_ring(self):
+        seed = ring_seed(b"master", 1)
+        assert ring_indices_from_seed(seed, CFG) == ring_indices_from_seed(seed, CFG)
 
-    def test_different_sensors_different_rings(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(2, ring_seed(b"master", 2), pool)
-        assert a.indices != b.indices
+    def test_different_sensors_different_rings(self):
+        a = ring_indices_from_seed(ring_seed(b"master", 1), CFG)
+        b = ring_indices_from_seed(ring_seed(b"master", 2), CFG)
+        assert a != b
 
-    def test_holds_and_key_access(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        index = ring.indices[0]
-        assert ring.holds(index)
-        assert ring.key(index) == pool.pool_key(index)
+    def test_holds_and_key_access(self, registry, pool):
+        index = registry.ring(1)[0]
+        assert registry.node_holds(1, index)
+        assert registry.pool_key(index) == pool.pool_key(index)
 
-    def test_key_access_denied_outside_ring(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        outside = next(i for i in range(CFG.pool_size) if i not in ring)
-        with pytest.raises(KeyManagementError):
-            ring.key(outside)
+    def test_key_access_denied_outside_ring(self):
+        # An honest sensor replies to a keyed predicate test only under a
+        # key it holds; asking it for any other is a protocol bug.
+        from repro import build_deployment
 
-    def test_shared_indices_symmetric(self, pool):
-        a = KeyRing(1, ring_seed(b"master", 1), pool)
-        b = KeyRing(2, ring_seed(b"master", 2), pool)
-        assert a.shared_indices(b) == b.shared_indices(a)
-        for index in a.shared_indices(b):
-            assert index in a and index in b
+        network = build_deployment(num_nodes=8, seed=2).network
+        ring = network.registry.ring(4)
+        assert node_key(network, ("pool", ring[0]), 4) == network.registry.pool_key(ring[0])
+        outside = next(i for i in range(network.config.keys.pool_size) if i not in ring)
+        with pytest.raises(ProtocolError):
+            node_key(network, ("pool", outside), 4)
+        with pytest.raises(ProtocolError):
+            node_key(network, ("sensor", 5), 4)
 
-    def test_rank_of(self, pool):
-        ring = KeyRing(1, ring_seed(b"master", 1), pool)
-        assert ring.rank_of(ring.indices[5]) == 5
+    def test_shared_indices_symmetric(self, registry):
+        shared = registry.shared_key_indices(1, 2)
+        assert shared == registry.shared_key_indices(2, 1)
+        for index in shared:
+            assert index in registry.ring(1) and index in registry.ring(2)
 
 
 class TestKeyRegistry:
     def test_holders_consistent_with_rings(self, registry):
-        for index in registry.ring(1).indices:
+        for index in registry.ring(1):
             assert 1 in registry.holders(index)
 
     def test_holders_sorted(self, registry):
-        index = registry.ring(1).indices[0]
+        index = registry.ring(1)[0]
         holders = registry.holders(index)
         assert list(holders) == sorted(holders)
 
@@ -104,7 +107,7 @@ class TestKeyRegistry:
             assert registry.edge_key_index(1, 2) == shared[0]
 
     def test_edge_key_with_base_station_uses_sensor_ring(self, registry):
-        assert registry.edge_key_index(0, 3) == registry.ring(3).indices[0]
+        assert registry.edge_key_index(0, 3) == registry.ring(3)[0]
 
     def test_edge_key_skips_revoked(self, registry):
         shared = registry.shared_key_indices(1, 2)
@@ -139,15 +142,16 @@ class TestKeyRegistry:
     def test_deployment_material_matches_registry(self, registry):
         ring = registry.ring(4)
         assert registry.sensor_key(4) == registry.pool.sensor_key(4)
-        assert ring.indices == tuple(registry.ring_table.row_list(4))
-        for index in ring.indices:
-            assert ring.key(index) == registry.pool_key(index)
+        assert ring == tuple(registry.ring_table.row_list(4))
+        assert all(registry.node_holds(4, index) for index in ring)
 
     def test_material_denies_unheld_keys(self, registry):
         ring = registry.ring(4)
-        outside = next(i for i in range(CFG.pool_size) if not registry.node_holds(4, i))
+        outside = [i for i in range(CFG.pool_size) if i not in ring]
+        assert len(outside) == CFG.pool_size - CFG.ring_size
+        assert not any(registry.node_holds(4, i) for i in outside)
         with pytest.raises(KeyManagementError):
-            ring.key(outside)
+            registry.ring(12)
 
     def test_rejects_tiny_deployment(self):
         with pytest.raises(KeyManagementError):

@@ -57,7 +57,7 @@ class TestDeploymentBuilder:
         a = build_deployment(num_nodes=15, seed=4)
         b = build_deployment(num_nodes=15, seed=4)
         assert sorted(a.topology.edges()) == sorted(b.topology.edges())
-        assert a.registry.ring(3).indices == b.registry.ring(3).indices
+        assert a.registry.ring(3) == b.registry.ring(3)
 
     def test_deployment_dataclass_fields(self):
         deployment = build_deployment(num_nodes=10, seed=1)

@@ -51,7 +51,7 @@ class TestReceiverAcceptanceMatrix:
         )
         foreign = next(
             i
-            for i in net.registry.ring(sender).indices
+            for i in net.registry.ring(sender)
             if not net.registry.node_holds(receiver, i)
         )
         phase = net.new_phase("t", 2)
@@ -89,7 +89,7 @@ class TestReceiverAcceptanceMatrix:
     def test_base_station_accepts_any_held_key(self, net):
         neighbor = net.secure_neighbors(0)[0]
         # Any key in the neighbour's ring works toward the BS.
-        key = net.registry.ring(neighbor).indices[-1]
+        key = net.registry.ring(neighbor)[-1]
         phase = net.new_phase("t", 2)
         phase.begin_interval(1)
         phase.send(neighbor, [0], beacon(), interval=1, key_index=key)

@@ -40,7 +40,7 @@ def script(pin, answer: Callable[[Tuple[str, int], object], bool]):
 class TestRingBinarySearch:
     def test_finds_the_single_satisfying_key(self, pinpointer):
         dep, pin = pinpointer
-        ring = dep.registry.ring(3).indices
+        ring = dep.registry.ring(3)
         target = ring[len(ring) // 3]
 
         calls = script(
@@ -72,7 +72,7 @@ class TestRingBinarySearch:
 
     def test_revoked_keys_excluded_from_domain(self, pinpointer):
         dep, pin = pinpointer
-        ring = dep.registry.ring(3).indices
+        ring = dep.registry.ring(3)
         target = ring[0]
         dep.registry.revoke_key(target, reason="test")
         seen_ranges = []
@@ -92,7 +92,7 @@ class TestRingBinarySearch:
     def test_empty_domain_returns_none(self, pinpointer):
         dep, pin = pinpointer
         dep.registry.revocation.theta = None  # keep sensor 3 itself unrevoked
-        for index in dep.registry.ring(3).indices:
+        for index in dep.registry.ring(3):
             dep.registry.revoke_key(index)
         script(pin, lambda ref, p: True)
         assert pin._ring_binary_search(

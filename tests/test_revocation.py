@@ -14,8 +14,8 @@ from repro.keys.soa import RingTable
 PAD_BASE = 1000
 
 
-def make_state(rings, theta=None, cascade=False):
-    """State over ``{sensor: ring}`` for sensors ``1..n``.
+def make_table(rings):
+    """Ring table over ``{sensor: ring}`` for sensors ``1..n``.
 
     Rings shorter than the longest are padded to one length with keys
     only that sensor holds.  The pool covers every index below
@@ -27,8 +27,12 @@ def make_state(rings, theta=None, cascade=False):
         + [PAD_BASE + width * sensor + j for j in range(width - len(rings[sensor]))]
         for sensor in range(1, len(rings) + 1)
     ]
-    pool_size = PAD_BASE + width * (len(rings) + 1)
-    return RevocationState(RingTable.from_rows(rows, pool_size), theta=theta, cascade=cascade)
+    return RingTable.from_rows(rows, PAD_BASE + width * (len(rings) + 1))
+
+
+def make_state(rings, theta=None, cascade=False):
+    """State over :func:`make_table`'s table."""
+    return RevocationState(make_table(rings), theta=theta, cascade=cascade)
 
 
 class TestBasicRevocation:
@@ -66,9 +70,13 @@ class TestBasicRevocation:
             state.revoked_ring_count(99)
 
     def test_holders_of(self):
-        state = make_state({3: [10], 1: [10], 2: [11]})
-        assert state.holders_of(10) == (1, 3)
-        assert state.holders_of(999) == ()
+        # The state counts a revoked key against these holders.
+        table = make_table({3: [10], 1: [10], 2: [11]})
+        assert table.holders(10) == (1, 3)
+        assert table.holders(999) == ()
+        state = RevocationState(table)
+        state.revoke_key(10)
+        assert [state.revoked_ring_count(s) for s in (1, 2, 3)] == [1, 0, 1]
 
     def test_log_records_everything(self):
         state = make_state({1: [10, 11]})
@@ -78,11 +86,12 @@ class TestBasicRevocation:
         assert "test-a" in reasons and "test-b" in reasons
 
     def test_key_outside_pool_rejected(self):
-        state = make_state({1: [10, 11]})
+        table = make_table({1: [10, 11]})
+        state = RevocationState(table)
         for index in (-1, 2 * PAD_BASE, 10**9):
             with pytest.raises(RevocationError):
                 state.revoke_key(index)
-            assert state.holders_of(index) == ()
+            assert table.holders(index) == ()
         assert state.log == [] and state.revoked_keys == frozenset()
 
 

@@ -438,36 +438,54 @@ class TestRadioGraphMemory:
     def test_reply_relay_build_is_independent_of_population(self):
         # A keyed predicate test's honest step costs its key's holders
         # (176 here), not a set over all 10k sensors.
-        import gc
-        import tracemalloc
+        peak = _reply_relay_build_peak(_grid10k_deployment().network)
+        assert peak < 64 * 1024, f"{peak / 1024:.1f} KiB"
 
-        from repro.core.phase_state import honest_step
-        from repro.core.predicate_test import AggForwarded, ReplyRelay, reply_mac_for
-        from repro.crypto.hash import oneway_hash
+    def test_reply_relay_build_is_independent_of_audit_trail(self):
+        # After one honest MIN execution the audit tables hold ~19k send
+        # and ~19k receipt rows; the predicate query reads them in place
+        # instead of copying whole columns.
+        from repro import MinQuery, VMATProtocol
 
         network = _grid10k_deployment().network
-        index, nonce = 7, b"relaynon"
-        assert len(network.registry.holders(index)) > 150
-        reply_hash = oneway_hash(reply_mac_for(network.registry.pool_key(index), nonce))
-        predicate = AggForwarded(level=1, value_bound=1.0, key_low=0, key_high=16_383)
-        phase = network.new_phase("predicate-reply", 198)
-
-        def build():
-            return honest_step(
-                network, phase, ReplyRelay, network.honest_id_set(),
-                ("pool", index), predicate.encode(), nonce, reply_hash,
-            )
-
-        build()  # warm: the per-epoch id set, holder list and key caches
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            build()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        readings = {i: float(i) for i in network.topology.sensor_ids}
+        VMATProtocol(network).execute(MinQuery(), readings)
+        assert len(network.audit.aggregation_sends) > 15_000
+        peak = _reply_relay_build_peak(network)
         assert peak < 64 * 1024, f"{peak / 1024:.1f} KiB"
+
+
+def _reply_relay_build_peak(network) -> int:
+    """tracemalloc peak of building a warm ``ReplyRelay`` for pool key 7
+    (an ``AggForwarded`` predicate over the whole key range)."""
+    import gc
+    import tracemalloc
+
+    from repro.core.phase_state import honest_step
+    from repro.core.predicate_test import AggForwarded, ReplyRelay, reply_mac_for
+    from repro.crypto.hash import oneway_hash
+
+    index, nonce = 7, b"relaynon"
+    assert len(network.registry.holders(index)) > 150
+    reply_hash = oneway_hash(reply_mac_for(network.registry.pool_key(index), nonce))
+    predicate = AggForwarded(level=1, value_bound=1.0, key_low=0, key_high=16_383)
+    phase = network.new_phase("predicate-reply", 198)
+
+    def build():
+        return honest_step(
+            network, phase, ReplyRelay, network.honest_id_set(),
+            ("pool", index), predicate.encode(), nonce, reply_hash,
+        )
+
+    build()  # warm: the per-epoch id set, holder list and key caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------

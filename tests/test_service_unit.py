@@ -147,7 +147,10 @@ def test_tampered_wire_mac_is_refused():
     sender_phase.begin_interval(1)
     assert sender_phase.send(2, [1, 3], TreeBeacon(origin=2, hop_count=1), interval=1)
     (delivery,) = sender_phase.inbox(3, 1)
-    env = delivery_envelope(delivery, 1, 2, 1)
+    receivers, batch_ids, batches, key_indices, _ = sender_phase.rows(1)
+    row = list(receivers).index(3)
+    env = delivery_envelope(batches[batch_ids[row]], 3, key_indices[row], 1, 1, 2, 1)
+    assert env[7] == delivery.edge_mac
     bad = _tampered(env)
     assert bad != env
 

@@ -249,7 +249,7 @@ class TestTransportOrder:
                                      TreeBeacon(origin=6, hop_count=hop)], 1)
         # A key of 2's ring that 1 does not hold: a rejected row.
         registry = net.registry
-        foreign = next(i for i in registry.ring(2).indices if i not in registry.ring(1))
+        foreign = next(i for i in registry.ring(2) if i not in registry.ring(1))
         phase.send(2, [1], TreeBeacon(origin=2, hop_count=9), interval=1, key_index=foreign)
         phase.send(0, [1], TreeBeacon(origin=0, hop_count=1), interval=1)
 
@@ -352,6 +352,28 @@ class TestRingTable:
         for index in sorted(a)[:5]:
             assert table.holds(3, index)
         assert not table.holds(3, min(set(range(200)) - a))
+
+    def test_holders_match_row_scan(self):
+        # The key -> holders index against a brute-force scan of the
+        # rows, for a drawn table and a pairwise one, over every pool
+        # index plus two outside the pool.
+        from repro.keys.schemes import PairwiseScheme
+
+        scheme = PairwiseScheme(9)
+        tables = (
+            RingTable(self.SECRET, num_nodes=30, config=self._config()),
+            RingTable.from_rows(
+                [scheme.ring_indices(s) for s in range(1, 9)], scheme.pool_size
+            ),
+        )
+        for table in tables:
+            rows = {s: set(table.row_list(s)) for s in range(1, table.num_nodes)}
+            for index in range(-1, table.pool_size + 1):
+                expected = tuple(s for s in sorted(rows) if index in rows[s])
+                assert table.holders(index) == expected
+        pairwise = tables[1]
+        for index in range(scheme.pool_size):
+            assert pairwise.holders(index) == scheme.holders(index)
 
     def test_bulk_edge_keys_match_per_edge(self):
         config = self._config()
@@ -656,12 +678,12 @@ class TestRevocationParity:
         assert state.threshold_pending() == set()
 
     def test_holders_identical(self):
-        table, state = self._state(theta=None, cascade=False)
+        table, _ = self._state(theta=None, cascade=False)
         rows = {s: set(table.row_list(s)) for s in range(1, 10)}
         for index in range(60):
             expected = tuple(s for s in range(1, 10) if index in rows[s])
-            assert state.holders_of(index) == expected
-            assert all(isinstance(s, int) for s in state.holders_of(index))
+            assert table.holders(index) == expected
+            assert all(isinstance(s, int) for s in table.holders(index))
 
 
 # ----------------------------------------------------------------------
@@ -868,16 +890,15 @@ class TestBackendSelection:
 
         keys = small_test_config(depth_bound=10).keys
         table = KeyRegistry(b"backend-parity", 6, keys)
-        rings = {s: table.ring(s).indices for s in range(1, 6)}
+        rings = {s: table.ring(s) for s in range(1, 6)}
         explicit = KeyRegistry(
             b"backend-parity", 6, keys, ring_indices_factory=rings.__getitem__
         )
         for sensor in range(1, 6):
-            assert table.ring(sensor).indices == explicit.ring(sensor).indices
-            table_ring, explicit_ring = table.ring(sensor), explicit.ring(sensor)
+            assert table.ring(sensor) == explicit.ring(sensor)
             assert table.sensor_key(sensor) == explicit.sensor_key(sensor)
-            assert [table_ring.key(i) for i in table_ring.indices] == [
-                explicit_ring.key(i) for i in explicit_ring.indices
+            assert [table.pool_key(i) for i in table.ring(sensor)] == [
+                explicit.pool_key(i) for i in explicit.ring(sensor)
             ]
         for a in range(6):
             for b in range(a + 1, 6):
